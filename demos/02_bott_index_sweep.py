@@ -13,15 +13,15 @@ the spectrum of e clusters near {0, 1}.  The class
     k(u, v) = rank(spectral projection of e above 1/2) - n
 
 is then a well-defined integer as long as the defect stays below 1/8.
-Its sign convention is pinned once per process by comparing against the
-winding route on a reference pair; reports carry the orientation.
+Its sign is a property of the construction: k(u, v) equals the winding
+number of the determinant loop of [v, u], so reports carry the constant
+orientation +1.
 """
 
 import numpy as np
 
-from qrep import (DefectTooLarge, Unitary, adjoint, bott_almost_projection,
-                  bott_orientation, k_invariant, verify_index_formula,
-                  voiculescu_pair, voiculescu_qrep)
+from qrep import (DefectTooLarge, bott_almost_projection, k_invariant,
+                  verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
 print("defect ||e^2 - e|| of the shift/phase family:")
 print(f"{'n':>5}  {'defect':>10}  {'< 1/8?':>7}")
@@ -30,8 +30,6 @@ for n in (4, 8, 16, 32, 64, 128):
     d = bott_almost_projection(u, v).defect
     print(f"{n:>5}  {d:>10.6f}  {str(d < 0.125):>7}")
 
-print()
-print(f"calibrated orientation: {bott_orientation():+d}")
 print()
 
 for n in (16, 64, 128):

@@ -90,7 +90,6 @@ from .bott import (
     IndexFormulaReport,
     SurfacePullback,
     bott_almost_projection,
-    bott_orientation,
     k_invariant,
     push_k_class,
     verify_index_formula,

@@ -15,24 +15,24 @@ minus n is an integer invariant k(u, v) of the pair: zero for genuinely
 commuting pairs, and equal to the winding number of the commutator
 determinant loop in general.
 
-Because the overall sign of k depends on orientation conventions scattered
-through the construction, it is pinned numerically, once per process, by
-comparing against the winding number on the n = 64 shift/phase pair; the
-resulting orientation (+1 or -1) is recorded in every report.  See
-:func:`bott_orientation`.
+The sign of k is a property of this construction, not of the input: k(u, v)
+equals the winding number of the determinant loop of the reversed
+commutator v u v* u*, so :data:`ORIENTATION` is the constant +1, recorded
+in every report.  ``test_orientation_consistency_with_winding`` checks it
+on the n = 64 shift/phase pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from .config import DEFAULTS, Tolerances
-from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch, QrepError
+from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
 from .matcore import Unitary, adjoint, herm_eig, op_norm, spectral_projection, unitary_eig
-from .invariants import InvariantReport, kappa, winding_number_det_segment
+from .invariants import InvariantReport, _commutator_product, kappa, winding_number_det_segment
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -46,13 +46,15 @@ from .words import (
 __all__ = [
     "AlmostProjection",
     "bott_almost_projection",
-    "bott_orientation",
     "push_k_class",
     "k_invariant",
     "SurfacePullback",
     "IndexFormulaReport",
     "verify_index_formula",
 ]
+
+# Sign convention of k: k(u, v) = winding number of det along [v, u].
+ORIENTATION = 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class AlmostProjection:
     e: np.ndarray
     defect: float
     base_dim: int
-    orientation: int = 1
 
 
 def _circle_functions(theta: np.ndarray):
@@ -78,19 +79,14 @@ def _circle_functions(theta: np.ndarray):
     return f, g, h
 
 
-def bott_almost_projection(u: Unitary, v: Unitary, orientation: int | None = None,
-                           cluster_width: float = DEFAULTS.cluster_width) -> AlmostProjection:
-    """Build e(u, v) by functional calculus of v.
-
-    ``orientation`` of None applies the process-wide calibrated sign (see
-    :func:`bott_orientation`); -1 swaps the roles of u and v.
-    """
+def bott_almost_projection(u: Unitary, v: Unitary,
+                           *,
+                           tolerances: Tolerances = DEFAULTS) -> AlmostProjection:
+    """Build e(u, v) by functional calculus of v (eigenvalues of v clustered
+    at ``cluster_width``)."""
     if u.dim != v.dim:
         raise DimensionMismatch("pair must share a dimension", u=u.dim, v=v.dim)
-    orient = bott_orientation() if orientation is None else int(orientation)
-    if orient < 0:
-        u, v = v, u
-    es = unitary_eig(v, cluster_width)
+    es = unitary_eig(v, tolerances.cluster_width)
     fv, gv, hv = _circle_functions(np.angle(es.values))
     basis, cobasis = es.vectors, adjoint(es.vectors)
     f = (basis * fv) @ cobasis
@@ -101,77 +97,40 @@ def bott_almost_projection(u: Unitary, v: Unitary, orientation: int | None = Non
     n = u.dim
     e = np.block([[f, x], [adjoint(x), np.eye(n) - f]])
     e = (e + adjoint(e)) / 2
-    return AlmostProjection(e, op_norm(e @ e - e), n, orient)
-
-
-_calibration: dict = {"orientation": None}
-
-
-def bott_orientation() -> int:
-    """Calibrated sign convention for the k invariant.
-
-    Computed lazily once per process and then immutable: on the n = 64
-    shift/phase pair, the raw construction's class is compared with the
-    winding number of the reversed-commutator determinant loop.  If they
-    already agree the orientation is +1; if they are opposite, -1, and the
-    construction silently swaps u and v to compensate.  Every report carries
-    the orientation so serialized results remain interpretable.
-    """
-    if _calibration["orientation"] is None:
-        _calibration["orientation"] = _calibrate()
-    return _calibration["orientation"]
-
-
-def _calibrate() -> int:
-    from .examples import voiculescu_pair
-
-    u, v = voiculescu_pair(64)
-    raw = bott_almost_projection(u, v, orientation=1)
-    k_raw = push_k_class(raw)
-    loop = Unitary.of(v.m @ u.m @ adjoint(v.m) @ adjoint(u.m))
-    wn = winding_number_det_segment(loop)
-    if not wn.is_integer:
-        raise QrepError("calibration winding number is not integral",
-                        value=wn.value)
-    if k_raw == wn.rounded:
-        return 1
-    if k_raw == -wn.rounded:
-        return -1
-    raise QrepError("calibration failed: class and winding number unrelated",
-                    k_raw=k_raw, winding=wn.rounded)
+    return AlmostProjection(e, op_norm(e @ e - e), n)
 
 
 def push_k_class(ap: AlmostProjection,
-                 threshold: float = DEFAULTS.projection_threshold,
-                 gap: float = DEFAULTS.projection_gap,
-                 defect_max: float = DEFAULTS.defect_max) -> int:
-    """Rank of the spectral projection of e above 1/2, minus the base rank n.
+                 *,
+                 tolerances: Tolerances = DEFAULTS) -> int:
+    """Rank of the spectral projection of e above ``projection_threshold``
+    (1/2), minus the base rank n.
 
     Well-defined only when the defect is below ``defect_max`` (default 1/8),
-    which forces the spectrum of e into two bands clear of 1/2.
+    which forces the spectrum of e into two bands clear of 1/2; an
+    eigenvalue within ``projection_gap`` of the threshold raises
+    :class:`NoSpectralGap`.
     """
-    if ap.defect >= defect_max:
+    tol = tolerances
+    if ap.defect >= tol.defect_max:
         raise DefectTooLarge("almost-projection defect leaves no usable gap",
-                             defect=ap.defect, bound=defect_max)
-    _, rank = spectral_projection(ap.e, threshold, gap)
+                             defect=ap.defect, bound=tol.defect_max)
+    _, rank = spectral_projection(ap.e, tol.projection_threshold, tol.projection_gap)
     return rank - ap.base_dim
 
 
 def k_invariant(u: Unitary, v: Unitary,
                 *,
-                orientation: int | None = None,
-                threshold: float = DEFAULTS.projection_threshold,
-                gap: float = DEFAULTS.projection_gap,
-                defect_max: float = DEFAULTS.defect_max,
-                integer_tol: float = DEFAULTS.integer_residual) -> InvariantReport:
+                tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """The integer class k(u, v) of the pair, with its full error budget."""
-    ap = bott_almost_projection(u, v, orientation)
-    k = push_k_class(ap, threshold, gap, defect_max)
+    tol = tolerances
+    ap = bott_almost_projection(u, v, tolerances=tol)
+    k = push_k_class(ap, tolerances=tol)
     spectrum = herm_eig(ap.e).values
-    below = spectrum[spectrum < threshold]
-    above = spectrum[spectrum >= threshold]
+    below = spectrum[spectrum < tol.projection_threshold]
+    above = spectrum[spectrum >= tol.projection_threshold]
     gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
-    comm_defect = op_norm(u.m @ v.m @ adjoint(u.m) @ adjoint(v.m) - np.eye(u.dim))
+    comm_defect = op_norm(_commutator_product(u.dim, [(u.m, v.m)]) - np.eye(u.dim))
     return InvariantReport(
         name="k_invariant",
         value=float(k),
@@ -181,14 +140,10 @@ def k_invariant(u: Unitary, v: Unitary,
             "commutator_defect": comm_defect,
             "e_defect": ap.defect,
             "spectral_gap": gap_width,
-            "orientation": float(ap.orientation),
+            "orientation": float(ORIENTATION),
         },
-        tolerances={
-            "projection_threshold": threshold,
-            "projection_gap": gap,
-            "defect_max": defect_max,
-            "integer_residual": integer_tol,
-        },
+        tolerances=tol.subset("projection_threshold", "projection_gap",
+                              "defect_max", "integer_residual"),
     )
 
 
@@ -220,9 +175,9 @@ class IndexFormulaReport:
     equal: bool
     trace_close: bool
     trace_tol: float
-    orientation: int
     datum_class: int
     defects: dict
+    orientation: ClassVar[int] = ORIENTATION
 
     def to_json(self) -> dict:
         return {
@@ -234,7 +189,7 @@ class IndexFormulaReport:
             "rhs_kappa_tau": self.rhs_kappa_tau.value,
             "equal": self.equal,
             "trace_close": self.trace_close,
-            "orientation": "+1" if self.orientation > 0 else "-1",
+            "orientation": f"{self.orientation:+d}",
             "datum_class": self.datum_class,
             "defects": dict(self.defects),
             "reports": {
@@ -307,26 +262,14 @@ def verify_index_formula(qr: QuasiRep,
         datum_class += pa * qb - qa * pb
 
     n = qr.dim
-    loop = np.eye(n, dtype=np.complex128)
-    for wa, wb in used.pairs:
-        ma, mb = rep.apply(wa).m, rep.apply(wb).m
-        loop = loop @ mb @ ma @ adjoint(mb) @ adjoint(ma)
+    images = [(rep.apply(wa).m, rep.apply(wb).m) for wa, wb in used.pairs]
+    loop = _commutator_product(n, [(mb, ma) for ma, mb in images])
     loop_u = Unitary.of(loop)
 
-    t = tolerances
-    lhs = k_invariant(u, v, threshold=t.projection_threshold,
-                      gap=t.projection_gap, defect_max=t.defect_max,
-                      integer_tol=t.integer_residual)
-    rhs_wn = winding_number_det_segment(
-        loop_u, samples=t.winding_samples, max_depth=t.winding_max_depth,
-        loop_tol=t.loop_closure, floor=t.path_floor,
-        integer_tol=t.integer_residual)
-    rhs_kappa = kappa(loop_u, "standard", margin=t.branch_margin,
-                      cluster_width=t.cluster_width,
-                      integer_tol=t.integer_residual, det_tol=t.det_one)
-    rhs_tau = kappa(loop_u, "normalized", margin=t.branch_margin,
-                    cluster_width=t.cluster_width,
-                    integer_tol=t.integer_residual, det_tol=t.det_one)
+    lhs = k_invariant(u, v, tolerances=tolerances)
+    rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
+    rhs_kappa = kappa(loop_u, "standard", tolerances=tolerances)
+    rhs_tau = kappa(loop_u, "normalized", tolerances=tolerances)
     lhs_k = lhs.rounded
     normalized = lhs_k / n
     equal = (rhs_wn.is_integer and rhs_kappa.is_integer
@@ -352,7 +295,6 @@ def verify_index_formula(qr: QuasiRep,
         equal=equal,
         trace_close=trace_close,
         trace_tol=trace_tol,
-        orientation=int(lhs.defect_data["orientation"]),
         datum_class=datum_class,
         defects=defects,
     )

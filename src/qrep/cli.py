@@ -46,6 +46,7 @@ from .examples import (
     voiculescu_qrep,
 )
 from .invariants import (
+    _commutator_product,
     exel_homotopy_gap,
     kappa,
     kazhdan_stability,
@@ -285,7 +286,7 @@ def _write_csv(path: str, rows: list[dict]) -> None:
                              for k in CSV_COLUMNS})
 
 
-def _base_qrep(args, tol):
+def _base_qrep(args):
     if getattr(args, "input", None):
         return _load_qrep(args.input)
     if getattr(args, "n", None):
@@ -300,7 +301,7 @@ def cmd_gen_voiculescu(args, tol):
 
 
 def cmd_gen_perturbed(args, tol):
-    base = _base_qrep(args, tol)
+    base = _base_qrep(args)
     targets = None
     if args.targets:
         targets = tuple(s for s in _split_top_level(args.targets) if s)
@@ -309,7 +310,7 @@ def cmd_gen_perturbed(args, tol):
 
 
 def cmd_gen_pullback(args, tol):
-    base = _base_qrep(args, tol)
+    base = _base_qrep(args)
     images = {}
     for part in _split_top_level(args.images):
         if not part:
@@ -343,16 +344,11 @@ def _input_unitary(args) -> Unitary:
 def cmd_invariant(args, tol):
     if args.which == "kappa":
         w = _input_unitary(args)
-        report = kappa(w, args.trace, margin=tol.branch_margin,
-                       cluster_width=tol.cluster_width,
-                       integer_tol=tol.integer_residual, det_tol=tol.det_one)
+        report = kappa(w, args.trace, tolerances=tol)
         _emit(args, tol, "invariant kappa", report.to_json())
     elif args.which == "winding":
         w = _input_unitary(args)
-        report = winding_number_det_segment(
-            w, samples=tol.winding_samples, max_depth=tol.winding_max_depth,
-            loop_tol=tol.loop_closure, floor=tol.path_floor,
-            integer_tol=tol.integer_residual)
+        report = winding_number_det_segment(w, tolerances=tol)
         _emit(args, tol, "invariant winding", report.to_json())
     else:
         kind, payload = _load_matrix_or_qrep(args.input)
@@ -361,10 +357,7 @@ def cmd_invariant(args, tol):
         if args.word:
             raise InputError("the k class is computed from the generator pair, not a word")
         g0, g1 = payload.presentation.generators
-        report = k_invariant(payload.images[g0], payload.images[g1],
-                             threshold=tol.projection_threshold,
-                             gap=tol.projection_gap, defect_max=tol.defect_max,
-                             integer_tol=tol.integer_residual)
+        report = k_invariant(payload.images[g0], payload.images[g1], tolerances=tol)
         _emit(args, tol, "invariant k", report.to_json())
 
 
@@ -426,7 +419,7 @@ def cmd_verify_exel_loring(args, tol):
             _write_csv(args.csv, rows)
         _emit(args, tol, "verify exel-loring", {"rows": rows})
         return
-    qr = _base_qrep(args, tol)
+    qr = _base_qrep(args)
     report = verify_index_formula(qr, tolerances=tol)
     _emit(args, tol, "verify exel-loring", report.to_json())
 
@@ -469,21 +462,17 @@ def cmd_stability(args, tol):
             alt_pairs = [(perturbed_copy(a, args.radius, gen),
                           perturbed_copy(b, args.radius, gen))
                          for a, b in base_pairs]
-            report = kazhdan_stability(g, base_pairs, alt_pairs,
-                                       samples=tol.stability_samples,
-                                       margin=tol.branch_margin)
+            report = kazhdan_stability(g, base_pairs, alt_pairs, tolerances=tol)
             reports.append(report.to_json())
+            w_alt = _commutator_product(n, [(a.m, b.m) for a, b in alt_pairs])
             row.update({
                 "kappa": report.kappa_end.rounded,
-                "wn": winding_number_det_segment(
-                    Unitary.of(_tuple_product(alt_pairs))).rounded,
+                "wn": winding_number_det_segment(Unitary.of(w_alt),
+                                                 tolerances=tol).rounded,
                 "relator_defect": report.relator_defect_alt,
             })
             if g == 1:
-                k_rep = k_invariant(alt_pairs[0][0], alt_pairs[0][1],
-                                    threshold=tol.projection_threshold,
-                                    gap=tol.projection_gap,
-                                    defect_max=tol.defect_max)
+                k_rep = k_invariant(alt_pairs[0][0], alt_pairs[0][1], tolerances=tol)
                 row["k"] = k_rep.rounded
                 row["e_defect"] = k_rep.defect_data["e_defect"]
                 row["gap"] = k_rep.defect_data["spectral_gap"]
@@ -507,21 +496,11 @@ def cmd_stability(args, tol):
           {"rows": rows, "reports": reports, "all_ok": ok})
 
 
-def _tuple_product(pairs) -> np.ndarray:
-    n = pairs[0][0].dim
-    out = np.eye(n, dtype=np.complex128)
-    for a, b in pairs:
-        out = out @ a.m @ b.m @ a.m.conj().T @ b.m.conj().T
-    return out
-
-
 def cmd_homotopy_gap(args, tol):
     kind, payload = _load_matrix_or_qrep(args.input)
     if kind != "matrix":
         raise InputError("homotopy-gap takes a matrix JSON input")
-    value = exel_homotopy_gap(payload, grid=tol.homotopy_grid,
-                              margin=tol.branch_margin,
-                              cluster_width=tol.cluster_width)
+    value = exel_homotopy_gap(payload, tolerances=tol)
     _emit(args, tol, "homotopy-gap", {"homotopy_gap": value})
 
 

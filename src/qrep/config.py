@@ -2,10 +2,16 @@
 
 Every tolerance, threshold, and sampling density used by the library lives
 in the :class:`Tolerances` dataclass so that reports can record exactly the
-policy under which a number was produced.  Library functions take the
-specific bounds they need as keyword arguments whose defaults come from
-``DEFAULTS``; the CLI additionally honours ``QREP_TOL_*`` environment
-variables (see :func:`from_env`).
+policy under which a number was produced.  The invariant layer (``kappa``,
+``winding_number_det_segment``, ``exel_homotopy_gap``,
+``kazhdan_stability``, ``bott_almost_projection``, ``push_k_class``,
+``k_invariant``, ``verify_index_formula``) takes one keyword-only
+``tolerances`` object, reads the fields it needs and echoes them in its
+report under their field names.  The matrix primitives in ``matcore`` keep
+scalar parameters whose defaults come from ``DEFAULTS``; ``unitarity`` and
+``hermiticity`` reach the library only as those defaults.  The CLI builds
+its object from ``DEFAULTS``, ``QREP_TOL_*`` environment variables (see
+:func:`from_env`) and ``--tol-*`` flags.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ class Tolerances:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def subset(self, *names: str) -> dict:
+        """The named fields with their values, as a report echoes them."""
+        return {name: getattr(self, name) for name in names}
 
 
 DEFAULTS = Tolerances()

@@ -21,16 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, Tolerances
 from .errors import (
-    BranchCut,
     DimensionMismatch,
     FormatError,
     HypothesisViolated,
     NotALoop,
     PathSingular,
 )
-from .matcore import Unitary, herm_eig, lu_det, op_norm, principal_log_unitary, unitary_eig
+from .matcore import (
+    Unitary,
+    branch_distance,
+    herm_eig,
+    lu_det,
+    op_norm,
+    principal_log_unitary,
+    unitary_eig,
+)
 
 __all__ = [
     "InvariantReport",
@@ -97,36 +104,31 @@ def _integrality(value: float, expected: bool, integer_tol: float):
 def kappa(w: Unitary,
           trace_mode: str = "standard",
           *,
-          margin: float = DEFAULTS.branch_margin,
-          cluster_width: float = DEFAULTS.cluster_width,
-          integer_tol: float = DEFAULTS.integer_residual,
-          det_tol: float = DEFAULTS.det_one) -> InvariantReport:
+          tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """Trace-logarithm invariant (1/2pi i) tr(log w) of a unitary.
 
     ``trace_mode`` "standard" uses the matrix trace, under which the value
     is an integer whenever det(w) = 1; "normalized" divides by the dimension
     (the tracial-state version, integer only in multiples of 1/n).  The
-    spectrum must stay ``margin`` away from -1 or :class:`BranchCut` is
-    raised.  ``defect_data`` records ||w - 1|| and which norm domain (< 1,
+    spectrum must stay ``branch_margin`` away from -1 or :class:`BranchCut`
+    is raised.  ``defect_data`` records ||w - 1|| and which norm domain (< 1,
     < 2) the input satisfies; the normalized form is classically stated for
     ||w - 1|| < 1 but is computed whenever the logarithm exists.
     """
     if trace_mode not in ("standard", "normalized"):
         raise ValueError(f"unknown trace_mode {trace_mode!r}")
-    es = unitary_eig(w, cluster_width)
-    dist = np.abs(es.values + 1.0)
-    nearest = float(dist.min())
-    if nearest <= margin:
-        raise BranchCut("spectrum within margin of -1; invariant undefined",
-                        distance=nearest, margin=margin)
+    tol = tolerances
+    es = unitary_eig(w, tol.cluster_width)
+    nearest = branch_distance(es.values, tol.branch_margin,
+                              "spectrum within margin of -1; invariant undefined")
     theta = np.angle(es.values)
     n = w.dim
     total = float(theta.sum()) / _TWO_PI
     value = total if trace_mode == "standard" else total / n
     norm_dev = op_norm(w.m - np.eye(n))
     det_dev = abs(lu_det(w.m) - 1.0)
-    expected = trace_mode == "standard" and det_dev <= det_tol
-    rounded, is_integer = _integrality(value, expected, integer_tol)
+    expected = trace_mode == "standard" and det_dev <= tol.det_one
+    rounded, is_integer = _integrality(value, expected, tol.integer_residual)
     return InvariantReport(
         name="kappa" if trace_mode == "standard" else "kappa_tau",
         value=value,
@@ -139,41 +141,34 @@ def kappa(w: Unitary,
             "domain_lt_1": bool(norm_dev < 1.0),
             "domain_lt_2": bool(norm_dev < 2.0),
         },
-        tolerances={
-            "branch_margin": margin,
-            "cluster_width": cluster_width,
-            "integer_residual": integer_tol,
-            "det_one": det_tol,
-        },
+        tolerances=tol.subset("branch_margin", "cluster_width",
+                              "integer_residual", "det_one"),
     )
 
 
 def winding_number_det_segment(w: Unitary,
                                *,
-                               samples: int = DEFAULTS.winding_samples,
-                               max_depth: int = DEFAULTS.winding_max_depth,
-                               loop_tol: float = DEFAULTS.loop_closure,
-                               floor: float = DEFAULTS.path_floor,
-                               integer_tol: float = DEFAULTS.integer_residual) -> InvariantReport:
+                               tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """Winding number of t -> det((1-t) 1 + t w) around 0, by determinants only.
 
-    The loop starts and ends at 1 (hence the |det(w) - 1| <= loop_tol gate).
-    The argument is accumulated over an adaptively bisected partition of
-    [0, 1]: an interval is split while its endpoint argument increment
-    exceeds pi/2, with the stricter cap pi/16 wherever |det| dips below
-    0.1x the largest magnitude seen, since small determinants mean fast
-    argument motion and risk of aliasing a full turn.  A determinant below
-    ``floor``, or an increment still ambiguous at depth ``max_depth``,
-    raises :class:`PathSingular`.
+    The loop starts and ends at 1 (hence the |det(w) - 1| <= loop_closure
+    gate).  The argument is accumulated over an adaptively bisected
+    partition of [0, 1]: an interval is split while its endpoint argument
+    increment exceeds pi/2, with the stricter cap pi/16 wherever |det| dips
+    below 0.1x the largest magnitude seen, since small determinants mean
+    fast argument motion and risk of aliasing a full turn.  A determinant below
+    ``path_floor``, or an increment still ambiguous at depth
+    ``winding_max_depth``, raises :class:`PathSingular`.
 
     Deliberately independent of :func:`kappa`: no eigenvalues of w are used.
     """
+    tol = tolerances
     m = w.m
     n = w.dim
     det_dev = abs(lu_det(m) - 1.0)
-    if det_dev > loop_tol:
+    if det_dev > tol.loop_closure:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
-                       deviation=det_dev, tol=loop_tol)
+                       deviation=det_dev, tol=tol.loop_closure)
     eye = np.eye(n)
 
     state = {"runmax": 0.0, "minabs": math.inf, "evals": 0}
@@ -184,7 +179,7 @@ def winding_number_det_segment(w: Unitary,
         state["runmax"] = max(state["runmax"], a)
         state["minabs"] = min(state["minabs"], a)
         state["evals"] += 1
-        if a < floor:
+        if a < tol.path_floor:
             raise PathSingular("determinant vanishes along the segment path",
                                t=t, abs_det=a)
         return d
@@ -195,20 +190,21 @@ def winding_number_det_segment(w: Unitary,
         cap = math.pi / 16 if dipped else math.pi / 2
         if abs(step) <= cap:
             return step
-        if depth >= max_depth:
+        if depth >= tol.winding_max_depth:
             raise PathSingular("argument increment unresolvable at depth cap",
                                t0=t0, t1=t1, increment=float(step), depth=depth)
         tm = 0.5 * (t0 + t1)
         dm = pencil(tm)
         return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
 
+    samples = tol.winding_samples
     ts = np.linspace(0.0, 1.0, samples + 1)
     ds = [pencil(float(t)) for t in ts]
     total = 0.0
     for i in range(samples):
         total += track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
     value = total / _TWO_PI
-    rounded, is_integer = _integrality(value, True, integer_tol)
+    rounded, is_integer = _integrality(value, True, tol.integer_residual)
     return InvariantReport(
         name="winding_number",
         value=value,
@@ -220,37 +216,29 @@ def winding_number_det_segment(w: Unitary,
             "max_abs_det_sampled": state["runmax"],
             "det_evaluations": float(state["evals"]),
         },
-        tolerances={
-            "loop_closure": loop_tol,
-            "path_floor": floor,
-            "integer_residual": integer_tol,
-            "winding_samples": samples,
-            "winding_max_depth": max_depth,
-        },
+        tolerances=tol.subset("loop_closure", "path_floor", "integer_residual",
+                              "winding_samples", "winding_max_depth"),
     )
 
 
 def exel_homotopy_gap(w: Unitary,
                       *,
-                      grid: int = DEFAULTS.homotopy_grid,
-                      margin: float = DEFAULTS.branch_margin,
-                      cluster_width: float = DEFAULTS.cluster_width) -> float:
+                      tolerances: Tolerances = DEFAULTS) -> float:
     """Max over t of ||(1-t) 1 + t w  -  exp(t log w)||.
 
     Both paths are functions of w, so in w's eigenbasis the difference is
     diagonal and its operator norm is the max over eigenvalues e^{i s} of
     the scalar |(1-t) + t e^{i s} - e^{i t s}|; the reduction to scalars is
     exact, not an approximation.  The max is taken on a uniform grid of
-    ``grid`` points and then refined around the maximizer.  Values below 1
-    certify that the determinant loop of the linear segment is homotopic to
-    the exponential path through invertibles, which is what ties the
-    winding number to kappa.
+    ``homotopy_grid`` points and then refined around the maximizer.  Values
+    below 1 certify that the determinant loop of the linear segment is
+    homotopic to the exponential path through invertibles, which is what
+    ties the winding number to kappa.
     """
-    es = unitary_eig(w, cluster_width)
-    dist = np.abs(es.values + 1.0)
-    if float(dist.min()) <= margin:
-        raise BranchCut("spectrum within margin of -1; log path undefined",
-                        distance=float(dist.min()), margin=margin)
+    tol = tolerances
+    es = unitary_eig(w, tol.cluster_width)
+    branch_distance(es.values, tol.branch_margin,
+                    "spectrum within margin of -1; log path undefined")
     theta = np.angle(es.values)[None, :]
     lam = np.exp(1j * theta)
 
@@ -258,6 +246,7 @@ def exel_homotopy_gap(w: Unitary,
         t = ts[:, None]
         return np.abs((1.0 - t) + t * lam - np.exp(1j * t * theta)).max(axis=1)
 
+    grid = tol.homotopy_grid
     ts = np.linspace(0.0, 1.0, grid)
     devs = deviation(ts)
     i = int(np.argmax(devs))
@@ -272,8 +261,9 @@ def exel_homotopy_gap(w: Unitary,
     return best
 
 
-def _commutator_product(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    n = pairs[0][0].shape[0]
+def _commutator_product(n: int, pairs) -> np.ndarray:
+    # prod_i u_i v_i u_i* v_i*, multiplied left to right from the n x n
+    # identity; every commutator product in qrep is taken here.
     out = np.eye(n, dtype=np.complex128)
     for u, v in pairs:
         out = out @ u @ v @ u.conj().T @ v.conj().T
@@ -318,8 +308,7 @@ def kazhdan_stability(g: int,
                       pairs: list[tuple[Unitary, Unitary]],
                       pairs_alt: list[tuple[Unitary, Unitary]],
                       *,
-                      samples: int = DEFAULTS.stability_samples,
-                      margin: float = DEFAULTS.branch_margin) -> StabilityReport:
+                      tolerances: Tolerances = DEFAULTS) -> StabilityReport:
     """Stability of the trace-logarithm invariant under small perturbations.
 
     Hypotheses (all strict, all measured and reported): the commutator
@@ -327,11 +316,12 @@ def kazhdan_stability(g: int,
     generator is within 1/(5g) of its original.  Under them, the straight
     homotopy u_i(t) = u_i exp(t log(u_i* u_i')) (likewise v) keeps the
     commutator product w(t) within distance 1 of the identity, so its
-    invariant cannot jump; the report carries the sampled maximum of
-    ||w(t) - 1|| plus both endpoint invariants.
+    invariant cannot jump; the report carries the maximum of ||w(t) - 1||
+    over ``stability_samples`` values of t plus both endpoint invariants.
 
     Raises :class:`HypothesisViolated` naming the first bound that fails.
     """
+    tol = tolerances
     pairs = [tuple(p) for p in pairs]
     pairs_alt = [tuple(p) for p in pairs_alt]
     if not (len(pairs) == len(pairs_alt) == g) or g < 1:
@@ -344,7 +334,7 @@ def kazhdan_stability(g: int,
     n = dims.pop()
     bound = 1.0 / (5.0 * g)
 
-    w0 = _commutator_product([(u.m, v.m) for u, v in pairs])
+    w0 = _commutator_product(n, [(u.m, v.m) for u, v in pairs])
     base_defect = op_norm(w0 - np.eye(n))
     if base_defect >= bound:
         raise HypothesisViolated("commutator product too far from 1",
@@ -362,23 +352,23 @@ def kazhdan_stability(g: int,
     # 1, so its principal log exists with room to spare.
     arcs = []
     for (u, v), (u2, v2) in zip(pairs, pairs_alt):
-        lu = principal_log_unitary(u.adjoint() @ u2, margin=margin)
-        lv = principal_log_unitary(v.adjoint() @ v2, margin=margin)
+        lu = principal_log_unitary(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width)
+        lv = principal_log_unitary(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width)
         arcs.append((herm_eig(-1j * lu), herm_eig(-1j * lv)))
 
     eye = np.eye(n)
     worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
+    for t in np.linspace(0.0, 1.0, tol.stability_samples):
         moved = []
         for (u, v), (eu, ev) in zip(pairs, arcs):
             ut = u.m @ eu.apply(lambda vals: np.exp(1j * t * vals))
             vt = v.m @ ev.apply(lambda vals: np.exp(1j * t * vals))
             moved.append((ut, vt))
-        worst = max(worst, op_norm(_commutator_product(moved) - eye))
+        worst = max(worst, op_norm(_commutator_product(n, moved) - eye))
 
-    w1 = _commutator_product([(u.m, v.m) for u, v in pairs_alt])
-    kappa_start = kappa(Unitary.of(w0), margin=margin)
-    kappa_end = kappa(Unitary.of(w1), margin=margin)
+    w1 = _commutator_product(n, [(u.m, v.m) for u, v in pairs_alt])
+    kappa_start = kappa(Unitary.of(w0), tolerances=tol)
+    kappa_end = kappa(Unitary.of(w1), tolerances=tol)
     equal = (kappa_start.is_integer and kappa_end.is_integer
              and kappa_start.rounded == kappa_end.rounded)
     return StabilityReport(
@@ -390,7 +380,7 @@ def kazhdan_stability(g: int,
         max_generator_distance=max_dist,
         homotopy_max_deviation=worst,
         homotopy_ok=worst < 1.0,
-        samples=samples,
+        samples=tol.stability_samples,
         kappa_start=kappa_start,
         kappa_end=kappa_end,
         equal=equal,

@@ -40,6 +40,7 @@ __all__ = [
     "herm_eig",
     "unitary_eig",
     "principal_log_unitary",
+    "branch_distance",
     "exp_skew",
     "spectral_projection",
     "matrix_to_json",
@@ -210,18 +211,24 @@ def principal_log_unitary(w: Unitary,
     :class:`BranchCut`.
     """
     es = unitary_eig(w, cluster_width)
-    return _log_from_eigensystem(es, margin)
-
-
-def _log_from_eigensystem(es: EigenSystem, margin: float) -> np.ndarray:
-    dist = np.abs(es.values + 1.0)
-    worst = int(np.argmin(dist))
-    if dist[worst] <= margin:
-        raise BranchCut("eigenvalue too close to -1 for the principal logarithm",
-                        distance=float(dist[worst]), margin=margin,
-                        eigenvalue=complex(es.values[worst]))
+    branch_distance(es.values, margin,
+                    "eigenvalue too close to -1 for the principal logarithm")
     log = es.apply(lambda vals: 1j * np.angle(vals))
     return (log - adjoint(log)) / 2
+
+
+def branch_distance(values: np.ndarray, margin: float, message: str) -> float:
+    """Distance from the eigenvalues of a unitary to -1, the branch point.
+
+    A distance within ``margin`` raises :class:`BranchCut` with ``message``
+    and the details ``distance``, ``margin`` and the nearest ``eigenvalue``.
+    """
+    dist = np.abs(values + 1.0)
+    worst = int(np.argmin(dist))
+    if dist[worst] <= margin:
+        raise BranchCut(message, distance=float(dist[worst]), margin=margin,
+                        eigenvalue=complex(values[worst]))
+    return float(dist[worst])
 
 
 def exp_skew(l, herm_tol: float = DEFAULTS.hermiticity) -> Unitary:

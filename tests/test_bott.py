@@ -6,13 +6,15 @@ of rank n; the measured defects of the shift/phase family are frozen with
 their observed halving trend.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import diag_unitary
-from qrep import (AlmostProjection, DefectTooLarge, NoSpectralGap,
+from qrep import (DEFAULTS, AlmostProjection, DefectTooLarge, NoSpectralGap,
                   PresentationMismatch, SurfacePullback, Unitary,
-                  bott_almost_projection, bott_orientation, k_invariant,
+                  bott_almost_projection, k_invariant,
                   kappa, op_norm, perturbed_copy, push_k_class,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
@@ -63,17 +65,11 @@ def test_defect_family_frozen_and_monotone():
         assert 1.8 < a / b < 2.2
 
 
-# -- calibration -------------------------------------------------------------------
-
-def test_orientation_is_plus_one_and_stable():
-    assert bott_orientation() == 1
-    assert bott_orientation() == 1  # cached, same answer
-
+# -- orientation -------------------------------------------------------------------
 
 def test_orientation_consistency_with_winding():
-    # the calibration promise: with the process orientation applied, the
-    # class of the n=64 pair equals the winding of the reversed-commutator
-    # determinant loop
+    # the pinned +1 orientation: the class of the n=64 pair equals the
+    # winding of the reversed-commutator determinant loop
     from qrep import winding_number_det_segment
     u, v = voiculescu_pair(64)
     loop = Unitary.of(v.m @ u.m @ v.m.conj().T @ u.m.conj().T)
@@ -124,9 +120,10 @@ def test_push_k_class_parameter_threading():
                           base_dim=2)
     with pytest.raises(DefectTooLarge):
         push_k_class(ap)  # 0.2475 >= 1/8
+    loose = dataclasses.replace(DEFAULTS, defect_max=0.3)
     with pytest.raises(NoSpectralGap):
-        push_k_class(ap, defect_max=0.3)
-    assert push_k_class(ap, gap=0.04, defect_max=0.3) == 0
+        push_k_class(ap, tolerances=loose)
+    assert push_k_class(ap, tolerances=dataclasses.replace(loose, projection_gap=0.04)) == 0
 
 
 def test_k_stable_under_small_perturbations():

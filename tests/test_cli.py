@@ -346,6 +346,64 @@ def test_tol_reported_in_envelope(capsys, matrix_file):
     assert obj["tolerances"]["winding_samples"] == 128
 
 
+# every Tolerances field moved off its default, but not far enough to turn
+# an ok case into a refusal
+TOL_FLAGS = {
+    "unitarity": "2e-8", "hermiticity": "2e-8", "branch_margin": "2e-6",
+    "cluster_width": "2e-7", "projection_threshold": "0.49",
+    "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
+    "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
+    "winding_samples": "72", "winding_max_depth": "45",
+    "homotopy_grid": "129", "stability_samples": "33",
+}
+
+
+def _nested_tolerances(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "tolerances":
+                yield value
+            else:
+                yield from _nested_tolerances(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _nested_tolerances(value)
+
+
+@pytest.mark.parametrize("command", [
+    ["stability", "--g", "1", "--n", "32", "--radius", "0.19", "--seeds", "2"],
+    ["verify", "exel-loring", "--n", "16"],
+    ["invariant", "kappa", "--word", "[a, b]"],
+    ["invariant", "winding", "--word", "[a, b]"],
+    ["invariant", "k"],
+], ids=["stability", "exel-loring", "kappa", "winding", "k"])
+def test_tol_flags_reach_every_report(tmp_path, capsys, command):
+    pair = str(tmp_path / "pair16.json")
+    assert main(["gen", "voiculescu", "--n", "16", "-o", pair]) == 0
+    if command[0] == "invariant":
+        command = command + ["-i", pair]
+    flags = [a for name, value in TOL_FLAGS.items()
+             for a in (f"--tol-{name.replace('_', '-')}", value)]
+    obj = run_json(capsys, *command, *flags, "--deterministic")
+    envelope = obj["tolerances"]
+    assert all(envelope[name] == float(value) for name, value in TOL_FLAGS.items())
+    nested = list(_nested_tolerances(obj["result"]))
+    assert nested
+    for tolerances in nested:
+        for key, value in tolerances.items():
+            assert value == envelope[key], key
+    if command[0] == "stability":
+        assert obj["result"]["all_ok"] is True
+        for report in obj["result"]["reports"]:
+            assert report["samples"] == envelope["stability_samples"]
+
+
+def test_stability_honours_path_floor(capsys):
+    obj = run_json(capsys, "stability", "--n", "32", "--radius", "0.19",
+                   "--seeds", "2", "--tol-path-floor", "1e300", "--deterministic")
+    assert [r["status"] for r in obj["result"]["rows"]] == ["PathSingular"] * 2
+
+
 # -- exit codes --------------------------------------------------------------------------
 
 def test_exit_code_missing_file(capsys):

@@ -5,11 +5,13 @@ the phase sum over 2 pi), the midpoint chord-vs-arc formula
 1 - cos(theta/2) for the homotopy gap, and the Voiculescu family.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import diag_unitary, haar_det1_unitary
-from qrep import (BranchCut, DimensionMismatch, HypothesisViolated,
+from qrep import (DEFAULTS, BranchCut, DimensionMismatch, HypothesisViolated,
                   InvariantReport, NotALoop, PathSingular, Unitary,
                   adjoint, evaluate, exel_homotopy_gap, kappa,
                   kazhdan_stability, op_norm, parse_word, perturbed_copy,
@@ -73,7 +75,8 @@ def test_kappa_defect_data_and_branch_cut():
     assert err.value.exit_code == 2
     # custom margin widens the refusal zone
     with pytest.raises(BranchCut):
-        kappa(diag_unitary([np.pi - 1e-4, 0.0]), margin=1e-3)
+        kappa(diag_unitary([np.pi - 1e-4, 0.0]),
+              tolerances=dataclasses.replace(DEFAULTS, branch_margin=1e-3))
 
 
 def test_kappa_report_json_round_trip():
