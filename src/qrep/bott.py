@@ -31,8 +31,9 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
-from .matcore import Unitary, adjoint, herm_eig, op_norm, spectral_projection, unitary_eig
-from .invariants import InvariantReport, _commutator_product, kappa, winding_number_det_segment
+from .matcore import Unitary, _above_band, adjoint, op_norm, unitary_eig
+from .invariants import (InvariantReport, _commutator_product, _kappa_pair,
+                         winding_number_det_segment)
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -59,9 +60,10 @@ ORIENTATION = 1
 
 @dataclass(frozen=True)
 class AlmostProjection:
-    """Self-adjoint 2n x 2n matrix with recorded defect ||e^2 - e||."""
+    """Self-adjoint 2n x 2n matrix, its ascending spectrum and ||e^2 - e||."""
 
     e: np.ndarray
+    spectrum: np.ndarray
     defect: float
     base_dim: int
 
@@ -83,7 +85,7 @@ def bott_almost_projection(u: Unitary, v: Unitary,
                            *,
                            tolerances: Tolerances = DEFAULTS) -> AlmostProjection:
     """Build e(u, v) by functional calculus of v (eigenvalues of v clustered
-    at ``cluster_width``)."""
+    at ``cluster_width``); its one eigvalsh gives the rank, defect and gap."""
     if u.dim != v.dim:
         raise DimensionMismatch("pair must share a dimension", u=u.dim, v=v.dim)
     es = unitary_eig(v, tolerances.cluster_width)
@@ -96,15 +98,17 @@ def bott_almost_projection(u: Unitary, v: Unitary,
     x = g + h @ adjoint(u.m)
     n = u.dim
     e = np.block([[f, x], [adjoint(x), np.eye(n) - f]])
+    # exactly self-adjoint, so eigvalsh (which reads one triangle) sees all of e
     e = (e + adjoint(e)) / 2
-    return AlmostProjection(e, op_norm(e @ e - e), n)
+    spectrum = np.linalg.eigvalsh(e)
+    return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()), n)
 
 
 def push_k_class(ap: AlmostProjection,
                  *,
                  tolerances: Tolerances = DEFAULTS) -> int:
     """Rank of the spectral projection of e above ``projection_threshold``
-    (1/2), minus the base rank n.
+    (1/2), counted on ``ap.spectrum``, minus the base rank n.
 
     Well-defined only when the defect is below ``defect_max`` (default 1/8),
     which forces the spectrum of e into two bands clear of 1/2; an
@@ -115,8 +119,8 @@ def push_k_class(ap: AlmostProjection,
     if ap.defect >= tol.defect_max:
         raise DefectTooLarge("almost-projection defect leaves no usable gap",
                              defect=ap.defect, bound=tol.defect_max)
-    _, rank = spectral_projection(ap.e, tol.projection_threshold, tol.projection_gap)
-    return rank - ap.base_dim
+    above = _above_band(ap.spectrum, tol.projection_threshold, tol.projection_gap)
+    return int(np.count_nonzero(above)) - ap.base_dim
 
 
 def k_invariant(u: Unitary, v: Unitary,
@@ -126,9 +130,8 @@ def k_invariant(u: Unitary, v: Unitary,
     tol = tolerances
     ap = bott_almost_projection(u, v, tolerances=tol)
     k = push_k_class(ap, tolerances=tol)
-    spectrum = herm_eig(ap.e).values
-    below = spectrum[spectrum < tol.projection_threshold]
-    above = spectrum[spectrum >= tol.projection_threshold]
+    below = ap.spectrum[ap.spectrum < tol.projection_threshold]
+    above = ap.spectrum[ap.spectrum >= tol.projection_threshold]
     gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
     comm_defect = op_norm(_commutator_product(u.dim, [(u.m, v.m)]) - np.eye(u.dim))
     return InvariantReport(
@@ -159,15 +162,16 @@ class SurfacePullback:
 class IndexFormulaReport:
     """Both sides of the index identity, each computed independently.
 
-    lhs_k comes from the Bott almost-projection rank; rhs_wn from pure
-    determinant tracking; rhs_kappa from the eigenphase trace.  ``equal``
-    asserts the three integers coincide; ``trace_close`` compares lhs_k / n
-    with the normalized-trace invariant of the loop at tolerance
-    ``trace_tol``.
+    lhs_k comes from the Bott almost-projection rank (``lhs_k_report``);
+    rhs_wn from pure determinant tracking; rhs_kappa from the eigenphase
+    trace.  ``equal`` asserts the three integers coincide; ``trace_close``
+    compares lhs_k / n with the normalized-trace invariant of the loop at
+    tolerance ``trace_tol``.
     """
 
     case: str
     lhs_k: int
+    lhs_k_report: InvariantReport
     rhs_wn: InvariantReport
     rhs_kappa: InvariantReport
     rhs_kappa_tau: InvariantReport
@@ -193,6 +197,7 @@ class IndexFormulaReport:
             "datum_class": self.datum_class,
             "defects": dict(self.defects),
             "reports": {
+                "lhs_k": self.lhs_k_report.to_json(),
                 "rhs_wn": self.rhs_wn.to_json(),
                 "rhs_kappa": self.rhs_kappa.to_json(),
                 "rhs_kappa_tau": self.rhs_kappa_tau.to_json(),
@@ -268,8 +273,7 @@ def verify_index_formula(qr: QuasiRep,
 
     lhs = k_invariant(u, v, tolerances=tolerances)
     rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
-    rhs_kappa = kappa(loop_u, "standard", tolerances=tolerances)
-    rhs_tau = kappa(loop_u, "normalized", tolerances=tolerances)
+    rhs_kappa, rhs_tau = _kappa_pair(loop_u, tolerances)
     lhs_k = lhs.rounded
     normalized = lhs_k / n
     equal = (rhs_wn.is_integer and rhs_kappa.is_integer
@@ -280,7 +284,7 @@ def verify_index_formula(qr: QuasiRep,
     defects = {
         "relator_defect": relator_defect(rep),
         "datum_product_defect": op_norm(evaluate(datum_word, rep.images).m - np.eye(rep.dim)),
-        "loop_defect": op_norm(loop - np.eye(n)),
+        "loop_defect": rhs_kappa.defect_data["norm_w_minus_1"],
         "commutator_defect": lhs.defect_data["commutator_defect"],
         "e_defect": lhs.defect_data["e_defect"],
         "spectral_gap": lhs.defect_data["spectral_gap"],
@@ -288,6 +292,7 @@ def verify_index_formula(qr: QuasiRep,
     return IndexFormulaReport(
         case=label,
         lhs_k=lhs_k,
+        lhs_k_report=lhs,
         rhs_wn=rhs_wn,
         rhs_kappa=rhs_kappa,
         rhs_kappa_tau=rhs_tau,

@@ -209,19 +209,20 @@ def _load_json(path: str):
     return obj
 
 
-def _load_qrep(path: str):
+def _load_qrep(path: str, tol: config.Tolerances):
     obj = _load_json(path)
     if not isinstance(obj, dict) or "presentation" not in obj:
         raise FormatError("expected a quasi-representation object", path=path)
-    return qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
 
 
-def _load_matrix_or_qrep(path: str):
+def _load_matrix_or_qrep(path: str, tol: config.Tolerances):
     obj = _load_json(path)
     if isinstance(obj, dict) and "dim" in obj:
-        return "matrix", Unitary.of(matrix_from_json(obj))
+        return "matrix", Unitary.of(matrix_from_json(obj), tol.unitarity)
     if isinstance(obj, dict) and "presentation" in obj:
-        return "qrep", qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+        return "qrep", qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)),
+                                      tolerances=tol)
     raise FormatError("input is neither a matrix nor a quasi-representation",
                       path=path)
 
@@ -286,9 +287,9 @@ def _write_csv(path: str, rows: list[dict]) -> None:
                              for k in CSV_COLUMNS})
 
 
-def _base_qrep(args):
+def _base_qrep(args, tol):
     if getattr(args, "input", None):
-        return _load_qrep(args.input)
+        return _load_qrep(args.input, tol)
     if getattr(args, "n", None):
         return voiculescu_qrep(args.n)
     raise InputError("give either -i or --n")
@@ -301,7 +302,7 @@ def cmd_gen_voiculescu(args, tol):
 
 
 def cmd_gen_perturbed(args, tol):
-    base = _base_qrep(args)
+    base = _base_qrep(args, tol)
     targets = None
     if args.targets:
         targets = tuple(s for s in _split_top_level(args.targets) if s)
@@ -310,7 +311,7 @@ def cmd_gen_perturbed(args, tol):
 
 
 def cmd_gen_pullback(args, tol):
-    base = _base_qrep(args)
+    base = _base_qrep(args, tol)
     images = {}
     for part in _split_top_level(args.images):
         if not part:
@@ -326,12 +327,12 @@ def cmd_gen_direct_sum(args, tol):
     if len(args.input) != 2:
         raise InputError("direct-sum needs exactly two -i inputs",
                          given=len(args.input))
-    qr = direct_sum(_load_qrep(args.input[0]), _load_qrep(args.input[1]))
+    qr = direct_sum(_load_qrep(args.input[0], tol), _load_qrep(args.input[1], tol))
     _emit(args, tol, "gen direct-sum", qrep_to_json(qr))
 
 
-def _input_unitary(args) -> Unitary:
-    kind, payload = _load_matrix_or_qrep(args.input)
+def _input_unitary(args, tol) -> Unitary:
+    kind, payload = _load_matrix_or_qrep(args.input, tol)
     if kind == "matrix":
         if args.word:
             raise InputError("--word applies to quasi-representation inputs only")
@@ -343,26 +344,22 @@ def _input_unitary(args) -> Unitary:
 
 def cmd_invariant(args, tol):
     if args.which == "kappa":
-        w = _input_unitary(args)
-        report = kappa(w, args.trace, tolerances=tol)
-        _emit(args, tol, "invariant kappa", report.to_json())
+        report = kappa(_input_unitary(args, tol), args.trace, tolerances=tol)
     elif args.which == "winding":
-        w = _input_unitary(args)
-        report = winding_number_det_segment(w, tolerances=tol)
-        _emit(args, tol, "invariant winding", report.to_json())
+        report = winding_number_det_segment(_input_unitary(args, tol), tolerances=tol)
     else:
-        kind, payload = _load_matrix_or_qrep(args.input)
+        kind, payload = _load_matrix_or_qrep(args.input, tol)
         if kind != "qrep" or len(payload.presentation.generators) != 2:
             raise InputError("the k class needs a two-generator quasi-representation")
         if args.word:
             raise InputError("the k class is computed from the generator pair, not a word")
         g0, g1 = payload.presentation.generators
         report = k_invariant(payload.images[g0], payload.images[g1], tolerances=tol)
-        _emit(args, tol, "invariant k", report.to_json())
+    _emit(args, tol, f"invariant {args.which}", report.to_json())
 
 
 def cmd_defect(args, tol):
-    qr = _load_qrep(args.input)
+    qr = _load_qrep(args.input, tol)
     if args.element_set:
         elements = [parse_word(w) for w in _split_top_level(args.element_set)]
     else:
@@ -419,7 +416,7 @@ def cmd_verify_exel_loring(args, tol):
             _write_csv(args.csv, rows)
         _emit(args, tol, "verify exel-loring", {"rows": rows})
         return
-    qr = _base_qrep(args)
+    qr = _base_qrep(args, tol)
     report = verify_index_formula(qr, tolerances=tol)
     _emit(args, tol, "verify exel-loring", report.to_json())
 
@@ -497,7 +494,7 @@ def cmd_stability(args, tol):
 
 
 def cmd_homotopy_gap(args, tol):
-    kind, payload = _load_matrix_or_qrep(args.input)
+    kind, payload = _load_matrix_or_qrep(args.input, tol)
     if kind != "matrix":
         raise InputError("homotopy-gap takes a matrix JSON input")
     value = exel_homotopy_gap(payload, tolerances=tol)

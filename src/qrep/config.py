@@ -7,11 +7,11 @@ policy under which a number was produced.  The invariant layer (``kappa``,
 ``kazhdan_stability``, ``bott_almost_projection``, ``push_k_class``,
 ``k_invariant``, ``verify_index_formula``) takes one keyword-only
 ``tolerances`` object, reads the fields it needs and echoes them in its
-report under their field names.  The matrix primitives in ``matcore`` keep
-scalar parameters whose defaults come from ``DEFAULTS``; ``unitarity`` and
-``hermiticity`` reach the library only as those defaults.  The CLI builds
-its object from ``DEFAULTS``, ``QREP_TOL_*`` environment variables (see
-:func:`from_env`) and ``--tol-*`` flags.
+report under their field names.  ``unitarity`` also checks every matrix read
+from a file (``qrep_from_json`` takes the object too).  The ``matcore``
+primitives keep scalar parameters defaulting to ``DEFAULTS``, which products
+built inside a pipeline and every ``hermiticity`` check use.  The CLI builds
+its object from ``DEFAULTS``, ``QREP_TOL_*`` variables and ``--tol-*`` flags.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,11 +31,10 @@ from .errors import (
 )
 from .matcore import (
     Unitary,
+    _log_eigensystem,
     branch_distance,
-    herm_eig,
     lu_det,
     op_norm,
-    principal_log_unitary,
     unitary_eig,
 )
 
@@ -68,15 +67,11 @@ class InvariantReport:
     tolerances: dict
 
     def to_json(self) -> dict:
-        obj = {
-            "name": self.name,
-            "value": self.value,
-            "is_integer": self.is_integer,
-            "defect_data": dict(self.defect_data),
-            "tolerances": dict(self.tolerances),
-        }
-        if self.rounded is not None:
-            obj["rounded"] = self.rounded
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["defect_data"] = dict(self.defect_data)
+        obj["tolerances"] = dict(self.tolerances)
+        if self.rounded is None:
+            del obj["rounded"]
         return obj
 
     @classmethod
@@ -117,21 +112,23 @@ def kappa(w: Unitary,
     """
     if trace_mode not in ("standard", "normalized"):
         raise ValueError(f"unknown trace_mode {trace_mode!r}")
-    tol = tolerances
+    standard, normalized = _kappa_pair(w, tolerances)
+    return standard if trace_mode == "standard" else normalized
+
+
+def _kappa_pair(w: Unitary, tol: Tolerances) -> tuple[InvariantReport, InvariantReport]:
+    # (kappa, kappa_tau) from one eigensystem, one ||w - 1|| and one det(w).
     es = unitary_eig(w, tol.cluster_width)
     nearest = branch_distance(es.values, tol.branch_margin,
                               "spectrum within margin of -1; invariant undefined")
-    theta = np.angle(es.values)
     n = w.dim
-    total = float(theta.sum()) / _TWO_PI
-    value = total if trace_mode == "standard" else total / n
+    total = float(np.angle(es.values).sum()) / _TWO_PI
     norm_dev = op_norm(w.m - np.eye(n))
     det_dev = abs(lu_det(w.m) - 1.0)
-    expected = trace_mode == "standard" and det_dev <= tol.det_one
-    rounded, is_integer = _integrality(value, expected, tol.integer_residual)
-    return InvariantReport(
-        name="kappa" if trace_mode == "standard" else "kappa_tau",
-        value=value,
+    rounded, is_integer = _integrality(total, det_dev <= tol.det_one, tol.integer_residual)
+    standard = InvariantReport(
+        name="kappa",
+        value=total,
         rounded=rounded,
         is_integer=is_integer,
         defect_data={
@@ -144,6 +141,8 @@ def kappa(w: Unitary,
         tolerances=tol.subset("branch_margin", "cluster_width",
                               "integer_residual", "det_one"),
     )
+    return standard, replace(standard, name="kappa_tau", value=total / n,
+                             rounded=None, is_integer=False)
 
 
 def winding_number_det_segment(w: Unitary,
@@ -203,6 +202,7 @@ def winding_number_det_segment(w: Unitary,
     total = 0.0
     for i in range(samples):
         total += track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
+    del track  # it refers to itself: a cycle that would keep m alive until a full gc
     value = total / _TWO_PI
     rounded, is_integer = _integrality(value, True, tol.integer_residual)
     return InvariantReport(
@@ -236,10 +236,7 @@ def exel_homotopy_gap(w: Unitary,
     ties the winding number to kappa.
     """
     tol = tolerances
-    es = unitary_eig(w, tol.cluster_width)
-    branch_distance(es.values, tol.branch_margin,
-                    "spectrum within margin of -1; log path undefined")
-    theta = np.angle(es.values)[None, :]
+    theta = _log_eigensystem(w, tol.branch_margin, tol.cluster_width).values[None, :]
     lam = np.exp(1j * theta)
 
     def deviation(ts: np.ndarray) -> np.ndarray:
@@ -288,20 +285,10 @@ class StabilityReport:
     equal: bool
 
     def to_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "dim": self.dim,
-            "bound": self.bound,
-            "relator_defect": self.relator_defect,
-            "relator_defect_alt": self.relator_defect_alt,
-            "max_generator_distance": self.max_generator_distance,
-            "homotopy_max_deviation": self.homotopy_max_deviation,
-            "homotopy_ok": self.homotopy_ok,
-            "samples": self.samples,
-            "kappa_start": self.kappa_start.to_json(),
-            "kappa_end": self.kappa_end.to_json(),
-            "equal": self.equal,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["kappa_start"] = self.kappa_start.to_json()
+        obj["kappa_end"] = self.kappa_end.to_json()
+        return obj
 
 
 def kazhdan_stability(g: int,
@@ -348,13 +335,12 @@ def kazhdan_stability(g: int,
                 raise HypothesisViolated("generator perturbation too large",
                                          which=f"{label}_{i}", value=d, bound=bound)
 
-    # Eigendata of the homotopy generators: u_i* u_i' is unitary and close to
-    # 1, so its principal log exists with room to spare.
+    # Eigendata of the homotopy generators -i log(u_i* u_i'): u_i* u_i' is unitary
+    # and close to 1, so its principal log exists with room to spare.
     arcs = []
     for (u, v), (u2, v2) in zip(pairs, pairs_alt):
-        lu = principal_log_unitary(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width)
-        lv = principal_log_unitary(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width)
-        arcs.append((herm_eig(-1j * lu), herm_eig(-1j * lv)))
+        arcs.append((_log_eigensystem(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width),
+                     _log_eigensystem(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width)))
 
     eye = np.eye(n)
     worst = 0.0
@@ -376,7 +362,7 @@ def kazhdan_stability(g: int,
         dim=n,
         bound=bound,
         relator_defect=base_defect,
-        relator_defect_alt=op_norm(w1 - eye),
+        relator_defect_alt=kappa_end.defect_data["norm_w_minus_1"],
         max_generator_distance=max_dist,
         homotopy_max_deviation=worst,
         homotopy_ok=worst < 1.0,

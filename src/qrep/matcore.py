@@ -210,11 +210,16 @@ def principal_log_unitary(w: Unitary,
     ``margin`` of -1 makes the branch choice meaningless and raises
     :class:`BranchCut`.
     """
+    log = _log_eigensystem(w, margin, cluster_width).apply(lambda theta: 1j * theta)
+    return (log - adjoint(log)) / 2
+
+
+def _log_eigensystem(w: Unitary, margin: float, cluster_width: float) -> EigenSystem:
+    # -i log w as an eigensystem: w's eigenvectors, its principal phases.
     es = unitary_eig(w, cluster_width)
     branch_distance(es.values, margin,
                     "eigenvalue too close to -1 for the principal logarithm")
-    log = es.apply(lambda vals: 1j * np.angle(vals))
-    return (log - adjoint(log)) / 2
+    return EigenSystem(np.angle(es.values), es.vectors)
 
 
 def branch_distance(values: np.ndarray, margin: float, message: str) -> float:
@@ -253,14 +258,18 @@ def spectral_projection(e,
     precision and raises :class:`NoSpectralGap`.  Returns (p, rank).
     """
     es = herm_eig(e, tol=herm_tol)
-    inside = np.abs(es.values - threshold) < gap
-    if inside.any():
-        worst = float(es.values[inside][0])
-        raise NoSpectralGap("eigenvalue inside the forbidden band",
-                            eigenvalue=worst, threshold=threshold, gap=gap)
-    above = es.vectors[:, es.values > threshold]
+    above = es.vectors[:, _above_band(es.values, threshold, gap)]
     p = above @ adjoint(above)
     return _hermitize(p), above.shape[1]
+
+
+def _above_band(values: np.ndarray, threshold: float, gap: float) -> np.ndarray:
+    # Mask of the values above threshold; the first one within gap of it raises.
+    inside = np.abs(values - threshold) < gap
+    if inside.any():
+        raise NoSpectralGap("eigenvalue inside the forbidden band",
+                            eigenvalue=float(values[inside][0]), threshold=threshold, gap=gap)
+    return values > threshold
 
 
 # -- matrix JSON --------------------------------------------------------------

@@ -32,6 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import DEFAULTS, Tolerances
 from .errors import (
     DimensionMismatch,
     FormatError,
@@ -462,17 +463,18 @@ def _strategy_to_json(strategy) -> dict:
     raise FormatError("unserializable strategy", kind=type(strategy).__name__)
 
 
-def _load_image(value, base_dir) -> Unitary:
+def _load_image(value, base_dir, unitarity: float) -> Unitary:
     if isinstance(value, dict) and "$file" in value:
         path = value["$file"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path) as fh:
             value = json.load(fh)
-    return Unitary.of(matrix_from_json(value))
+    return Unitary.of(matrix_from_json(value), unitarity)
 
 
-def qrep_from_json(obj, base_dir=None) -> QuasiRep:
+def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
+    """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
@@ -496,12 +498,12 @@ def qrep_from_json(obj, base_dir=None) -> QuasiRep:
         pres = Presentation.custom(generators, relators)
     else:
         raise FormatError("unknown presentation kind", kind=kind)
-    images = {g: _load_image(v, base_dir) for g, v in images_obj.items()}
-    strategy = _strategy_from_json(strat_obj, base_dir)
+    images = {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images_obj.items()}
+    strategy = _strategy_from_json(strat_obj, base_dir, tolerances.unitarity)
     return QuasiRep(pres, images, strategy)
 
 
-def _strategy_from_json(obj, base_dir):
+def _strategy_from_json(obj, base_dir, unitarity: float):
     kind = obj.get("kind", "z2-normal-form")
     if kind == "z2-normal-form":
         return Z2NormalForm()
@@ -511,7 +513,7 @@ def _strategy_from_json(obj, base_dir):
         try:
             words = {g: parse_word(w) for g, w in obj["words"].items()}
             base_gens = tuple(obj["base_generators"])
-            base_images = {g: _load_image(v, base_dir)
+            base_images = {g: _load_image(v, base_dir, unitarity)
                            for g, v in obj["base_images"].items()}
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None

@@ -5,6 +5,8 @@ eigenvalue routines as *independent oracles*; the library under test
 imports only numpy and never validates a quantity against itself.
 """
 
+import sys
+
 import numpy as np
 
 from qrep import Unitary, random_unitary
@@ -49,3 +51,26 @@ def hermitian_with_spectrum(values, rng) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     g = random_unitary(len(values), rng)
     return g.m @ np.diag(values) @ g.m.conj().T
+
+
+def spy(monkeypatch, fn, owners=None) -> list:
+    """Record the positional arguments of every call to ``fn``.
+
+    Every attribute bound to ``fn`` in ``owners`` (default: every loaded
+    qrep module, since qrep binds functions by name at import) is replaced
+    by a recording wrapper; monkeypatch restores them after the test.
+    """
+    if owners is None:
+        owners = [m for name, m in sys.modules.items()
+                  if name == "qrep" or name.startswith("qrep.")]
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        for attr, value in list(vars(owner).items()):
+            if value is fn:
+                monkeypatch.setattr(owner, attr, wrapper)
+    return calls

@@ -11,11 +11,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import diag_unitary
+from conftest import diag_unitary, spy
 from qrep import (DEFAULTS, AlmostProjection, DefectTooLarge, NoSpectralGap,
-                  PresentationMismatch, SurfacePullback, Unitary,
-                  bott_almost_projection, k_invariant,
-                  kappa, op_norm, perturbed_copy, push_k_class,
+                  PerturbationSpec, PresentationMismatch, SurfacePullback, Unitary,
+                  bott_almost_projection, k_invariant, unitary_eig,
+                  kappa, op_norm, perturb, perturbed_copy, push_k_class,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
@@ -24,13 +24,16 @@ FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
 # -- almost-projection construction ----------------------------------------------
 
 def test_e_is_selfadjoint_with_honest_defect():
-    u, v = voiculescu_pair(24)
-    ap = bott_almost_projection(u, v)
-    assert ap.e.shape == (48, 48)
-    assert op_norm(ap.e - ap.e.conj().T) == 0.0
-    # defect recomputed with an independent norm
-    assert abs(ap.defect - np.linalg.norm(ap.e @ ap.e - ap.e, 2)) < 1e-12
-    assert ap.base_dim == 24
+    # the n = 24 pair, and a perturbed n = 128 pair at a size the bench runs
+    cases = [(24, voiculescu_qrep(24)),
+             (128, perturb(voiculescu_qrep(128), PerturbationSpec(radius=0.02, seed=5)))]
+    for n, qr in cases:
+        ap = bott_almost_projection(qr.images["a"], qr.images["b"])
+        assert ap.e.shape == (2 * n, 2 * n)
+        assert op_norm(ap.e - ap.e.conj().T) == 0.0
+        # defect recomputed with an independent norm
+        assert abs(ap.defect - np.linalg.norm(ap.e @ ap.e - ap.e, 2)) < 1e-12, n
+        assert ap.base_dim == n
 
 
 def test_e_exact_projection_for_commuting_pair():
@@ -116,6 +119,7 @@ def test_push_k_class_parameter_threading():
     # the defect gate (loosened) passes but the band check must fire
     e = np.diag([1.0, 1.0, 0.45, 0.0])
     ap = AlmostProjection(e=e.astype(np.complex128),
+                          spectrum=np.linalg.eigvalsh(e),
                           defect=float(np.linalg.norm(e @ e - e, 2)),
                           base_dim=2)
     with pytest.raises(DefectTooLarge):
@@ -133,6 +137,15 @@ def test_k_stable_under_small_perturbations():
         u2 = perturbed_copy(u, 0.01, rng)
         v2 = perturbed_copy(v, 0.01, rng)
         assert k_invariant(u2, v2).rounded == 1, seed
+
+
+def test_k_invariant_decomposes_e_once(monkeypatch):
+    # rank, defect and gap all come from one eigensolve of the 32 x 32 e
+    eigh = spy(monkeypatch, np.linalg.eigh, [np.linalg])
+    eigvalsh = spy(monkeypatch, np.linalg.eigvalsh, [np.linalg])
+    u, v = voiculescu_pair(16)
+    assert k_invariant(u, v).rounded == 1
+    assert [args[0].shape for args in eigh + eigvalsh].count((32, 32)) == 1
 
 
 def test_k_dimension_mismatch():
@@ -158,6 +171,17 @@ def test_verify_z2_case():
     assert abs(rep.defects["relator_defect"] - 2 * np.sin(np.pi / 64)) < 1e-12
     # the datum product evaluated raw keeps the scalar obstruction
     assert abs(rep.defects["datum_product_defect"] - 2 * np.sin(np.pi / 64)) < 1e-12
+
+
+def test_verify_decomposes_each_unitary_once(monkeypatch):
+    # one eigensystem of v for e(u, v), one of the loop for kappa and kappa_tau
+    calls = spy(monkeypatch, unitary_eig)
+    qr = voiculescu_qrep(16)
+    rep = verify_index_formula(qr)
+    assert rep.equal
+    assert len(calls) == 2
+    assert calls[0][0] is qr.images["b"]
+    assert rep.defects["loop_defect"] == rep.rhs_kappa.defect_data["norm_w_minus_1"]
 
 
 def test_verify_surface_pullback_case():
@@ -186,4 +210,4 @@ def test_verify_report_json_schema():
     assert obj["orientation"] in ("+1", "-1")
     assert obj["rhs_wn"] == obj["rhs_kappa"] == obj["lhs_k"] == 1
     assert isinstance(obj["defects"], dict)
-    assert set(obj["reports"]) == {"rhs_wn", "rhs_kappa", "rhs_kappa_tau"}
+    assert set(obj["reports"]) == {"lhs_k", "rhs_wn", "rhs_kappa", "rhs_kappa_tau"}

@@ -448,6 +448,22 @@ def test_exit_code_not_unitary_input(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["qrep", "matrix"])
+def test_tol_unitarity_checks_input_files(tmp_path, capsys, pair_file, matrix_file,
+                                          source):
+    # a tolerance below every measured defect refuses the file's matrices
+    if source == "qrep":
+        pert = str(tmp_path / "pert.json")
+        assert main(["gen", "perturbed", "-i", pair_file, "--radius", "0.02",
+                     "-o", pert]) == 0
+        args = ["-i", pert, "--word", "[a, b]"]
+    else:
+        args = ["-i", matrix_file]
+    code = main(["invariant", "kappa", *args, "--tol-unitarity", "1e-300"])
+    assert code == 1
+    assert "NotUnitary" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariant", "kappa", "--no-such-flag"])

@@ -9,11 +9,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import diag_unitary, haar_det1_unitary
+from conftest import diag_unitary, haar_det1_unitary, spy
 from qrep import (DEFAULTS, BranchCut, DimensionMismatch, HypothesisViolated,
                   InvariantReport, NotALoop, PathSingular, Unitary,
-                  adjoint, evaluate, exel_homotopy_gap, kappa,
+                  adjoint, evaluate, exel_homotopy_gap, herm_eig, kappa,
                   kazhdan_stability, op_norm, parse_word, perturbed_copy,
                   random_unitary, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
@@ -201,6 +202,27 @@ def test_stability_perturbed_keeps_invariant():
     assert rep.kappa_start.rounded == rep.kappa_end.rounded == -1
     assert abs(rep.max_generator_distance - 0.15) < 1e-12
     assert rep.homotopy_max_deviation < 1.0
+
+
+def test_stability_homotopy_matches_scipy_oracle(monkeypatch):
+    # the arcs exp(t log(u* u')) are read off the eigensystem of u* u' that
+    # carries the branch-cut check; scipy's logm/expm recompute the path
+    u, v = voiculescu_pair(32)
+    rng = np.random.default_rng(7)
+    u2 = perturbed_copy(u, 0.19, rng)
+    v2 = perturbed_copy(v, 0.19, rng)
+    calls = spy(monkeypatch, herm_eig)
+    rep = kazhdan_stability(1, [(u, v)], [(u2, v2)])
+    assert calls == []
+    lu = scipy.linalg.logm(u.m.conj().T @ u2.m)
+    lv = scipy.linalg.logm(v.m.conj().T @ v2.m)
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, rep.samples):
+        ut = u.m @ scipy.linalg.expm(t * lu)
+        vt = v.m @ scipy.linalg.expm(t * lv)
+        w = ut @ vt @ ut.conj().T @ vt.conj().T
+        worst = max(worst, np.linalg.norm(w - np.eye(32), 2))
+    assert abs(rep.homotopy_max_deviation - worst) < 1e-10
 
 
 def test_stability_hypothesis_violations():
