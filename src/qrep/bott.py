@@ -269,7 +269,7 @@ def verify_index_formula(qr: QuasiRep,
     n = qr.dim
     images = [(rep.apply(wa).m, rep.apply(wb).m) for wa, wb in used.pairs]
     loop = _commutator_product(n, [(mb, ma) for ma, mb in images])
-    loop_u = Unitary.of(loop)
+    loop_u = Unitary(loop)
 
     lhs = k_invariant(u, v, tolerances=tolerances)
     rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)

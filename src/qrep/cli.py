@@ -168,10 +168,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stability", parents=[common],
                        help="perturbation stability sweep for commutator products")
-    p.add_argument("--g", type=int, default=1, help="number of commutator pairs")
+    p.add_argument("--g", type=int, default=1, help="number of commutator pairs (>= 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeded runs")
+    p.add_argument("--seeds", type=int, default=1, help="number of seeded runs (>= 1)")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("homotopy-gap", parents=[common],
@@ -447,8 +447,11 @@ def cmd_verify_remark25(args, tol):
 
 def cmd_stability(args, tol):
     g, n = args.g, args.n
+    if g < 1 or args.seeds < 1:
+        raise InputError("stability needs --g >= 1 and --seeds >= 1",
+                         g=g, seeds=args.seeds)
     u, v = voiculescu_pair(n)
-    eye = Unitary.of(np.eye(n))
+    eye = Unitary(np.eye(n, dtype=np.complex128))
     base_pairs = [(u, v)] + [(eye, eye)] * (g - 1)
     rows, reports = [], []
     for i in range(args.seeds):
@@ -464,7 +467,7 @@ def cmd_stability(args, tol):
             w_alt = _commutator_product(n, [(a.m, b.m) for a, b in alt_pairs])
             row.update({
                 "kappa": report.kappa_end.rounded,
-                "wn": winding_number_det_segment(Unitary.of(w_alt),
+                "wn": winding_number_det_segment(Unitary(w_alt),
                                                  tolerances=tol).rounded,
                 "relator_defect": report.relator_defect_alt,
             })

@@ -7,11 +7,14 @@ policy under which a number was produced.  The invariant layer (``kappa``,
 ``kazhdan_stability``, ``bott_almost_projection``, ``push_k_class``,
 ``k_invariant``, ``verify_index_formula``) takes one keyword-only
 ``tolerances`` object, reads the fields it needs and echoes them in its
-report under their field names.  ``unitarity`` also checks every matrix read
-from a file (``qrep_from_json`` takes the object too).  The ``matcore``
-primitives keep scalar parameters defaulting to ``DEFAULTS``, which products
-built inside a pipeline and every ``hermiticity`` check use.  The CLI builds
-its object from ``DEFAULTS``, ``QREP_TOL_*`` variables and ``--tol-*`` flags.
+report under their field names.  ``unitarity`` is checked once, where a
+matrix enters qrep: every matrix read from a file (``qrep_from_json`` takes
+the object too).  Products, adjoints and powers of checked unitaries are not
+checked again; their defect is bounded by their factors',
+d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
+parameters defaulting to ``DEFAULTS``, which every ``hermiticity`` check
+uses.  The CLI builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables
+and ``--tol-*`` flags.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def voiculescu_pair(n: int) -> tuple[Unitary, Unitary]:
     u[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
     phases = np.exp(2j * np.pi * np.arange(1, n + 1) / n)
     v = np.diag(phases)
-    return Unitary.of(u), Unitary.of(v)
+    return Unitary(u), Unitary(v)
 
 
 def voiculescu_qrep(n: int) -> QuasiRep:
@@ -82,7 +82,7 @@ def random_unitary(n: int, rng=None) -> Unitary:
     z = (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return Unitary.of(q * (d / np.abs(d)))
+    return Unitary(q * (d / np.abs(d)))
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def perturbed_copy(u: Unitary, radius: float, gen: np.random.Generator) -> Unita
         return u
     k = _random_skew(gen, u.dim)
     k *= 2.0 * math.asin(radius / 2.0) / op_norm(k)
-    return Unitary.of(u.m @ exp_skew(k).m)
+    return Unitary(u.m @ exp_skew(k).m)
 
 
 def perturb(qr: QuasiRep, spec: PerturbationSpec) -> QuasiRep:
@@ -212,10 +212,10 @@ def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
             raise PresentationMismatch("pullback substitutions differ")
         strategy = PullbackThrough(
             s1.words, s1.base_generators,
-            {g: Unitary.of(_block_diag(s1.base_images[g].m, s2.base_images[g].m))
+            {g: Unitary(_block_diag(s1.base_images[g].m, s2.base_images[g].m))
              for g in s1.base_generators})
     else:
         strategy = s1
-    images = {g: Unitary.of(_block_diag(qr1.images[g].m, qr2.images[g].m))
+    images = {g: Unitary(_block_diag(qr1.images[g].m, qr2.images[g].m))
               for g in qr1.presentation.generators}
     return QuasiRep(qr1.presentation, images, strategy)

@@ -353,8 +353,8 @@ def kazhdan_stability(g: int,
         worst = max(worst, op_norm(_commutator_product(n, moved) - eye))
 
     w1 = _commutator_product(n, [(u.m, v.m) for u, v in pairs_alt])
-    kappa_start = kappa(Unitary.of(w0), tolerances=tol)
-    kappa_end = kappa(Unitary.of(w1), tolerances=tol)
+    kappa_start = kappa(Unitary(w0), tolerances=tol)
+    kappa_end = kappa(Unitary(w1), tolerances=tol)
     equal = (kappa_start.is_integer and kappa_end.is_integer
              and kappa_start.rounded == kappa_end.rounded)
     return StabilityReport(

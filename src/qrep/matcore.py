@@ -83,15 +83,18 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Unitary:
-    """A square matrix together with its witnessed unitarity defect.
+    """A square complex128 matrix that is unitary up to a checked defect.
 
-    ``utol`` is the measured ``||m* m - 1||_op`` at construction, not a
-    requested bound; it is kept so downstream error analyses can cite it.
-    Use :meth:`of` to construct (it validates), treat ``m`` as immutable.
+    Unitarity is checked once, where a matrix enters qrep: :meth:`of`
+    validates ``||m* m - 1||_op <= tol`` (a file load passes
+    ``tolerances.unitarity``).  Products, adjoints and powers of checked
+    unitaries are wrapped as ``Unitary(m)`` without a second check: their
+    defect is bounded by their factors', since
+    (ab)*(ab) - 1 = b*(a*a - 1)b + (b*b - 1) gives
+    d_ab <= d_a (1 + d_b) + d_b.  Treat ``m`` as immutable.
     """
 
     m: np.ndarray
-    utol: float
 
     @classmethod
     def of(cls, m, tol: float = DEFAULTS.unitarity) -> "Unitary":
@@ -99,14 +102,14 @@ class Unitary:
         defect = op_norm(adjoint(a) @ a - np.eye(a.shape[0]))
         if defect > tol:
             raise NotUnitary("unitarity defect above tolerance", defect=defect, tol=tol)
-        return cls(a, defect)
+        return cls(a)
 
     @property
     def dim(self) -> int:
         return self.m.shape[0]
 
     def adjoint(self) -> "Unitary":
-        return Unitary(self.m.conj().T, self.utol)
+        return Unitary(self.m.conj().T)
 
     def __matmul__(self, other: "Unitary") -> "Unitary":
         if not isinstance(other, Unitary):
@@ -114,7 +117,7 @@ class Unitary:
         if other.dim != self.dim:
             raise DimensionMismatch("product of unitaries of different sizes",
                                     left=self.dim, right=other.dim)
-        return Unitary.of(self.m @ other.m)
+        return Unitary(self.m @ other.m)
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,7 @@ def exp_skew(l, herm_tol: float = DEFAULTS.hermiticity) -> Unitary:
     """
     a = as_cmatrix(l)
     es = herm_eig(-1j * a, tol=herm_tol)
-    return Unitary.of(es.apply(lambda vals: np.exp(1j * vals)))
+    return Unitary(es.apply(lambda vals: np.exp(1j * vals)))
 
 
 def spectral_projection(e,

@@ -236,7 +236,7 @@ def evaluate(word: FreeWord, images: Mapping[str, Unitary]) -> Unitary:
         if u is None:
             raise UnboundGenerator("no image assigned to generator", symbol=sym)
         m = m @ (u.m if sgn > 0 else u.m.conj().T)
-    return Unitary.of(m)
+    return Unitary(m)
 
 
 def _power(u: Unitary, k: int) -> np.ndarray:
@@ -321,7 +321,7 @@ def _z2_apply(generators: tuple[str, ...], images: Mapping[str, Unitary],
     if u is None or v is None:
         raise UnboundGenerator("normal form is missing a generator image",
                                generators=generators)
-    return Unitary.of(_power(u, j) @ _power(v, k))
+    return Unitary(_power(u, j) @ _power(v, k))
 
 
 @dataclass(frozen=True)
@@ -473,15 +473,29 @@ def _load_image(value, base_dir, unitarity: float) -> Unitary:
     return Unitary.of(matrix_from_json(value), unitarity)
 
 
+def _typed(value, kind: type, name: str):
+    # ``value`` if it has JSON type ``kind`` (an object, or a list of
+    # strings), so a string is never split into one-letter generators.
+    if kind is list:
+        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        expected = "a list of strings" if kind is list else "an object"
+        raise FormatError(f"{name} must be {expected}", got=type(value).__name__)
+    return value
+
+
 def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
     """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
-        generators = tuple(pres_obj["generators"])
-        relators = tuple(parse_word(r) for r in pres_obj.get("relators", []))
-        strat_obj = obj.get("strategy", {"kind": "z2-normal-form"})
-        images_obj = obj["images"]
+        generators = tuple(_typed(pres_obj["generators"], list, "generators"))
+        relators = tuple(parse_word(r) for r in
+                         _typed(pres_obj.get("relators", []), list, "relators"))
+        strat_obj = _typed(obj.get("strategy", {"kind": "z2-normal-form"}), dict, "strategy")
+        images_obj = _typed(obj["images"], dict, "images")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed quasi-representation object: {exc}") from None
     if kind == "Z2":
@@ -511,10 +525,10 @@ def _strategy_from_json(obj, base_dir, unitarity: float):
         return WordProduct()
     if kind == "pullback":
         try:
-            words = {g: parse_word(w) for g, w in obj["words"].items()}
-            base_gens = tuple(obj["base_generators"])
+            words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
+            base_gens = tuple(_typed(obj["base_generators"], list, "base_generators"))
             base_images = {g: _load_image(v, base_dir, unitarity)
-                           for g, v in obj["base_images"].items()}
+                           for g, v in _typed(obj["base_images"], dict, "base_images").items()}
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None
         return PullbackThrough(words, base_gens, base_images)

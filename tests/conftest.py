@@ -58,7 +58,10 @@ def spy(monkeypatch, fn, owners=None) -> list:
 
     Every attribute bound to ``fn`` in ``owners`` (default: every loaded
     qrep module, since qrep binds functions by name at import) is replaced
-    by a recording wrapper; monkeypatch restores them after the test.
+    by a recording wrapper; monkeypatch restores them after the test.  A
+    classmethod is spied through its class, e.g.
+    ``spy(monkeypatch, Unitary.of.__func__, [Unitary])``; its calls then
+    record the class as the first argument.
     """
     if owners is None:
         owners = [m for name, m in sys.modules.items()
@@ -73,4 +76,6 @@ def spy(monkeypatch, fn, owners=None) -> list:
         for attr, value in list(vars(owner).items()):
             if value is fn:
                 monkeypatch.setattr(owner, attr, wrapper)
+            elif isinstance(value, classmethod) and value.__func__ is fn:
+                monkeypatch.setattr(owner, attr, classmethod(wrapper))
     return calls

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrep import matrix_to_json, voiculescu_pair
+from qrep import (Presentation, QuasiRep, Unitary, Z2NormalForm, matrix_to_json,
+                  qrep_to_json, voiculescu_pair)
 from qrep.cli import CSV_COLUMNS, main
 
 
@@ -462,6 +463,73 @@ def test_tol_unitarity_checks_input_files(tmp_path, capsys, pair_file, matrix_fi
     code = main(["invariant", "kappa", *args, "--tol-unitarity", "1e-300"])
     assert code == 1
     assert "NotUnitary" in capsys.readouterr().err
+
+
+def _near_unitary_pair_file(tmp_path) -> str:
+    # the n = 16 pair times diag(1 +- 2e-7): unitarity defect 4e-7, det unchanged
+    u, v = voiculescu_pair(16)
+    d = np.diag(1 + 2e-7 * (-1.0) ** np.arange(16))
+    qr = QuasiRep(Presentation.z2(), {"a": Unitary(u.m @ d), "b": Unitary(v.m @ d)},
+                  Z2NormalForm())
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(qrep_to_json(qr)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["invariant", "kappa", "--word", "[a, b]"],
+    ["invariant", "winding", "--word", "[a, b]"],
+    ["defect"],
+    ["verify", "exel-loring"],
+], ids=["kappa", "winding", "defect", "exel-loring"])
+def test_tol_unitarity_is_the_only_unitarity_policy(tmp_path, capsys, command):
+    # the file check refuses the pair at the default 1e-8; once it passes
+    # --tol-unitarity, nothing inside the pipeline refuses it again
+    path = _near_unitary_pair_file(tmp_path)
+    assert main([*command, "-i", path]) == 1
+    assert "NotUnitary" in capsys.readouterr().err
+    obj = run_json(capsys, *command, "-i", path, "--tol-unitarity", "1e-6",
+                   "--deterministic")
+    assert obj["tolerances"]["unitarity"] == 1e-6
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("images",), [1, 2]),
+    (("strategy",), "x"),
+    (("presentation", "generators"), "ab"),
+    (("presentation", "relators"), "ab"),
+    (("strategy", "words"), ["a", "b"]),
+    (("strategy", "base_generators"), "ab"),
+    (("strategy", "base_images"), [1, 2]),
+], ids=["images", "strategy", "generators", "relators", "words", "base_generators",
+        "base_images"])
+def test_exit_code_malformed_qrep_field(tmp_path, capsys, pair_file, keys, value):
+    # a field of the wrong JSON type is a format error, never a traceback
+    # and never a string silently split into one-letter generators
+    source = pair_file
+    if keys[0] == "strategy" and len(keys) > 1:
+        source = str(tmp_path / "pullback.json")
+        assert main(["gen", "pullback", "-i", pair_file, "--images", "s1=a,t1=b",
+                     "-o", source]) == 0
+    obj = json.loads(Path(source).read_text())["result"]
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["defect", "-i", str(path)]) == 3
+    assert "FormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--g", "0"], ["--g", "-1"], ["--seeds", "0"],
+], ids=["g0", "g-1", "seeds0"])
+def test_stability_rejects_empty_sweeps(capsys, flags):
+    assert main(["stability", "--n", "16", "--radius", "0.05", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InputError" in captured.err
 
 
 def test_exit_code_usage_error(capsys):

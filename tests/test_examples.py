@@ -9,11 +9,13 @@ pinned to an exact operator-norm distance by construction.
 import numpy as np
 import pytest
 
+from conftest import spy
 from qrep import (DimensionMismatch, PerturbationSpec, PresentationMismatch,
                   PullbackThrough, QuasiRep, RadiusTooLarge, UnboundGenerator,
                   Unitary, WordProduct, Z2NormalForm, direct_sum, evaluate,
-                  kappa, op_norm, parse_word, perturb, perturbed_copy,
-                  pullback, random_unitary, relator_defect, voiculescu_pair,
+                  kappa, kazhdan_stability, mult_defect, op_norm, parse_word,
+                  perturb, perturbed_copy, pullback, random_unitary,
+                  relator_defect, verify_index_formula, voiculescu_pair,
                   voiculescu_qrep)
 
 
@@ -190,3 +192,32 @@ def test_direct_sum_of_pullbacks_sums_base():
     want1, want2 = p1.apply("s1 t1"), p2.apply("s1 t1")
     assert op_norm(got.m[:4, :4] - want1.m) < 1e-12
     assert op_norm(got.m[4:, 4:] - want2.m) < 1e-12
+
+
+# -- unitarity is checked where a matrix enters, not on what qrep builds ----------
+
+def _stability_inputs():
+    u, v = voiculescu_pair(32)
+    gen = np.random.default_rng(0)
+    return 1, [(u, v)], [(perturbed_copy(u, 0.1, gen), perturbed_copy(v, 0.1, gen))]
+
+
+@pytest.mark.parametrize("build, run", [
+    (lambda: voiculescu_qrep(16),
+     lambda qr: perturb(qr, PerturbationSpec(radius=0.05, seed=1))),
+    (lambda: voiculescu_qrep(16), verify_index_formula),
+    (_stability_inputs, lambda args: kazhdan_stability(*args)),
+    (lambda: voiculescu_qrep(8),
+     lambda qr: mult_defect(qr, ["a", "b", "a b", "[a, b]"])),
+    (lambda: voiculescu_qrep(8), lambda qr: pullback(qr, {"s1": "a b", "t1": "b"})),
+    (lambda: pullback(voiculescu_qrep(4), {"s1": "a", "t1": "b"}),
+     lambda qr: direct_sum(qr, qr)),
+], ids=["perturb", "verify_index_formula", "kazhdan_stability", "mult_defect",
+        "pullback", "direct_sum"])
+def test_products_of_unitaries_are_not_rechecked(monkeypatch, build, run):
+    # products, adjoints, powers and block sums of checked unitaries are
+    # unitaries by construction; only a matrix entering qrep pays Unitary.of
+    inputs = build()
+    calls = spy(monkeypatch, Unitary.of.__func__, [Unitary])
+    run(inputs)
+    assert calls == []
