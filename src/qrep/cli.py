@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -244,33 +245,63 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _jsonable(value):
+def _json_chunks(value, pad: str = ""):
+    """Yield, in pieces, the text ``json.dumps`` writes for ``value`` with a
+    two-space indent and sorted keys, with numpy scalars as Python values,
+    tuples as lists and non-finite floats as ``null``.
+
+    A list of plain finite floats (a matrix's ``re`` or ``im``) is joined in
+    C through ``float.__repr__``, the text ``json`` writes for a finite
+    float; every other scalar goes through ``json.dumps``.
+    """
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+        if not value:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            # json writes a non-string key as its scalar text, quoted
+            yield sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": "
+            yield from _json_chunks(value[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        yield "[\n" + inner
+        # a float sum overflowing to inf only sends the list the slow way
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            yield sep.join(map(float.__repr__, value))
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    yield sep
+                yield from _json_chunks(item, inner)
+        yield "\n" + pad + "]"
+    elif isinstance(value, (float, np.floating)):
+        yield float.__repr__(float(value)) if math.isfinite(value) else "null"
+    elif isinstance(value, (np.integer, np.bool_)):
+        yield json.dumps(value.item())
+    else:
+        yield json.dumps(value)
 
 
 def _emit(args, tol: config.Tolerances, command: str, result) -> None:
-    cfg = {k: v for k, v in sorted(vars(args).items())
+    cfg = {k: v for k, v in vars(args).items()
            if k != "func" and not k.startswith("tol_") and v is not None}
     report = {
         "command": command,
-        "config": _jsonable(cfg),
+        "config": cfg,
         "tolerances": tol.as_dict(),
-        "result": _jsonable(result),
+        "result": result,
     }
     if not args.deterministic:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    text = "".join(_json_chunks(report))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -15,13 +15,30 @@ d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
 parameters defaulting to ``DEFAULTS``, which every ``hermiticity`` check
 uses.  The CLI builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables
 and ``--tol-*`` flags.
+
+Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
+included: each float field must be finite and >= 0, and the integer
+sampling fields need ``winding_samples >= 1``, ``winding_max_depth >= 0``,
+``homotopy_grid >= 2`` and ``stability_samples >= 2``.  Anything else would
+make a check vacuous (no winding samples, a one-point homotopy scan) or fail
+only after the work is done, so it raises ``InputError`` (exit 3) naming
+the field and its value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import os
 from dataclasses import dataclass
+
+from .errors import InputError
+
+# least allowed value of each integer field (every one is listed); every
+# float field needs a finite value >= 0
+_INT_MINIMUM = {"winding_samples": 1, "winding_max_depth": 0,
+                "homotopy_grid": 2, "stability_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,18 @@ class Tolerances:
     # homotopy scans
     homotopy_grid: int = 257        # samples for the linear-path deviation max
     stability_samples: int = 65     # samples along a stability homotopy
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                low = _INT_MINIMUM[f.name]
+                if not (isinstance(value, numbers.Integral) and value >= low):
+                    raise InputError(f"tolerance {f.name} must be an integer >= {low}",
+                                     field=f.name, value=value)
+            elif not (math.isfinite(value) and value >= 0):
+                raise InputError(f"tolerance {f.name} must be finite and >= 0",
+                                 field=f.name, value=value)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -87,9 +87,12 @@ class Unitary:
 
     Unitarity is checked once, where a matrix enters qrep: :meth:`of`
     validates ``||m* m - 1||_op <= tol`` (a file load passes
-    ``tolerances.unitarity``).  Products, adjoints and powers of checked
-    unitaries are wrapped as ``Unitary(m)`` without a second check: their
-    defect is bounded by their factors', since
+    ``tolerances.unitarity``).  It first takes the Frobenius norm of
+    m* m - 1, an O(n^2) upper bound on the operator norm, and runs the
+    eigensolve of :func:`op_norm` only when that bound exceeds ``tol``, so
+    a refusal still reports the exact operator-norm ``defect``.  Products,
+    adjoints and powers of checked unitaries are wrapped as ``Unitary(m)``
+    without a second check: their defect is bounded by their factors', since
     (ab)*(ab) - 1 = b*(a*a - 1)b + (b*b - 1) gives
     d_ab <= d_a (1 + d_b) + d_b.  Treat ``m`` as immutable.
     """
@@ -99,9 +102,11 @@ class Unitary:
     @classmethod
     def of(cls, m, tol: float = DEFAULTS.unitarity) -> "Unitary":
         a = as_cmatrix(m)
-        defect = op_norm(adjoint(a) @ a - np.eye(a.shape[0]))
-        if defect > tol:
-            raise NotUnitary("unitarity defect above tolerance", defect=defect, tol=tol)
+        gram_defect = adjoint(a) @ a - np.eye(a.shape[0])
+        if np.linalg.norm(gram_defect) > tol:
+            defect = op_norm(gram_defect)
+            if defect > tol:
+                raise NotUnitary("unitarity defect above tolerance", defect=defect, tol=tol)
         return cls(a)
 
     @property
@@ -285,8 +290,8 @@ def matrix_to_json(m) -> dict:
     a = as_cmatrix(m)
     return {
         "dim": int(a.shape[0]),
-        "re": [float(x) for x in a.real.ravel()],
-        "im": [float(x) for x in a.imag.ravel()],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 

@@ -8,6 +8,7 @@ asserted byte-for-byte.
 """
 
 import csv
+import dataclasses
 import importlib
 import json
 import shutil
@@ -18,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrep import (Presentation, QuasiRep, Unitary, Z2NormalForm, matrix_to_json,
-                  qrep_to_json, voiculescu_pair)
-from qrep.cli import CSV_COLUMNS, main
+from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
+                  kazhdan_stability, matrix_to_json, perturbed_copy, qrep_to_json,
+                  verify_index_formula, voiculescu_pair, voiculescu_qrep)
+from qrep.cli import CSV_COLUMNS, _json_chunks, main
 
 
 def run_cli(capsys, *argv):
@@ -405,6 +407,110 @@ def test_stability_honours_path_floor(capsys):
     assert [r["status"] for r in obj["result"]["rows"]] == ["PathSingular"] * 2
 
 
+# -- the JSON writer ----------------------------------------------------------------
+
+def _write(value) -> str:
+    return "".join(_json_chunks(value))
+
+
+def _plain(value):
+    # the conversion the envelope used to apply before json.dumps
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if np.isfinite(v) else None
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    return value
+
+
+def _dumps(value) -> str:
+    return json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False)
+
+
+WRITER_VALUES = {
+    "float-list": [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1 / 3, 2.0 ** 53, 1.0, -2.0, 1e308,
+                   123456789.0, 0.1],
+    "lone-float": 0.1,
+    "integer-valued-floats": [3.0, -1.0, 1e22, 1e15],
+    "mixed-list": [1, 2.5, True, None, "x", [0.5], {}],
+    "overflowing-sum": [1e308, 1e308, -1e308],
+    "empty": {"dict": {}, "list": [], "tuple": ()},
+    "nested": {"b": [[1.0, 2.0], [], [[-0.0]]], "a": {"z": {"y": [{"x": 1}]}}},
+    "tuple": (1.5, (2, 3.0), ["a"]),
+    "non-string-keys": {2: "int", 0.5: "float", True: "bool"},
+    "scalars": {"t": True, "f": False, "none": None, "int": -7, "big": 10 ** 30,
+                "float": -1.25},
+    "strings": {"quote": 'say "hi"', "newline": "a\nb", "unicode": "κ τ ∮ é",
+                "back\\slash": "\t\x01", "ключ": "value"},
+}
+
+
+@pytest.mark.parametrize("value", WRITER_VALUES.values(), ids=WRITER_VALUES.keys())
+def test_json_writer_matches_json_dumps(value):
+    assert _write(value) == _dumps(value)
+
+
+def test_json_writer_matches_json_dumps_on_reports():
+    qr = voiculescu_qrep(16)
+    # n = 32 keeps the base defect under the stability budget
+    u, v = voiculescu_pair(32)
+    rng = np.random.default_rng(5)
+    alt = (perturbed_copy(u, 0.05, rng), perturbed_copy(v, 0.05, rng))
+    for report in [
+        qrep_to_json(qr),
+        verify_index_formula(qr, tolerances=DEFAULTS).to_json(),
+        kazhdan_stability(1, [(u, v)], [alt], tolerances=DEFAULTS).to_json(),
+    ]:
+        assert _write(report) == _dumps(report)
+
+
+def test_json_writer_nulls_non_finite_and_unwraps_numpy():
+    value = {"nan": float("nan"), "inf": [1.0, float("inf"), -np.inf],
+             "np": [np.float64(0.1), np.float32(0.5), np.int64(-3), np.bool_(True)],
+             "np_nan": np.float64("nan"), "tuple": (np.float64(2.0),)}
+    expected = json.dumps({"nan": None, "inf": [1.0, None, None],
+                           "np": [0.1, float(np.float32(0.5)), -3, True],
+                           "np_nan": None, "tuple": [2.0]}, indent=2, sort_keys=True)
+    assert _write(value) == _dumps(value) == expected
+
+
+def test_cli_result_with_non_finite_value_is_null(capsys, matrix_file, monkeypatch):
+    monkeypatch.setattr("qrep.cli.exel_homotopy_gap", lambda *a, **k: np.float64("inf"))
+    code, out = run_cli(capsys, "homotopy-gap", "-i", matrix_file, "--deterministic")
+    assert code == 0
+    assert '"homotopy_gap": null' in out
+    assert json.loads(out)["result"] == {"homotopy_gap": None}
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "voiculescu", "--n", "6"],
+    ["gen", "perturbed", "-i", "{pair}", "--radius", "0.05"],
+    ["gen", "pullback", "-i", "{pair}", "--images", "s1=a,t1=b,s2=,t2="],
+    ["gen", "direct-sum", "-i", "{pair}", "-i", "{pair}"],
+    ["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
+    ["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
+    ["invariant", "k", "-i", "{pair}"],
+    ["defect", "-i", "{pair}", "--set", "a,b,a b"],
+    ["verify", "exel-loring", "--n", "16"],
+    ["verify", "exel-loring", "--n-range", "8:16:8"],
+    ["verify", "remark25", "--n", "16"],
+    ["stability", "--n", "16", "--radius", "0.05", "--seeds", "2"],
+    ["homotopy-gap", "-i", "{matrix}"],
+], ids=lambda c: "-".join(w for w in c if not w.startswith(("-", "{", "[")))[:40])
+def test_cli_output_is_indented_sorted_json(tmp_path, capsys, matrix_file, command):
+    # every subcommand writes json.dumps(..., indent=2, sort_keys=True) text
+    pair = str(tmp_path / "pair16.json")
+    assert main(["gen", "voiculescu", "--n", "16", "-o", pair]) == 0
+    argv = [a.format(pair=pair, matrix=matrix_file) for a in command]
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 # -- exit codes --------------------------------------------------------------------------
 
 def test_exit_code_missing_file(capsys):
@@ -530,6 +636,62 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "InputError" in captured.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
+     ["--tol-winding-samples", "0"]),
+    (["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
+     ["--tol-winding-samples", "-2"]),
+    (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
+     ["--tol-stability-samples", "0"]),
+    (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
+     ["--tol-branch-margin", "nan"]),
+    (["verify", "exel-loring", "--n-range", "16:32:16", "--csv", "{csv}"],
+     ["--tol-branch-margin", "nan"]),
+    (["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
+     ["--tol-unitarity", "-0.5"]),
+    (["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
+     ["--tol-cluster-width", "inf"]),
+], ids=["winding-samples-0", "winding-samples-neg", "stability-samples-0",
+        "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
+def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
+                                                  command, flags):
+    # refused with exit 3 before any work: no report and no CSV
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(pair=pair_file, csv=csv_path) for a in command]
+    assert main([*argv, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InputError" in captured.err
+    assert flags[0][len("--tol-"):].replace("-", "_") in captured.err
+    assert not csv_path.exists()
+
+
+def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
+    monkeypatch.setenv("QREP_TOL_HOMOTOPY_GRID", "1")
+    assert main(["invariant", "kappa", "-i", pair_file, "--word", "[a, b]"]) == 3
+    assert "InputError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
+    ("winding_samples", 0), ("winding_samples", 2.5), ("winding_max_depth", -1),
+    ("homotopy_grid", 1),
+    ("stability_samples", 1),
+])
+def test_tolerances_reject_invalid_values(field, value):
+    with pytest.raises(InputError) as exc:
+        dataclasses.replace(DEFAULTS, **{field: value})
+    assert exc.value.details["field"] == field
+
+
+def test_tolerances_accept_their_least_values():
+    least = dataclasses.replace(
+        DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)
+                     if f.type == "float"},
+        winding_samples=1, winding_max_depth=0, homotopy_grid=2, stability_samples=2)
+    assert least.homotopy_grid == 2 and least.unitarity == 0.0
 
 
 def test_exit_code_usage_error(capsys):

@@ -89,6 +89,37 @@ def test_unitary_of_accepts_true_unitary_and_rejects_others():
         Unitary.of(u.m + 1e-4)
 
 
+def test_unitary_of_gates_on_the_operator_norm_not_the_frobenius_bound():
+    # sqrt(1 + 5e-9) * 1 at n = 16: ||m*m - 1|| is 5e-9 in operator norm and
+    # 2e-8 in Frobenius norm, on either side of the default 1e-8
+    m = np.sqrt(1 + 5e-9) * np.eye(16)
+    gram_defect = m.conj().T @ m - np.eye(16)
+    assert np.linalg.norm(gram_defect) > 1e-8 > op_norm(gram_defect)
+    assert Unitary.of(m).dim == 16
+
+
+def test_unitary_of_skips_the_eigensolve_under_the_frobenius_bound(monkeypatch):
+    import qrep.matcore
+
+    def refuse(m):
+        raise AssertionError("op_norm called")
+
+    u, _ = voiculescu_pair(32)
+    monkeypatch.setattr(qrep.matcore, "op_norm", refuse)
+    assert Unitary.of(u.m).dim == 32
+
+
+def test_unitary_of_refusal_reports_the_operator_defect():
+    # the n = 16 pair times diag(1 +- 2e-7): unitarity defect 4e-7
+    u, _ = voiculescu_pair(16)
+    m = u.m @ np.diag(1 + 2e-7 * (-1.0) ** np.arange(16))
+    with pytest.raises(NotUnitary) as exc:
+        Unitary.of(m)
+    assert exc.value.details["defect"] == op_norm(m.conj().T @ m - np.eye(16))
+    assert abs(exc.value.details["defect"] - 4e-7) < 1e-12
+    assert exc.value.details["tol"] == 1e-8
+
+
 def test_unitary_adjoint_and_matmul():
     rng = np.random.default_rng(4)
     u, v = random_unitary(5, rng), random_unitary(5, rng)
@@ -239,6 +270,8 @@ def test_matrix_json_round_trip_is_bit_exact():
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     obj = matrix_to_json(m)
     assert obj["dim"] == 5 and len(obj["re"]) == 25 and len(obj["im"]) == 25
+    # plain Python floats, which the CLI's JSON writer joins in one pass
+    assert {type(x) for x in obj["re"] + obj["im"]} == {float}
     back = matrix_from_json(obj)
     assert np.array_equal(back, m.astype(np.complex128))
     # through an actual json text cycle as well
