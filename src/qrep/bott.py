@@ -280,10 +280,22 @@ def verify_index_formula(qr: QuasiRep,
              and lhs_k == rhs_wn.rounded == rhs_kappa.rounded)
     trace_close = abs(normalized - rhs_tau.value) <= trace_tol
 
-    datum_word = used.commutator_product()
+    # ||pi(word) - 1|| over rep.images, once per distinct word; on the base
+    # pair, [a, b] is the product k_invariant measured, bit for bit
+    eye = np.eye(n)
+    norms = {}
+    if rep is qr:
+        norms[_default_datum(qr.presentation).commutator_product()] = \
+            lhs.defect_data["commutator_defect"]
+
+    def word_defect(word: FreeWord) -> float:
+        if word not in norms:
+            norms[word] = op_norm(evaluate(word, rep.images).m - eye)
+        return norms[word]
+
     defects = {
-        "relator_defect": relator_defect(rep),
-        "datum_product_defect": op_norm(evaluate(datum_word, rep.images).m - np.eye(rep.dim)),
+        "relator_defect": relator_defect(rep, word_defect),
+        "datum_product_defect": word_defect(used.commutator_product()),
         "loop_defect": rhs_kappa.defect_data["norm_w_minus_1"],
         "commutator_defect": lhs.defect_data["commutator_defect"],
         "e_defect": lhs.defect_data["e_defect"],

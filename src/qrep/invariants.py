@@ -116,14 +116,16 @@ def kappa(w: Unitary,
     return standard if trace_mode == "standard" else normalized
 
 
-def _kappa_pair(w: Unitary, tol: Tolerances) -> tuple[InvariantReport, InvariantReport]:
-    # (kappa, kappa_tau) from one eigensystem, one ||w - 1|| and one det(w).
+def _kappa_pair(w: Unitary, tol: Tolerances,
+                norm_w_minus_1: float | None = None) -> tuple[InvariantReport, InvariantReport]:
+    # (kappa, kappa_tau) from one eigensystem, one ||w - 1|| and one det(w);
+    # a caller that already holds ||w - 1|| passes it in.
     es = unitary_eig(w, tol.cluster_width)
     nearest = branch_distance(es.values, tol.branch_margin,
                               "spectrum within margin of -1; invariant undefined")
     n = w.dim
     total = float(np.angle(es.values).sum()) / _TWO_PI
-    norm_dev = op_norm(w.m - np.eye(n))
+    norm_dev = op_norm(w.m - np.eye(n)) if norm_w_minus_1 is None else norm_w_minus_1
     det_dev = abs(lu_det(w.m) - 1.0)
     rounded, is_integer = _integrality(total, det_dev <= tol.det_one, tol.integer_residual)
     standard = InvariantReport(
@@ -168,12 +170,13 @@ def winding_number_det_segment(w: Unitary,
     if det_dev > tol.loop_closure:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
                        deviation=det_dev, tol=tol.loop_closure)
-    eye = np.eye(n)
-
     state = {"runmax": 0.0, "minabs": math.inf, "evals": 0}
 
     def pencil(t: float) -> complex:
-        d = lu_det((1.0 - t) * eye + t * m)
+        # (1 - t) 1 + t m built in place: the same bits, no n x n temporaries
+        p = t * m
+        p.flat[::n + 1] += 1.0 - t
+        d = lu_det(p)
         a = abs(d)
         state["runmax"] = max(state["runmax"], a)
         state["minabs"] = min(state["minabs"], a)
@@ -353,7 +356,7 @@ def kazhdan_stability(g: int,
         worst = max(worst, op_norm(_commutator_product(n, moved) - eye))
 
     w1 = _commutator_product(n, [(u.m, v.m) for u, v in pairs_alt])
-    kappa_start = kappa(Unitary(w0), tolerances=tol)
+    kappa_start, _ = _kappa_pair(Unitary(w0), tol, norm_w_minus_1=base_defect)
     kappa_end = kappa(Unitary(w1), tolerances=tol)
     equal = (kappa_start.is_integer and kappa_end.is_integer
              and kappa_start.rounded == kappa_end.rounded)

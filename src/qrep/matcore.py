@@ -10,7 +10,14 @@ partial pivoting (`getrf`), Hermitian eigenproblems via `eigh`.  Unitary
 matrices are diagonalized through their commuting Cartesian parts
 H = (w + w*)/2 and K = (w - w*)/2i rather than a general nonsymmetric
 solver, which keeps the eigenbasis orthonormal by construction and the
-procedure deterministic; see :func:`unitary_eig`.
+procedure deterministic; see :func:`unitary_eig`.  Its Rayleigh quotients
+v* w v come from one BLAS matmul w @ V and a column sum.
+
+The unitarity gate of :meth:`Unitary.of` and the self-adjointness gate of
+:func:`herm_eig` are Frobenius-first: the Frobenius norm is an O(n^2) upper
+bound on the operator norm, so the eigensolve of :func:`op_norm` runs only
+when that bound exceeds the tolerance, and a refusal still reports the exact
+operator-norm defect.
 """
 
 from __future__ import annotations
@@ -81,6 +88,16 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + adjoint(m)) / 2
 
 
+def _gate(defect_matrix: np.ndarray, tol: float, error, message: str) -> None:
+    # Refuse when ||defect_matrix||_op > tol.  The Frobenius norm is an O(n^2)
+    # upper bound on the operator norm, so the eigensolve of op_norm runs only
+    # when that bound exceeds tol, and a refusal reports the exact defect.
+    if np.linalg.norm(defect_matrix) > tol:
+        defect = op_norm(defect_matrix)
+        if defect > tol:
+            raise error(message, defect=defect, tol=tol)
+
+
 @dataclass(frozen=True)
 class Unitary:
     """A square complex128 matrix that is unitary up to a checked defect.
@@ -102,11 +119,8 @@ class Unitary:
     @classmethod
     def of(cls, m, tol: float = DEFAULTS.unitarity) -> "Unitary":
         a = as_cmatrix(m)
-        gram_defect = adjoint(a) @ a - np.eye(a.shape[0])
-        if np.linalg.norm(gram_defect) > tol:
-            defect = op_norm(gram_defect)
-            if defect > tol:
-                raise NotUnitary("unitarity defect above tolerance", defect=defect, tol=tol)
+        _gate(adjoint(a) @ a - np.eye(a.shape[0]), tol,
+              NotUnitary, "unitarity defect above tolerance")
         return cls(a)
 
     @property
@@ -142,36 +156,35 @@ class EigenSystem:
 
 def _fix_column_phases(vectors: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     # Deterministic gauge: rotate each eigenvector so its first coordinate of
-    # magnitude > floor lands on the positive real axis.
-    v = np.array(vectors, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        hits = np.flatnonzero(np.abs(col) > floor)
-        i0 = int(hits[0]) if hits.size else int(np.argmax(np.abs(col)))
-        phase = col[i0] / abs(col[i0])
-        v[:, j] = col * phase.conjugate()
-    return v
+    # magnitude > floor (its largest, if none is) lands on the positive real axis.
+    mags = np.abs(vectors)
+    above = mags > floor
+    lead = np.where(above.any(axis=0), above.argmax(axis=0), mags.argmax(axis=0))
+    leads = vectors[lead, np.arange(vectors.shape[1])]
+    # np.hypot is the modulus that abs() of one entry takes (np.abs of an array
+    # can differ in the last bit), and scaling the rows of vectors.T runs the
+    # multiply loop of scaling one column at a time (a (1, 1) broadcast
+    # does not); so these bits are the column-by-column gauge's
+    phases = leads / np.hypot(leads.real, leads.imag)
+    return (vectors.T * phases.conj()[:, None]).T
 
 
 def herm_eig(h, tol: float = DEFAULTS.hermiticity) -> EigenSystem:
-    """Eigendecomposition of a self-adjoint matrix, values real ascending."""
+    """Eigendecomposition of a self-adjoint matrix, values real ascending.
+
+    Refuses ``||h - h*||_op > tol`` with :class:`NotHermitian`, gated
+    Frobenius-first like :meth:`Unitary.of`.
+    """
     a = as_cmatrix(h)
-    defect = op_norm(a - adjoint(a))
-    if defect > tol:
-        raise NotHermitian("self-adjointness defect above tolerance",
-                           defect=defect, tol=tol)
+    _gate(a - adjoint(a), tol, NotHermitian, "self-adjointness defect above tolerance")
     values, vectors = np.linalg.eigh(_hermitize(a))
     return EigenSystem(values, _fix_column_phases(vectors))
 
 
 def _cluster_stops(sorted_reals: np.ndarray, width: float) -> list[int]:
-    # Greedy split of an ascending sequence at gaps wider than `width`.
-    stops = []
-    for i in range(1, len(sorted_reals)):
-        if sorted_reals[i] - sorted_reals[i - 1] > width:
-            stops.append(i)
-    stops.append(len(sorted_reals))
-    return stops
+    # Split an ascending sequence at gaps wider than `width`.
+    stops = np.flatnonzero(np.diff(sorted_reals) > width) + 1
+    return [*stops.tolist(), len(sorted_reals)]
 
 
 def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> EigenSystem:
@@ -203,9 +216,10 @@ def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> Ei
             vectors[:, start:stop] = basis @ refine
         start = stop
     vectors = _fix_column_phases(vectors)
-    # Rayleigh quotients: exact eigenvalues for exact invariant lines, and the
-    # right reporting choice either way.
-    values = np.einsum("ij,ik,kj->j", vectors.conj(), a, vectors)
+    # Rayleigh quotients v* a v, column by column after one BLAS matmul: exact
+    # eigenvalues for exact invariant lines, and the right reporting choice
+    # either way.
+    values = np.sum(vectors.conj() * (a @ vectors), axis=0)
     return EigenSystem(values, vectors)
 
 

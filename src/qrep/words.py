@@ -396,13 +396,20 @@ class QuasiRep:
         return self.strategy.apply(self, word)
 
 
-def relator_defect(qr: QuasiRep) -> float:
-    """Largest ||evaluate(relator) - 1|| over the presentation's relators."""
+def relator_defect(qr: QuasiRep, word_defect=None) -> float:
+    """Largest ||evaluate(relator) - 1|| over the presentation's relators.
+
+    A caller that already holds some of these norms passes its own
+    ``word_defect(word)``, the norm ||evaluate(word) - 1|| on ``qr.images``.
+    """
     if not qr.presentation.relators:
         raise PresentationMismatch("presentation has no relators")
-    eye = np.eye(qr.dim)
-    return max(op_norm(evaluate(r, qr.images).m - eye)
-               for r in qr.presentation.relators)
+    if word_defect is None:
+        eye = np.eye(qr.dim)
+
+        def word_defect(word: FreeWord) -> float:
+            return op_norm(evaluate(word, qr.images).m - eye)
+    return max(map(word_defect, qr.presentation.relators))
 
 
 @dataclass(frozen=True)

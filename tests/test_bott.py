@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import diag_unitary, spy
-from qrep import (DEFAULTS, AlmostProjection, DefectTooLarge, NoSpectralGap,
-                  PerturbationSpec, PresentationMismatch, SurfacePullback, Unitary,
-                  bott_almost_projection, k_invariant, unitary_eig,
-                  kappa, op_norm, perturb, perturbed_copy, push_k_class,
+from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
+                  NoSpectralGap, PerturbationSpec, PresentationMismatch,
+                  SurfacePullback, Unitary, bott_almost_projection, evaluate,
+                  k_invariant, unitary_eig, kappa, op_norm, parse_word, perturb,
+                  perturbed_copy, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
@@ -182,6 +183,36 @@ def test_verify_decomposes_each_unitary_once(monkeypatch):
     assert len(calls) == 2
     assert calls[0][0] is qr.images["b"]
     assert rep.defects["loop_defect"] == rep.rhs_kappa.defect_data["norm_w_minus_1"]
+
+
+def test_verify_measures_the_commutator_once(monkeypatch):
+    # on the default datum, [a, b] - 1 is one matrix for relator_defect,
+    # datum_product_defect and k's commutator_defect: one op_norm for all
+    # three, one for the loop; each equals its own evaluation bit for bit
+    qr = perturb(voiculescu_qrep(32), PerturbationSpec(radius=0.02, seed=3))
+    calls = spy(monkeypatch, op_norm)
+    rep = verify_index_formula(qr)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    comm = op_norm(evaluate(parse_word("[a, b]"), qr.images).m - np.eye(32))
+    assert rep.defects["relator_defect"] == relator_defect(qr) == comm
+    assert rep.defects["datum_product_defect"] == comm
+    assert rep.defects["commutator_defect"] == comm
+    loop = evaluate(parse_word("[b, a]"), qr.images).m
+    assert rep.defects["loop_defect"] == op_norm(loop - np.eye(32))
+
+
+def test_verify_evaluates_a_datum_other_than_the_relator(monkeypatch):
+    qr = perturb(voiculescu_qrep(16), PerturbationSpec(radius=0.02, seed=4))
+    datum = CommutatorDatum(((parse_word("a b"), parse_word("b")),), qr.presentation)
+    calls = spy(monkeypatch, op_norm)
+    rep = verify_index_formula(qr, datum=datum)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    word = datum.commutator_product()
+    assert rep.defects["datum_product_defect"] == op_norm(
+        evaluate(word, qr.images).m - np.eye(16))
+    assert rep.defects["relator_defect"] == relator_defect(qr)
 
 
 def test_verify_surface_pullback_case():

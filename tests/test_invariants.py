@@ -101,6 +101,58 @@ def test_winding_voiculescu_commutator():
     assert rep.defect_data["det_evaluations"] >= 65
 
 
+def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int]:
+    # the adaptive tracker of winding_number_det_segment at default
+    # tolerances, each pencil formed as (1 - t) eye + t w; determinants are
+    # Python complex numbers, as lu_det returns them
+    n = w.shape[0]
+    eye = np.eye(n)
+    dets = []
+
+    def det(t):
+        dets.append(complex(np.linalg.det((1.0 - t) * eye + t * w)))
+        return dets[-1]
+
+    def track(t0, d0, t1, d1, depth):
+        step = np.angle(d1 / d0)
+        runmax = max(abs(d) for d in dets)
+        cap = np.pi / 16 if min(abs(d0), abs(d1)) < 0.1 * runmax else np.pi / 2
+        if abs(step) <= cap:
+            return step
+        assert depth < DEFAULTS.winding_max_depth
+        tm = 0.5 * (t0 + t1)
+        dm = det(tm)
+        return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
+
+    ts = np.linspace(0.0, 1.0, DEFAULTS.winding_samples + 1)
+    ds = [det(float(t)) for t in ts]
+    total = sum(track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
+                for i in range(DEFAULTS.winding_samples))
+    return total / (2 * np.pi), len(dets)
+
+
+def test_winding_pencils_in_place_match_direct_pencils():
+    # at n = 64: the commutator of a perturbed pair (winding -1), and a
+    # det-1 unitary with one eigenvalue 0.05 from -1, whose determinants dip
+    # so that the tracker bisects; value and evaluation count match bit for bit
+    rng = np.random.default_rng(21)
+    u, v = voiculescu_pair(64)
+    u2, v2 = perturbed_copy(u, 0.05, rng), perturbed_copy(v, 0.05, rng)
+    commutator = u2.m @ v2.m @ u2.m.conj().T @ v2.m.conj().T
+    theta = rng.uniform(-0.5, 0.5, 64)
+    theta[0] = np.pi - 0.05
+    theta[1:] -= theta.sum() / 63
+    q = random_unitary(64, rng).m
+    near_minus_one = (q * np.exp(1j * theta)) @ q.conj().T
+    for w, winding in ((commutator, -1), (near_minus_one, 0)):
+        rep = winding_number_det_segment(Unitary(w))
+        value, evaluations = _winding_by_direct_pencils(w)
+        assert rep.rounded == winding
+        assert rep.value == value
+        assert rep.defect_data["det_evaluations"] == evaluations
+    assert evaluations > DEFAULTS.winding_samples + 1
+
+
 def test_winding_zero_for_real_positive_paths():
     # conjugate phase pairs make det((1-t)1+tw) = |(1-t)+t e^{i theta}|^2 > 0
     w = diag_unitary([1.0, -1.0])
@@ -223,6 +275,22 @@ def test_stability_homotopy_matches_scipy_oracle(monkeypatch):
         w = ut @ vt @ ut.conj().T @ vt.conj().T
         worst = max(worst, np.linalg.norm(w - np.eye(32), 2))
     assert abs(rep.homotopy_max_deviation - worst) < 1e-10
+
+
+def test_stability_measures_each_matrix_once(monkeypatch):
+    # w0 - 1 is measured once, for the relator gate, and reported again as
+    # kappa_start's norm_w_minus_1
+    u, v = voiculescu_pair(32)
+    rng = np.random.default_rng(8)
+    u2, v2 = perturbed_copy(u, 0.1, rng), perturbed_copy(v, 0.1, rng)
+    calls = spy(monkeypatch, op_norm)
+    rep = kazhdan_stability(1, [(u, v)], [(u2, v2)])
+    assert len({args[0].tobytes() for args in calls}) == len(calls)
+    monkeypatch.undo()
+    w0 = u.m @ v.m @ u.m.conj().T @ v.m.conj().T
+    assert rep.relator_defect == op_norm(w0 - np.eye(32))
+    assert rep.kappa_start.defect_data["norm_w_minus_1"] == rep.relator_defect
+    assert rep.kappa_start == kappa(Unitary(w0))
 
 
 def test_stability_hypothesis_violations():

@@ -11,11 +11,11 @@ import pytest
 import scipy.linalg
 
 from conftest import (diag_unitary, haar_det1_unitary, hermitian_with_spectrum,
-                      random_hermitian, random_skew)
+                      random_hermitian, random_skew, spy)
 from qrep import (DimensionMismatch, EigenSystem, FormatError, NoSpectralGap,
                   NotHermitian, NotUnitary, Unitary, adjoint, as_cmatrix,
                   BranchCut, exp_skew, herm_eig, lu_det, matrix_from_json,
-                  matrix_to_json, op_norm, principal_log_unitary,
+                  matrix_to_json, op_norm, perturbed_copy, principal_log_unitary,
                   random_unitary, spectral_projection, unitary_eig,
                   voiculescu_pair)
 
@@ -139,6 +139,35 @@ def test_herm_eig_reconstructs_and_rejects_non_hermitian():
         herm_eig(h + 1e-3 * 1j * np.eye(7))
 
 
+def test_herm_eig_skips_the_eigensolve_on_hermitian_input(monkeypatch):
+    rng = np.random.default_rng(13)
+    h = random_hermitian(32, rng)
+    calls = spy(monkeypatch, op_norm)
+    herm_eig(h)
+    exp_skew(random_skew(32, rng))
+    assert calls == []
+
+
+def test_herm_eig_gates_on_the_operator_norm_not_the_frobenius_bound(monkeypatch):
+    # h + 2e-9 i at n = 16: ||a - a*|| is 4e-9 in operator norm and 1.6e-8
+    # in Frobenius norm, on either side of the default 1e-8
+    h = random_hermitian(16, np.random.default_rng(14)) + 2e-9j * np.eye(16)
+    skew = h - h.conj().T
+    assert np.linalg.norm(skew) > 1e-8 > op_norm(skew)
+    calls = spy(monkeypatch, op_norm)
+    assert herm_eig(h).values.shape == (16,)
+    assert len(calls) == 1
+
+
+def test_herm_eig_refusal_reports_the_operator_defect():
+    h = random_hermitian(16, np.random.default_rng(15)) + 1e-6j * np.eye(16)
+    with pytest.raises(NotHermitian) as exc:
+        herm_eig(h)
+    assert exc.value.details["defect"] == op_norm(h - h.conj().T)
+    assert abs(exc.value.details["defect"] - 2e-6) < 1e-12
+    assert exc.value.details["tol"] == 1e-8
+
+
 def test_herm_eig_is_deterministic():
     rng = np.random.default_rng(6)
     h = random_hermitian(6, rng)
@@ -187,6 +216,59 @@ def test_unitary_eig_random_unitaries_reconstruct():
         es = unitary_eig(w)
         assert op_norm(es.reconstruct() - w.m) < 1e-9
         assert op_norm(es.vectors @ adjoint(es.vectors) - np.eye(n)) < 1e-10
+
+
+def _nearest_gap(xs, ys) -> float:
+    # largest distance from a point of xs to its nearest point of ys
+    return float(np.abs(xs[:, None] - ys[None, :]).min(axis=1).max())
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_unitary_eig_values_match_eigvals_and_the_three_operand_product(n):
+    # the BLAS Rayleigh quotient against scipy's nonsymmetric eigensolver and
+    # against v* a v taken as one three-operand einsum
+    rng = np.random.default_rng(n)
+    u, v = voiculescu_pair(n)
+    cases = [perturbed_copy(u, 0.02, rng), perturbed_copy(v, 0.02, rng),
+             haar_det1_unitary(n, rng), random_unitary(n, rng)]
+    for w in cases:
+        es = unitary_eig(w)
+        oracle = scipy.linalg.eigvals(w.m)
+        assert _nearest_gap(es.values, oracle) <= 1e-13
+        assert _nearest_gap(oracle, es.values) <= 1e-13
+        three = np.einsum("ij,ik,kj->j", es.vectors.conj(), w.m, es.vectors)
+        assert np.max(np.abs(es.values - three)) <= 1e-13
+
+
+def _column_by_column_gauge(vectors, floor=1e-8):
+    # the gauge one column at a time: first entry above floor, else the largest
+    v = np.array(vectors, copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        hits = np.flatnonzero(np.abs(col) > floor)
+        i0 = int(hits[0]) if hits.size else int(np.argmax(np.abs(col)))
+        v[:, j] = col * (col[i0] / abs(col[i0])).conjugate()
+    return v
+
+
+def test_column_phases_equal_the_column_by_column_gauge_bit_for_bit():
+    from qrep.matcore import _fix_column_phases
+
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 7, 64):
+        for _ in range(20):
+            scale = 10.0 ** rng.integers(-14, 1, (n, n))
+            m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
+            m[:, 0] *= 1e-9                       # every entry below floor
+            m[:, 1] = 3e-9 * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            m[-1, 1] = 5e-9j                      # a tie among sub-floor entries
+            if n > 2:                             # a tie above floor: first one wins
+                m[:, 2] = 0.0
+                m[1, 2], m[2, 2] = 0.6 + 0.8j, -0.8 + 0.6j
+            assert np.array_equal(_fix_column_phases(m), _column_by_column_gauge(m))
+    es = unitary_eig(random_unitary(64, rng))
+    assert np.array_equal(_fix_column_phases(es.vectors),
+                          _column_by_column_gauge(es.vectors))
 
 
 # -- principal log / exp_skew -------------------------------------------------
