@@ -31,9 +31,10 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
-from .matcore import Unitary, _above_band, adjoint, op_norm, unitary_eig
-from .invariants import (InvariantReport, _commutator_product, _kappa_pair,
-                         winding_number_det_segment)
+from .examples import pullback
+from .matcore import (Unitary, _above_band, adjoint, commutator_product,
+                      identity_defect, unitary_eig)
+from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -133,7 +134,7 @@ def k_invariant(u: Unitary, v: Unitary,
     below = ap.spectrum[ap.spectrum < tol.projection_threshold]
     above = ap.spectrum[ap.spectrum >= tol.projection_threshold]
     gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
-    comm_defect = op_norm(_commutator_product(u.dim, [(u.m, v.m)]) - np.eye(u.dim))
+    comm_defect = identity_defect(commutator_product([(u.m, v.m)], u.dim))
     return InvariantReport(
         name="k_invariant",
         value=float(k),
@@ -206,13 +207,8 @@ class IndexFormulaReport:
 
 
 def _default_datum(pres: Presentation) -> CommutatorDatum:
-    gens = pres.generators
-    if pres.kind == "Z2":
-        a, b = (FreeWord(((g, 1),)) for g in gens)
-        return CommutatorDatum(((a, b),), pres)
-    pairs = tuple((FreeWord(((gens[2 * i], 1),)), FreeWord(((gens[2 * i + 1], 1),)))
-                  for i in range(len(gens) // 2))
-    return CommutatorDatum(pairs, pres)
+    gens = [FreeWord(((g, 1),)) for g in pres.generators]
+    return CommutatorDatum(tuple(zip(gens[::2], gens[1::2])), pres)
 
 
 def verify_index_formula(qr: QuasiRep,
@@ -248,8 +244,6 @@ def verify_index_formula(qr: QuasiRep,
         base_words = used.pairs
         label = "z2-bott"
     else:
-        from .examples import pullback
-
         rep = pullback(qr, case.images)
         if rep.presentation.genus != case.genus:
             raise PresentationMismatch("substitution does not match the stated genus",
@@ -268,8 +262,7 @@ def verify_index_formula(qr: QuasiRep,
 
     n = qr.dim
     images = [(rep.apply(wa).m, rep.apply(wb).m) for wa, wb in used.pairs]
-    loop = _commutator_product(n, [(mb, ma) for ma, mb in images])
-    loop_u = Unitary(loop)
+    loop_u = Unitary(commutator_product([(mb, ma) for ma, mb in images], n))
 
     lhs = k_invariant(u, v, tolerances=tolerances)
     rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
@@ -281,8 +274,8 @@ def verify_index_formula(qr: QuasiRep,
     trace_close = abs(normalized - rhs_tau.value) <= trace_tol
 
     # ||pi(word) - 1|| over rep.images, once per distinct word; on the base
-    # pair, [a, b] is the product k_invariant measured, bit for bit
-    eye = np.eye(n)
+    # pair, [a, b] is the product k_invariant measured, bit for bit: both
+    # are matcore.product of the factors u, v, u*, v*
     norms = {}
     if rep is qr:
         norms[_default_datum(qr.presentation).commutator_product()] = \
@@ -290,7 +283,7 @@ def verify_index_formula(qr: QuasiRep,
 
     def word_defect(word: FreeWord) -> float:
         if word not in norms:
-            norms[word] = op_norm(evaluate(word, rep.images).m - eye)
+            norms[word] = identity_defect(evaluate(word, rep.images).m)
         return norms[word]
 
     defects = {

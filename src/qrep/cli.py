@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from . import config
-from .bott import SurfacePullback, k_invariant, verify_index_formula
+from .bott import k_invariant, verify_index_formula
 from .errors import FormatError, InputError, QrepError
 from .examples import (
     PerturbationSpec,
@@ -47,13 +47,12 @@ from .examples import (
     voiculescu_qrep,
 )
 from .invariants import (
-    _commutator_product,
     exel_homotopy_gap,
     kappa,
     kazhdan_stability,
     winding_number_det_segment,
 )
-from .matcore import Unitary, matrix_from_json
+from .matcore import Unitary, commutator_product, matrix_from_json
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -495,7 +494,7 @@ def cmd_stability(args, tol):
                          for a, b in base_pairs]
             report = kazhdan_stability(g, base_pairs, alt_pairs, tolerances=tol)
             reports.append(report.to_json())
-            w_alt = _commutator_product(n, [(a.m, b.m) for a, b in alt_pairs])
+            w_alt = commutator_product([(a.m, b.m) for a, b in alt_pairs], n)
             row.update({
                 "kappa": report.kappa_end.rounded,
                 "wn": winding_number_det_segment(Unitary(w_alt),

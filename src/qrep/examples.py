@@ -28,7 +28,6 @@ from .errors import (
 )
 from .matcore import Unitary, adjoint, exp_skew, op_norm
 from .words import (
-    FreeWord,
     Presentation,
     PullbackThrough,
     QuasiRep,

@@ -33,6 +33,8 @@ from .matcore import (
     Unitary,
     _log_eigensystem,
     branch_distance,
+    commutator_product,
+    identity_defect,
     lu_det,
     op_norm,
     unitary_eig,
@@ -123,9 +125,8 @@ def _kappa_pair(w: Unitary, tol: Tolerances,
     es = unitary_eig(w, tol.cluster_width)
     nearest = branch_distance(es.values, tol.branch_margin,
                               "spectrum within margin of -1; invariant undefined")
-    n = w.dim
     total = float(np.angle(es.values).sum()) / _TWO_PI
-    norm_dev = op_norm(w.m - np.eye(n)) if norm_w_minus_1 is None else norm_w_minus_1
+    norm_dev = identity_defect(w.m) if norm_w_minus_1 is None else norm_w_minus_1
     det_dev = abs(lu_det(w.m) - 1.0)
     rounded, is_integer = _integrality(total, det_dev <= tol.det_one, tol.integer_residual)
     standard = InvariantReport(
@@ -143,7 +144,7 @@ def _kappa_pair(w: Unitary, tol: Tolerances,
         tolerances=tol.subset("branch_margin", "cluster_width",
                               "integer_residual", "det_one"),
     )
-    return standard, replace(standard, name="kappa_tau", value=total / n,
+    return standard, replace(standard, name="kappa_tau", value=total / w.dim,
                              rounded=None, is_integer=False)
 
 
@@ -246,28 +247,16 @@ def exel_homotopy_gap(w: Unitary,
         t = ts[:, None]
         return np.abs((1.0 - t) + t * lam - np.exp(1j * t * theta)).max(axis=1)
 
-    grid = tol.homotopy_grid
-    ts = np.linspace(0.0, 1.0, grid)
-    devs = deviation(ts)
-    i = int(np.argmax(devs))
-    best = float(devs[i])
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, grid - 1)]
-    for _ in range(4):
-        ts = np.linspace(lo, hi, 65)
+    # the grid, then four 65-point passes around the last maximizer
+    lo, hi, count = 0.0, 1.0, tol.homotopy_grid
+    best = 0.0
+    for _ in range(5):
+        ts = np.linspace(lo, hi, count)
         devs = deviation(ts)
         i = int(np.argmax(devs))
         best = max(best, float(devs[i]))
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, 64)]
+        lo, hi, count = ts[max(i - 1, 0)], ts[min(i + 1, count - 1)], 65
     return best
-
-
-def _commutator_product(n: int, pairs) -> np.ndarray:
-    # prod_i u_i v_i u_i* v_i*, multiplied left to right from the n x n
-    # identity; every commutator product in qrep is taken here.
-    out = np.eye(n, dtype=np.complex128)
-    for u, v in pairs:
-        out = out @ u @ v @ u.conj().T @ v.conj().T
-    return out
 
 
 @dataclass(frozen=True)
@@ -324,8 +313,8 @@ def kazhdan_stability(g: int,
     n = dims.pop()
     bound = 1.0 / (5.0 * g)
 
-    w0 = _commutator_product(n, [(u.m, v.m) for u, v in pairs])
-    base_defect = op_norm(w0 - np.eye(n))
+    w0 = commutator_product([(u.m, v.m) for u, v in pairs], n)
+    base_defect = identity_defect(w0)
     if base_defect >= bound:
         raise HypothesisViolated("commutator product too far from 1",
                                  which="relator", value=base_defect, bound=bound)
@@ -340,22 +329,18 @@ def kazhdan_stability(g: int,
 
     # Eigendata of the homotopy generators -i log(u_i* u_i'): u_i* u_i' is unitary
     # and close to 1, so its principal log exists with room to spare.
-    arcs = []
-    for (u, v), (u2, v2) in zip(pairs, pairs_alt):
-        arcs.append((_log_eigensystem(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width),
-                     _log_eigensystem(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width)))
+    arcs = [(_log_eigensystem(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width),
+             _log_eigensystem(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width))
+            for (u, v), (u2, v2) in zip(pairs, pairs_alt)]
 
-    eye = np.eye(n)
     worst = 0.0
     for t in np.linspace(0.0, 1.0, tol.stability_samples):
-        moved = []
-        for (u, v), (eu, ev) in zip(pairs, arcs):
-            ut = u.m @ eu.apply(lambda vals: np.exp(1j * t * vals))
-            vt = v.m @ ev.apply(lambda vals: np.exp(1j * t * vals))
-            moved.append((ut, vt))
-        worst = max(worst, op_norm(_commutator_product(n, moved) - eye))
+        moved = [(u.m @ eu.apply(lambda vals: np.exp(1j * t * vals)),
+                  v.m @ ev.apply(lambda vals: np.exp(1j * t * vals)))
+                 for (u, v), (eu, ev) in zip(pairs, arcs)]
+        worst = max(worst, identity_defect(commutator_product(moved, n)))
 
-    w1 = _commutator_product(n, [(u.m, v.m) for u, v in pairs_alt])
+    w1 = commutator_product([(u.m, v.m) for u, v in pairs_alt], n)
     kappa_start, _ = _kappa_pair(Unitary(w0), tol, norm_w_minus_1=base_defect)
     kappa_end = kappa(Unitary(w1), tolerances=tol)
     equal = (kappa_start.is_integer and kappa_end.is_integer

@@ -5,6 +5,10 @@ eigendecompositions, the principal logarithm of a unitary, spectral
 projections, and the matrix JSON format.  Everything downstream (invariants,
 Bott machinery, word evaluation) is built on these primitives.
 
+Products are left folds from the first factor (:func:`product`,
+:func:`commutator_product`), so none starts from the identity, and every
+distance ||x - 1|| is :func:`identity_defect`.
+
 Numerics are delegated to LAPACK through numpy: determinants via LU with
 partial pivoting (`getrf`), Hermitian eigenproblems via `eigh`.  Unitary
 matrices are diagonalized through their commuting Cartesian parts
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -44,6 +49,9 @@ __all__ = [
     "adjoint",
     "lu_det",
     "op_norm",
+    "identity_defect",
+    "product",
+    "commutator_product",
     "herm_eig",
     "unitary_eig",
     "principal_log_unitary",
@@ -82,6 +90,24 @@ def op_norm(m) -> float:
     a = as_cmatrix(m)
     top = np.linalg.eigvalsh(adjoint(a) @ a)[-1]
     return math.sqrt(max(float(top), 0.0))
+
+
+def identity_defect(m: np.ndarray) -> float:
+    """||m - 1||_op, the distance of a square array from the identity."""
+    return op_norm(m - np.eye(len(m)))
+
+
+def product(factors, n: int) -> np.ndarray:
+    """Left-to-right product of n x n arrays, folded lazily from the first
+    factor; the identity only when there are no factors."""
+    factors = iter(factors)
+    first = next(factors, None)
+    return np.eye(n, dtype=np.complex128) if first is None else reduce(np.matmul, factors, first)
+
+
+def commutator_product(pairs, n: int) -> np.ndarray:
+    """prod_i u_i v_i u_i* v_i* over n x n arrays (u_i, v_i), left to right."""
+    return product((x for u, v in pairs for x in (u, v, adjoint(u), adjoint(v))), n)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -201,8 +227,8 @@ def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> Ei
     """
     a = w.m
     n = w.dim
-    h = _hermitize((a + adjoint(a)) / 2)
-    k = _hermitize((a - adjoint(a)) / 2j)
+    h = _hermitize(a)
+    k = (a - adjoint(a)) / 2j
     h_vals, h_vecs = np.linalg.eigh(h)
     vectors = np.empty((n, n), dtype=np.complex128)
     start = 0
@@ -258,28 +284,27 @@ def branch_distance(values: np.ndarray, margin: float, message: str) -> float:
     return float(dist[worst])
 
 
-def exp_skew(l, herm_tol: float = DEFAULTS.hermiticity) -> Unitary:
+def exp_skew(l) -> Unitary:
     """Exponential of a skew-Hermitian matrix, returned as a Unitary.
 
     Computed by Hermitian eigendecomposition of -iL, so the result is
     unitary to working precision by construction.
     """
     a = as_cmatrix(l)
-    es = herm_eig(-1j * a, tol=herm_tol)
+    es = herm_eig(-1j * a)
     return Unitary(es.apply(lambda vals: np.exp(1j * vals)))
 
 
 def spectral_projection(e,
                         threshold: float = DEFAULTS.projection_threshold,
-                        gap: float = DEFAULTS.projection_gap,
-                        herm_tol: float = DEFAULTS.hermiticity) -> tuple[np.ndarray, int]:
+                        gap: float = DEFAULTS.projection_gap) -> tuple[np.ndarray, int]:
     """Spectral projection of a self-adjoint matrix above a threshold.
 
     Requires the spectrum to clear the band (threshold - gap, threshold + gap);
     an eigenvalue inside the band means the projection is not stable at this
     precision and raises :class:`NoSpectralGap`.  Returns (p, rank).
     """
-    es = herm_eig(e, tol=herm_tol)
+    es = herm_eig(e)
     above = es.vectors[:, _above_band(es.values, threshold, gap)]
     p = above @ adjoint(above)
     return _hermitize(p), above.shape[1]

@@ -41,7 +41,8 @@ from .errors import (
     UnboundGenerator,
     WordSyntaxError,
 )
-from .matcore import Unitary, matrix_from_json, matrix_to_json, op_norm
+from .matcore import (Unitary, adjoint, identity_defect, matrix_from_json,
+                      matrix_to_json, op_norm, product)
 
 __all__ = [
     "FreeWord",
@@ -229,20 +230,18 @@ def evaluate(word: FreeWord, images: Mapping[str, Unitary]) -> Unitary:
         raise DimensionMismatch("images of mixed dimensions", dims=sorted(dims))
     if not dims:
         raise DimensionMismatch("cannot infer dimension from an empty assignment")
-    n = dims.pop()
-    m = np.eye(n, dtype=np.complex128)
-    for sym, sgn in word.letters:
-        u = images.get(sym)
-        if u is None:
-            raise UnboundGenerator("no image assigned to generator", symbol=sym)
-        m = m @ (u.m if sgn > 0 else u.m.conj().T)
-    return Unitary(m)
+
+    def factors():
+        for sym, sgn in word.letters:
+            u = images.get(sym)
+            if u is None:
+                raise UnboundGenerator("no image assigned to generator", symbol=sym)
+            yield u.m if sgn > 0 else adjoint(u.m)
+    return Unitary(product(factors(), dims.pop()))
 
 
 def _power(u: Unitary, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(u.m, k)
-    return np.linalg.matrix_power(u.m.conj().T, -k)
+    return np.linalg.matrix_power(u.m if k >= 0 else adjoint(u.m), abs(k))
 
 
 # -- presentations -------------------------------------------------------------
@@ -321,7 +320,8 @@ def _z2_apply(generators: tuple[str, ...], images: Mapping[str, Unitary],
     if u is None or v is None:
         raise UnboundGenerator("normal form is missing a generator image",
                                generators=generators)
-    return Unitary(_power(u, j) @ _power(v, k))
+    # u^j v^k; a zero exponent contributes no factor
+    return Unitary(product([_power(x, e) for x, e in ((u, j), (v, k)) if e], u.dim))
 
 
 @dataclass(frozen=True)
@@ -405,10 +405,8 @@ def relator_defect(qr: QuasiRep, word_defect=None) -> float:
     if not qr.presentation.relators:
         raise PresentationMismatch("presentation has no relators")
     if word_defect is None:
-        eye = np.eye(qr.dim)
-
         def word_defect(word: FreeWord) -> float:
-            return op_norm(evaluate(word, qr.images).m - eye)
+            return identity_defect(evaluate(word, qr.images).m)
     return max(map(word_defect, qr.presentation.relators))
 
 
@@ -455,9 +453,7 @@ def qrep_to_json(qr: QuasiRep) -> dict:
 
 
 def _strategy_to_json(strategy) -> dict:
-    if isinstance(strategy, Z2NormalForm):
-        return {"kind": strategy.kind}
-    if isinstance(strategy, WordProduct):
+    if isinstance(strategy, (Z2NormalForm, WordProduct)):
         return {"kind": strategy.kind}
     if isinstance(strategy, PullbackThrough):
         return {

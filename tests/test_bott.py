@@ -215,6 +215,17 @@ def test_verify_evaluates_a_datum_other_than_the_relator(monkeypatch):
     assert rep.defects["relator_defect"] == relator_defect(qr)
 
 
+def test_verify_empty_datum_is_the_empty_product():
+    # a datum of no pairs: the loop is the empty product, the identity, whose
+    # invariants are 0, unlike k of the base pair
+    qr = voiculescu_qrep(16)
+    rep = verify_index_formula(qr, datum=CommutatorDatum((), qr.presentation))
+    assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == 0
+    assert rep.defects["datum_product_defect"] == rep.defects["loop_defect"] == 0.0
+    assert rep.datum_class == 0
+    assert rep.lhs_k != 0 and rep.equal is False
+
+
 def test_verify_surface_pullback_case():
     case = SurfacePullback(2, {"s1": "a", "t1": "b", "s2": "", "t2": ""})
     rep = verify_index_formula(voiculescu_qrep(64), case=case)

@@ -18,6 +18,7 @@ from qrep import (DimensionMismatch, EigenSystem, FormatError, NoSpectralGap,
                   matrix_to_json, op_norm, perturbed_copy, principal_log_unitary,
                   random_unitary, spectral_projection, unitary_eig,
                   voiculescu_pair)
+from qrep.matcore import identity_defect, product
 
 
 # -- as_cmatrix / adjoint / det / norm ----------------------------------------
@@ -75,6 +76,16 @@ def test_op_norm_commutator_voiculescu_closed_form():
         u, v = voiculescu_pair(n)
         c = u.m @ v.m @ adjoint(u.m) @ adjoint(v.m)
         assert abs(op_norm(c - np.eye(n)) - 2 * np.sin(np.pi / n)) < 1e-12
+
+
+def test_product_folds_from_the_first_factor_and_identity_defect():
+    rng = np.random.default_rng(16)
+    u = random_unitary(5, rng).m
+    empty = product([], 5)
+    assert empty.dtype == np.complex128 and np.array_equal(empty, np.eye(5))
+    assert product([u], 5) is u
+    assert identity_defect(empty) == 0.0
+    assert abs(identity_defect(u) - np.linalg.norm(u - np.eye(5), 2)) < 1e-12
 
 
 # -- Unitary ------------------------------------------------------------------

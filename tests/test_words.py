@@ -17,6 +17,7 @@ from qrep import (DimensionMismatch, EMPTY_WORD, FreeWord, Presentation,
                   evaluate, mult_defect, op_norm, parse_word, qrep_from_json,
                   qrep_to_json, random_unitary, reduce_word, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
+from qrep.matcore import commutator_product
 
 
 def w(text):
@@ -131,6 +132,31 @@ def test_evaluate_matches_explicit_product():
     want = u.m @ v.m.conj().T @ u.m @ u.m
     assert op_norm(got - want) < 1e-12
     assert op_norm(evaluate(EMPTY_WORD, images).m - np.eye(4)) < 1e-15
+
+
+def test_products_never_multiply_by_the_identity(monkeypatch):
+    # non-empty products are folded from their first factor: with numpy.eye
+    # unavailable each still equals its identity-free product bit for bit
+    rng = np.random.default_rng(103)
+    u, v, x, y = (random_unitary(6, rng).m for _ in range(4))
+    qr = QuasiRep(Presentation.z2(), {"a": Unitary(u), "b": Unitary(v)}, Z2NormalForm())
+
+    def no_eye(*args, **kwargs):
+        raise AssertionError("numpy.eye called")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    ui, vi = u.conj().T, v.conj().T
+    cases = [
+        (evaluate(w("a b^-1 a"), qr.images).m, u @ vi @ u),
+        (qr.apply("a").m, u),
+        (qr.apply("b^-1").m, vi),
+        (qr.apply("a b").m, u @ v),
+        (commutator_product([(u, v)], 6), u @ v @ ui @ vi),
+        (commutator_product([(u, v), (x, y)], 6),
+         u @ v @ ui @ vi @ x @ y @ x.conj().T @ y.conj().T),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_evaluate_errors():
