@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
 from .examples import pullback
-from .matcore import (Unitary, _above_band, adjoint, commutator_product,
+from .matcore import (Unitary, _above_band, _hermitize, adjoint, commutator_product,
                       identity_defect, unitary_eig)
 from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
@@ -57,6 +57,8 @@ __all__ = [
 
 # Sign convention of k: k(u, v) = winding number of det along [v, u].
 ORIENTATION = 1
+# How close lhs_k / n and the normalized-trace invariant must be for trace_close.
+TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,12 @@ def bott_almost_projection(u: Unitary, v: Unitary,
     if u.dim != v.dim:
         raise DimensionMismatch("pair must share a dimension", u=u.dim, v=v.dim)
     es = unitary_eig(v, tolerances.cluster_width)
-    fv, gv, hv = _circle_functions(np.angle(es.values))
-    basis, cobasis = es.vectors, adjoint(es.vectors)
-    f = (basis * fv) @ cobasis
-    g = (basis * gv) @ cobasis
-    h = (basis * hv) @ cobasis
-    f = (f + adjoint(f)) / 2
+    f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
+    f = _hermitize(f)
     x = g + h @ adjoint(u.m)
     n = u.dim
-    e = np.block([[f, x], [adjoint(x), np.eye(n) - f]])
     # exactly self-adjoint, so eigvalsh (which reads one triangle) sees all of e
-    e = (e + adjoint(e)) / 2
+    e = np.block([[f, x], [adjoint(x), np.eye(n) - f]])
     spectrum = np.linalg.eigvalsh(e)
     return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()), n)
 
@@ -167,7 +164,7 @@ class IndexFormulaReport:
     rhs_wn from pure determinant tracking; rhs_kappa from the eigenphase
     trace.  ``equal`` asserts the three integers coincide; ``trace_close``
     compares lhs_k / n with the normalized-trace invariant of the loop at
-    tolerance ``trace_tol``.
+    tolerance :data:`TRACE_TOL`.
     """
 
     case: str
@@ -179,7 +176,6 @@ class IndexFormulaReport:
     normalized_lhs: float
     equal: bool
     trace_close: bool
-    trace_tol: float
     datum_class: int
     defects: dict
     orientation: ClassVar[int] = ORIENTATION
@@ -215,7 +211,6 @@ def verify_index_formula(qr: QuasiRep,
                          datum: CommutatorDatum | None = None,
                          case: SurfacePullback | None = None,
                          *,
-                         trace_tol: float = 1e-9,
                          tolerances: Tolerances = DEFAULTS) -> IndexFormulaReport:
     """Check the index identity on a two-generator abelian quasi-rep.
 
@@ -271,7 +266,7 @@ def verify_index_formula(qr: QuasiRep,
     normalized = lhs_k / n
     equal = (rhs_wn.is_integer and rhs_kappa.is_integer
              and lhs_k == rhs_wn.rounded == rhs_kappa.rounded)
-    trace_close = abs(normalized - rhs_tau.value) <= trace_tol
+    trace_close = abs(normalized - rhs_tau.value) <= TRACE_TOL
 
     # ||pi(word) - 1|| over rep.images, once per distinct word; on the base
     # pair, [a, b] is the product k_invariant measured, bit for bit: both
@@ -304,7 +299,6 @@ def verify_index_formula(qr: QuasiRep,
         normalized_lhs=normalized,
         equal=equal,
         trace_close=trace_close,
-        trace_tol=trace_tol,
         datum_class=datum_class,
         defects=defects,
     )

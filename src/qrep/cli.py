@@ -6,8 +6,8 @@
     qrep stability --g 1 --n 32 --radius 0.19 --seeds 20 --csv runs.csv
 
 Every command emits one JSON report (stdout or -o) embedding the resolved
-configuration and tolerances; sweep commands additionally write a CSV with
-the fixed column set
+configuration and tolerances; the two sweeps (``verify exel-loring --n-range``,
+``stability``) also write their rows, with --csv, in the fixed column set
 
     n, g, seed, radius, kappa, wn, k, relator_defect, mult_defect,
     e_defect, gap, status
@@ -60,10 +60,12 @@ from .words import (
     QuasiRep,
     Z2NormalForm,
     evaluate,
+    generators_and_inverses,
     mult_defect,
     parse_word,
     qrep_from_json,
     qrep_to_json,
+    read_json,
     relator_defect,
 )
 
@@ -86,8 +88,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("-o", "--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--csv", metavar="PATH",
-                        help="write sweep rows as CSV (sweep commands only)")
     common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp so identical runs are byte-identical")
     for f in dataclasses.fields(config.Tolerances):
@@ -159,6 +159,7 @@ def build_parser() -> _Parser:
                    help="sweep dimensions A..B inclusive in steps")
     p.add_argument("-i", "--input", metavar="QREP",
                    help="verify this quasi-representation instead of the built-in pair")
+    p.add_argument("--csv", metavar="PATH", help="write the --n-range rows as CSV")
     p.set_defaults(func=cmd_verify_exel_loring)
 
     p = verify_sub.add_parser("remark25", parents=[common],
@@ -172,6 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of seeded runs (>= 1)")
+    p.add_argument("--csv", metavar="PATH", help="write the rows as CSV")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("homotopy-gap", parents=[common],
@@ -195,11 +197,7 @@ def _resolve_tolerances(args) -> config.Tolerances:
 
 
 def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in {path}: {exc}") from None
+    obj = read_json(path)
     # reports written by this tool wrap the payload in an envelope; accept
     # those transparently so gen output feeds straight back into -i
     if isinstance(obj, dict) and "result" in obj and "command" in obj:
@@ -308,13 +306,31 @@ def _emit(args, tol: config.Tolerances, command: str, result) -> None:
         print(text)
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k))
-                             for k in CSV_COLUMNS})
+def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
+    """For each (case, fixed columns) in ``cases``, ``row(case)`` returns
+    (columns, report); a QrepError becomes the row's status and its one report
+    entry, an unequal report the status mismatch.  Writes rows to ``--csv``."""
+    rows, reports = [], []
+    for case, fixed in cases:
+        line = dict(fixed, status="ok")
+        try:
+            columns, report = row(case)
+        except QrepError as exc:
+            line["status"] = type(exc).__name__
+            reports.append({"seed": line["seed"], "error": type(exc).__name__,
+                            "message": str(exc)})
+        else:
+            line.update(columns)
+            if not report.equal:
+                line["status"] = "mismatch"
+            reports.append(report.to_json())
+        rows.append(line)
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, restval="")
+            writer.writeheader()
+            writer.writerows(rows)
+    return rows, reports
 
 
 def _base_qrep(args, tol):
@@ -393,8 +409,7 @@ def cmd_defect(args, tol):
     if args.element_set:
         elements = [parse_word(w) for w in _split_top_level(args.element_set)]
     else:
-        gens = [parse_word(g) for g in qr.presentation.generators]
-        elements = gens + [g.inverse() for g in gens]
+        elements = generators_and_inverses(qr.presentation)
     md = mult_defect(qr, elements)
     result = {
         "relator_defect": relator_defect(qr),
@@ -403,29 +418,6 @@ def cmd_defect(args, tol):
                         "set_size": md.set_size},
     }
     _emit(args, tol, "defect", result)
-
-
-def _sweep_row_exel(n: int, tol) -> dict:
-    row = {"n": n, "g": 1, "seed": "", "radius": "", "status": "ok"}
-    try:
-        qr = voiculescu_qrep(n)
-        report = verify_index_formula(qr, tolerances=tol)
-        gens = [parse_word(g) for g in qr.presentation.generators]
-        md = mult_defect(qr, gens + [g.inverse() for g in gens])
-        row.update({
-            "kappa": report.rhs_kappa.rounded,
-            "wn": report.rhs_wn.rounded,
-            "k": report.lhs_k,
-            "relator_defect": report.defects["relator_defect"],
-            "mult_defect": md.epsilon,
-            "e_defect": report.defects["e_defect"],
-            "gap": report.defects["spectral_gap"],
-        })
-        if not report.equal:
-            row["status"] = "mismatch"
-    except QrepError as exc:
-        row["status"] = type(exc).__name__
-    return row
 
 
 def _parse_range(text: str) -> list[int]:
@@ -440,10 +432,21 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_verify_exel_loring(args, tol):
     if args.n_range:
-        ns = _parse_range(args.n_range)
-        rows = [_sweep_row_exel(n, tol) for n in ns]
-        if args.csv:
-            _write_csv(args.csv, rows)
+        def row(n):
+            qr = voiculescu_qrep(n)
+            report = verify_index_formula(qr, tolerances=tol)
+            return {
+                "kappa": report.rhs_kappa.rounded,
+                "wn": report.rhs_wn.rounded,
+                "k": report.lhs_k,
+                "relator_defect": report.defects["relator_defect"],
+                "mult_defect": mult_defect(qr, generators_and_inverses(qr.presentation)).epsilon,
+                "e_defect": report.defects["e_defect"],
+                "gap": report.defects["spectral_gap"],
+            }, report
+        cases = ((n, {"n": n, "g": 1, "seed": "", "radius": ""})
+                 for n in _parse_range(args.n_range))
+        rows, _ = _sweep(args.csv, cases, row)
         _emit(args, tol, "verify exel-loring", {"rows": rows})
         return
     qr = _base_qrep(args, tol)
@@ -454,8 +457,7 @@ def cmd_verify_exel_loring(args, tol):
 def cmd_verify_remark25(args, tol):
     qr = voiculescu_qrep(args.n)
     pres = qr.presentation
-    a = FreeWord((("a", 1),))
-    b = FreeWord((("b", 1),))
+    a, b = map(parse_word, pres.generators)
     conj = parse_word("a b")
     empty = FreeWord()
     cases = {
@@ -483,44 +485,35 @@ def cmd_stability(args, tol):
     u, v = voiculescu_pair(n)
     eye = Unitary(np.eye(n, dtype=np.complex128))
     base_pairs = [(u, v)] + [(eye, eye)] * (g - 1)
-    rows, reports = [], []
-    for i in range(args.seeds):
-        seed = args.seed + i
-        row = {"n": n, "g": g, "seed": seed, "radius": args.radius, "status": "ok"}
-        try:
-            gen = np.random.default_rng(seed)
-            alt_pairs = [(perturbed_copy(a, args.radius, gen),
-                          perturbed_copy(b, args.radius, gen))
-                         for a, b in base_pairs]
-            report = kazhdan_stability(g, base_pairs, alt_pairs, tolerances=tol)
-            reports.append(report.to_json())
-            w_alt = commutator_product([(a.m, b.m) for a, b in alt_pairs], n)
-            row.update({
-                "kappa": report.kappa_end.rounded,
-                "wn": winding_number_det_segment(Unitary(w_alt),
-                                                 tolerances=tol).rounded,
-                "relator_defect": report.relator_defect_alt,
+
+    def row(seed):
+        gen = np.random.default_rng(seed)
+        alt_pairs = [(perturbed_copy(a, args.radius, gen),
+                      perturbed_copy(b, args.radius, gen))
+                     for a, b in base_pairs]
+        report = kazhdan_stability(g, base_pairs, alt_pairs, tolerances=tol)
+        w_alt = commutator_product([(a.m, b.m) for a, b in alt_pairs], n)
+        columns = {
+            "kappa": report.kappa_end.rounded,
+            "wn": winding_number_det_segment(Unitary(w_alt), tolerances=tol).rounded,
+            "relator_defect": report.relator_defect_alt,
+        }
+        if g == 1:
+            (a, b), = alt_pairs
+            k_rep = k_invariant(a, b, tolerances=tol)
+            qr_alt = QuasiRep(Presentation.z2(), {"a": a, "b": b}, Z2NormalForm())
+            columns.update({
+                "k": k_rep.rounded,
+                "e_defect": k_rep.defect_data["e_defect"],
+                "gap": k_rep.defect_data["spectral_gap"],
+                "mult_defect": mult_defect(
+                    qr_alt, generators_and_inverses(qr_alt.presentation)).epsilon,
             })
-            if g == 1:
-                k_rep = k_invariant(alt_pairs[0][0], alt_pairs[0][1], tolerances=tol)
-                row["k"] = k_rep.rounded
-                row["e_defect"] = k_rep.defect_data["e_defect"]
-                row["gap"] = k_rep.defect_data["spectral_gap"]
-                pres = Presentation.z2()
-                qr_alt = QuasiRep(pres, {"a": alt_pairs[0][0], "b": alt_pairs[0][1]},
-                                  Z2NormalForm())
-                gens = [parse_word(s) for s in pres.generators]
-                row["mult_defect"] = mult_defect(
-                    qr_alt, gens + [w.inverse() for w in gens]).epsilon
-            if not report.equal:
-                row["status"] = "mismatch"
-        except QrepError as exc:
-            row["status"] = type(exc).__name__
-            reports.append({"seed": seed, "error": type(exc).__name__,
-                            "message": str(exc)})
-        rows.append(row)
-    if args.csv:
-        _write_csv(args.csv, rows)
+        return columns, report
+
+    cases = ((seed, {"n": n, "g": g, "seed": seed, "radius": args.radius})
+             for seed in range(args.seed, args.seed + args.seeds))
+    rows, reports = _sweep(args.csv, cases, row)
     ok = all(r["status"] == "ok" for r in rows)
     _emit(args, tol, "stability",
           {"rows": rows, "reports": reports, "all_ok": ok})

@@ -61,8 +61,10 @@ __all__ = [
     "relator_defect",
     "mult_defect",
     "MultDefect",
+    "generators_and_inverses",
     "qrep_to_json",
     "qrep_from_json",
+    "read_json",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -97,6 +99,11 @@ EMPTY_WORD = FreeWord()
 
 def commutator(x: FreeWord, y: FreeWord) -> FreeWord:
     return x * y * x.inverse() * y.inverse()
+
+
+def commutator_word(pairs) -> FreeWord:
+    """The word prod_i [x_i, y_i]; the empty word for no pairs."""
+    return FreeWord(tuple(letter for x, y in pairs for letter in commutator(x, y).letters))
 
 
 class _Parser:
@@ -159,9 +166,7 @@ class _Parser:
             if self.peek() != "]":
                 self.fail("expected ']'")
             self.pos += 1
-            return (left + right
-                    + [(s, -g) for s, g in reversed(left)]
-                    + [(s, -g) for s, g in reversed(right)])
+            return list(commutator(FreeWord(tuple(left)), FreeWord(tuple(right))).letters)
         m = _IDENT_RE.match(self.text, self.pos)
         if c and m:
             self.pos = m.end()
@@ -261,13 +266,9 @@ class Presentation:
     def surface(cls, genus: int) -> "Presentation":
         if genus < 1:
             raise PresentationMismatch("surface genus must be >= 1", genus=genus)
-        gens: list[str] = []
-        relator = EMPTY_WORD
-        for i in range(1, genus + 1):
-            s, t = f"s{i}", f"t{i}"
-            gens += [s, t]
-            relator = relator * commutator(_gen(s), _gen(t))
-        return cls(tuple(gens), (relator,), "surface", genus=genus)
+        gens = tuple(f"{x}{i}" for i in range(1, genus + 1) for x in "st")
+        relator = commutator_word(zip(map(_gen, gens[::2]), map(_gen, gens[1::2])))
+        return cls(gens, (relator,), "surface", genus=genus)
 
     @classmethod
     def custom(cls, generators, relators=()) -> "Presentation":
@@ -280,6 +281,12 @@ class Presentation:
 
 def _gen(sym: str) -> FreeWord:
     return FreeWord(((sym, 1),))
+
+
+def generators_and_inverses(pres: Presentation) -> list[FreeWord]:
+    """The element set a, b, ..., a^-1, b^-1, ... of a presentation."""
+    gens = [_gen(g) for g in pres.generators]
+    return gens + [g.inverse() for g in gens]
 
 
 @dataclass(frozen=True)
@@ -298,10 +305,7 @@ class CommutatorDatum:
         return len(self.pairs)
 
     def commutator_product(self) -> FreeWord:
-        out = EMPTY_WORD
-        for a, b in self.pairs:
-            out = out * commutator(a, b)
-        return out
+        return commutator_word(self.pairs)
 
 
 # -- evaluation strategies -----------------------------------------------------
@@ -466,13 +470,21 @@ def _strategy_to_json(strategy) -> dict:
     raise FormatError("unserializable strategy", kind=type(strategy).__name__)
 
 
+def read_json(path: str):
+    """Parse the JSON file at ``path``; malformed text is a FormatError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON in {path}: {exc}") from None
+
+
 def _load_image(value, base_dir, unitarity: float) -> Unitary:
     if isinstance(value, dict) and "$file" in value:
         path = value["$file"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        with open(path) as fh:
-            value = json.load(fh)
+        value = read_json(path)
     return Unitary.of(matrix_from_json(value), unitarity)
 
 

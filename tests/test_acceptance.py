@@ -176,7 +176,7 @@ def test_criterion_4_perturbation_stability():
 # -- criterion 5: normalized-trace version of the identity ---------------------------
 
 def criterion_5():
-    rep = verify_index_formula(voiculescu_qrep(64), trace_tol=1e-9)
+    rep = verify_index_formula(voiculescu_qrep(64))
     gap = abs(rep.normalized_lhs - rep.rhs_kappa_tau.value)
     ok = rep.trace_close and gap <= 1e-9
     return ok, (f"k/n = {rep.normalized_lhs} matches normalized trace invariant "

@@ -272,6 +272,7 @@ def test_stability_csv_and_all_ok(tmp_path, capsys):
     res = obj["result"]
     assert res["all_ok"] is True
     assert len(res["rows"]) == 3
+    assert [e["equal"] for e in res["reports"]] == [True] * 3
     for row in res["rows"]:
         assert row["kappa"] == -1
         assert row["k"] == 1
@@ -407,6 +408,41 @@ def test_stability_honours_path_floor(capsys):
     assert [r["status"] for r in obj["result"]["rows"]] == ["PathSingular"] * 2
 
 
+@pytest.mark.parametrize("flags, error", [
+    # the winding column and the k column fail after kazhdan_stability passed
+    (["--seeds", "2", "--tol-path-floor", "1e300"], "PathSingular"),
+    (["--seeds", "2", "--tol-defect-max", "0.01"], "DefectTooLarge"),
+    # kazhdan_stability itself refuses
+    (["--seeds", "2", "--radius", "0.3"], "HypothesisViolated"),
+])
+def test_stability_failed_rows_have_one_error_entry_each(capsys, flags, error):
+    obj = run_json(capsys, "stability", "--n", "32", "--radius", "0.19", *flags,
+                   "--seed", "5", "--deterministic")
+    rows, reports = obj["result"]["rows"], obj["result"]["reports"]
+    assert [r["status"] for r in rows] == [error] * 2
+    assert len(reports) == len(rows)
+    for row, entry in zip(rows, reports):
+        assert set(entry) == {"seed", "error", "message"}
+        assert entry["seed"] == row["seed"]
+        assert entry["error"] == error
+    assert [r["seed"] for r in rows] == [5, 6]
+
+
+def test_stability_mismatch_row_keeps_its_report(capsys, monkeypatch):
+    import qrep.cli
+
+    def unequal(*args, **kwargs):
+        return dataclasses.replace(kazhdan_stability(*args, **kwargs), equal=False)
+    monkeypatch.setattr(qrep.cli, "kazhdan_stability", unequal)
+    obj = run_json(capsys, "stability", "--n", "32", "--radius", "0.19",
+                   "--seeds", "2", "--deterministic")
+    rows, reports = obj["result"]["rows"], obj["result"]["reports"]
+    assert [r["status"] for r in rows] == ["mismatch"] * 2
+    assert [r["kappa"] for r in rows] == [-1, -1]
+    assert [e["equal"] for e in reports] == [False, False]
+    assert obj["result"]["all_ok"] is False
+
+
 # -- the JSON writer ----------------------------------------------------------------
 
 def _write(value) -> str:
@@ -523,6 +559,18 @@ def test_exit_code_invalid_json(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = run_cli(capsys, "invariant", "kappa", "-i", str(bad))
     assert code == 3
+
+
+def test_exit_code_invalid_json_in_a_file_reference(tmp_path, capsys):
+    (tmp_path / "u.json").write_text('{"dim": 2, ')
+    obj = qrep_to_json(voiculescu_qrep(2))
+    obj["images"]["a"] = {"$file": "u.json"}
+    path = tmp_path / "qr.json"
+    path.write_text(json.dumps(obj))
+    code = main(["defect", "-i", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"FormatError: invalid JSON in {tmp_path / 'u.json'}" in err
 
 
 def test_exit_code_word_syntax(capsys, pair_file):
@@ -699,6 +747,20 @@ def test_exit_code_usage_error(capsys):
         main(["invariant", "kappa", "--no-such-flag"])
     assert exc.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "voiculescu", "--n", "4"],
+    ["invariant", "kappa", "-i", "w.json"],
+    ["verify", "remark25", "--n", "4"],
+])
+def test_csv_only_on_sweeps(tmp_path, capsys, command):
+    out_csv = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--csv", str(out_csv)])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_exit_code_gen_requires_source(capsys):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import diag_unitary
-from qrep import (DimensionMismatch, EMPTY_WORD, FreeWord, Presentation,
+from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
+                  FreeWord, Presentation,
                   PresentationMismatch, PullbackThrough, QuasiRep,
                   StrategyUndefined, UnboundGenerator, Unitary, WordProduct,
                   WordSyntaxError, Z2NormalForm, abelianize, commutator,
@@ -18,6 +19,7 @@ from qrep import (DimensionMismatch, EMPTY_WORD, FreeWord, Presentation,
                   qrep_to_json, random_unitary, reduce_word, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
+from qrep.words import commutator_word, generators_and_inverses
 
 
 def w(text):
@@ -105,6 +107,21 @@ def test_mul_inverse_len_symbols():
 def test_commutator_builder():
     assert commutator(w("a"), w("b")) == w("[a,b]")
     assert commutator(w("a b"), w("c")) == w("a b c b^-1 a^-1 c^-1")
+
+
+def test_commutator_word_is_the_one_product_of_commutators():
+    pairs = ((w("a"), w("b")), (w("c d"), w("e")))
+    want = w("[a, b] [c d, e]")
+    assert commutator_word(pairs) == want
+    assert commutator_word(()) == EMPTY_WORD
+    assert CommutatorDatum(pairs, Presentation.custom("abcde")).commutator_product() == want
+    assert Presentation.surface(2).relators == (w("[s1, t1] [s2, t2]"),)
+    assert Presentation.surface(2).generators == ("s1", "t1", "s2", "t2")
+
+
+def test_generators_and_inverses():
+    assert generators_and_inverses(Presentation.z2()) == [w("a"), w("b"), w("a^-1"),
+                                                          w("b^-1")]
 
 
 def test_reduce_word_cancels():
@@ -314,3 +331,12 @@ def test_qrep_json_file_reference(tmp_path):
     obj["images"]["a"] = {"$file": "u.json"}
     back = qrep_from_json(obj, base_dir=str(tmp_path))
     assert np.array_equal(back.images["a"].m, qr.images["a"].m)
+
+
+def test_qrep_json_malformed_file_reference_is_a_format_error(tmp_path):
+    bad = tmp_path / "u.json"
+    bad.write_text('{"dim": 2, ')
+    obj = qrep_to_json(voiculescu_qrep(2))
+    obj["images"]["a"] = {"$file": "u.json"}
+    with pytest.raises(FormatError, match="invalid JSON in .*u.json"):
+        qrep_from_json(obj, base_dir=str(tmp_path))
