@@ -431,6 +431,9 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_verify_exel_loring(args, tol):
+    if args.csv and not args.n_range:
+        raise InputError("--csv writes the rows of an --n-range sweep; give --n-range",
+                         csv=args.csv)
     if args.n_range:
         def row(n):
             qr = voiculescu_qrep(n)

@@ -58,8 +58,8 @@ class Tolerances:
     det_one: float = 1e-8           # |det(w) - 1| for integrality to apply
     # determinant path tracking
     loop_closure: float = 1e-6      # |det(w) - 1| for the path to be a loop
-    path_floor: float = 1e-12       # |det| below this is treated as singular
-    winding_samples: int = 64       # initial uniform subdivision of [0, 1]
+    path_floor: float = 1e-12       # a sigma_min bound of the path at most this: singular
+    winding_samples: int = 64       # cap on the certified grid; the bisected grid's size
     winding_max_depth: int = 40     # bisection depth cap per interval
     # homotopy scans
     homotopy_grid: int = 257        # samples for the linear-path deviation max

@@ -3,9 +3,11 @@
 * :func:`kappa` — the trace-logarithm invariant (1/2pi i) tr(log w), an
   integer whenever det(w) = 1, in its standard and normalized-trace forms.
 * :func:`winding_number_det_segment` — the winding number of the loop
-  t -> det((1-t) 1 + t w), computed purely from determinants by adaptive
-  argument tracking.  This is the cross-check for kappa: the two must agree
-  and share no machinery (the winding code never sees an eigenvalue of w).
+  t -> det((1-t) 1 + t w), computed from determinants by argument tracking
+  on a grid that a lower bound on sigma_min of the path makes certain (or,
+  where the bound allows no small grid, by adaptive bisection).  This is the
+  cross-check for kappa: the two must agree and share no machinery (the
+  winding code takes norms and singular values, never an eigenvalue of w).
 * :func:`exel_homotopy_gap` — the maximal deviation between the linear
   segment (1-t) 1 + t w and the one-parameter group exp(t log w); the
   identity wn = kappa rests on this staying below 1.
@@ -32,6 +34,7 @@ from .errors import (
 from .matcore import (
     Unitary,
     _log_eigensystem,
+    adjoint,
     branch_distance,
     commutator_product,
     identity_defect,
@@ -119,15 +122,16 @@ def kappa(w: Unitary,
 
 
 def _kappa_pair(w: Unitary, tol: Tolerances,
-                norm_w_minus_1: float | None = None) -> tuple[InvariantReport, InvariantReport]:
+                norm_w_minus_1: float | None = None,
+                det_w: complex | None = None) -> tuple[InvariantReport, InvariantReport]:
     # (kappa, kappa_tau) from one eigensystem, one ||w - 1|| and one det(w);
-    # a caller that already holds ||w - 1|| passes it in.
+    # a caller that already holds ||w - 1|| or det(w) passes it in.
     es = unitary_eig(w, tol.cluster_width)
     nearest = branch_distance(es.values, tol.branch_margin,
                               "spectrum within margin of -1; invariant undefined")
     total = float(np.angle(es.values).sum()) / _TWO_PI
     norm_dev = identity_defect(w.m) if norm_w_minus_1 is None else norm_w_minus_1
-    det_dev = abs(lu_det(w.m) - 1.0)
+    det_dev = abs((lu_det(w.m) if det_w is None else det_w) - 1.0)
     rounded, is_integer = _integrality(total, det_dev <= tol.det_one, tol.integer_residual)
     standard = InvariantReport(
         name="kappa",
@@ -154,24 +158,74 @@ def winding_number_det_segment(w: Unitary,
     """Winding number of t -> det((1-t) 1 + t w) around 0, by determinants only.
 
     The loop starts and ends at 1 (hence the |det(w) - 1| <= loop_closure
-    gate).  The argument is accumulated over an adaptively bisected
-    partition of [0, 1]: an interval is split while its endpoint argument
-    increment exceeds pi/2, with the stricter cap pi/16 wherever |det| dips
-    below 0.1x the largest magnitude seen, since small determinants mean
-    fast argument motion and risk of aliasing a full turn.  A determinant below
-    ``path_floor``, or an increment still ambiguous at depth
-    ``winding_max_depth``, raises :class:`PathSingular`.
+    gate).  Before sampling, a lower bound s <= sigma_min(1 + t(w - 1)) on
+    [0, 1] is taken, and from it a bound on the phase rate: d/dt log det p(t)
+    is Tr(p(t)^-1 (w - 1)), and |Tr(AB)| <= ||A|| ||B||_* with
+    ||B||_* <= sqrt(n) ||B||_F gives |d/dt arg det p(t)| <= L =
+    sqrt(n) ||w - 1||_F / s.
+
+    * Where ||w - 1|| < 1, Weyl's inequality gives s = 1 - ||w - 1||.  If
+      N = ceil(2L/pi) intervals fit in ``winding_samples``, the argument is
+      summed over N uniform intervals: every true increment is at most pi/2,
+      so no turn can be missed and nothing is bisected (``certified``).
+    * Otherwise s is the larger of that and sigma_min(1 + w)/2 -
+      1.5 ||w* w - 1||_F (exact for unitary w, where the minimum over t falls
+      at t = 1/2; the second term covers w = U + E with U its polar factor
+      and ||E|| <= ||w* w - 1||), and the argument is accumulated over ``winding_samples`` intervals,
+      adaptively bisected: an interval is split while its increment exceeds
+      pi/2, with the stricter cap pi/16 wherever |det| dips below 0.1x the
+      largest magnitude seen.  An increment still ambiguous at depth
+      ``winding_max_depth`` raises :class:`PathSingular`.
+
+    ``path_floor`` is a floor on s: unless s > ``path_floor`` the path counts
+    as singular and :class:`PathSingular` carries ``sigma_min_bound``.  So
+    does a sampled determinant that is 0 or not finite.  t = 0 is not
+    evaluated (its determinant is exactly 1), and t = 1 reuses det(w);
+    ``det_evaluations`` counts the determinants taken at interior points.
 
     Deliberately independent of :func:`kappa`: no eigenvalues of w are used.
+    s and L come from norms and singular values, which are moduli, not
+    eigenvalues, so the certificate takes nothing from kappa's spectrum.
     """
-    tol = tolerances
+    return _winding(w, tolerances)
+
+
+def _polar_sigma_min_bound(m: np.ndarray) -> float:
+    # sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F <= sigma_min(1 + t(w - 1)) on [0, 1]
+    eye = np.eye(len(m))
+    return float(np.linalg.svd(m + eye, compute_uv=False)[-1] / 2
+                 - 1.5 * np.linalg.norm(adjoint(m) @ m - eye))
+
+
+def _winding(w: Unitary, tol: Tolerances, det_w: complex | None = None,
+             norm_w_minus_1: float | None = None) -> InvariantReport:
+    # winding_number_det_segment; a caller that already holds det(w) and
+    # ||w - 1|| passes them in
     m = w.m
     n = w.dim
-    det_dev = abs(lu_det(m) - 1.0)
+    if det_w is None:
+        det_w = lu_det(m)
+    det_dev = abs(det_w - 1.0)
     if det_dev > tol.loop_closure:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
                        deviation=det_dev, tol=tol.loop_closure)
-    state = {"runmax": 0.0, "minabs": math.inf, "evals": 0}
+    norm = identity_defect(m) if norm_w_minus_1 is None else norm_w_minus_1
+    root_n_fro = math.sqrt(n) * float(np.linalg.norm(m - np.eye(n)))
+    s = 1.0 - norm  # Weyl: sigma_min(1 + t(w - 1)) >= 1 - t ||w - 1||
+    # the intervals over which the phase turns by at most pi/2
+    needed = 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
+    certified = needed <= tol.winding_samples
+    if certified:
+        samples = max(1, math.ceil(needed))
+    else:
+        s = max(s, _polar_sigma_min_bound(m))
+        samples = tol.winding_samples
+        if not s > tol.path_floor:
+            raise PathSingular("segment path may be singular: sigma_min bound at or "
+                               "below path_floor",
+                               sigma_min_bound=s, path_floor=tol.path_floor)
+    rate = root_n_fro / s
+    state = {"runmax": max(1.0, abs(det_w)), "minabs": min(1.0, abs(det_w)), "evals": 0}
 
     def pencil(t: float) -> complex:
         # (1 - t) 1 + t m built in place: the same bits, no n x n temporaries
@@ -182,27 +236,27 @@ def winding_number_det_segment(w: Unitary,
         state["runmax"] = max(state["runmax"], a)
         state["minabs"] = min(state["minabs"], a)
         state["evals"] += 1
-        if a < tol.path_floor:
+        if not 0.0 < a < math.inf:
             raise PathSingular("determinant vanishes along the segment path",
-                               t=t, abs_det=a)
+                               t=t, abs_det=a, sigma_min_bound=s)
         return d
 
     def track(t0, d0, t1, d1, depth) -> float:
         step = np.angle(d1 / d0)
-        dipped = min(abs(d0), abs(d1)) < 0.1 * state["runmax"]
+        dipped = not certified and min(abs(d0), abs(d1)) < 0.1 * state["runmax"]
         cap = math.pi / 16 if dipped else math.pi / 2
         if abs(step) <= cap:
             return step
         if depth >= tol.winding_max_depth:
             raise PathSingular("argument increment unresolvable at depth cap",
-                               t0=t0, t1=t1, increment=float(step), depth=depth)
+                               t0=t0, t1=t1, increment=float(step), depth=depth,
+                               sigma_min_bound=s)
         tm = 0.5 * (t0 + t1)
         dm = pencil(tm)
         return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
 
-    samples = tol.winding_samples
     ts = np.linspace(0.0, 1.0, samples + 1)
-    ds = [pencil(float(t)) for t in ts]
+    ds = [1.0 + 0.0j] + [pencil(float(t)) for t in ts[1:-1]] + [det_w]
     total = 0.0
     for i in range(samples):
         total += track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
@@ -219,6 +273,9 @@ def winding_number_det_segment(w: Unitary,
             "min_abs_det_sampled": state["minabs"],
             "max_abs_det_sampled": state["runmax"],
             "det_evaluations": float(state["evals"]),
+            "certified": certified,
+            "sigma_min_bound": s,
+            "phase_rate_bound": rate,
         },
         tolerances=tol.subset("loop_closure", "path_floor", "integer_residual",
                               "winding_samples", "winding_max_depth"),

@@ -15,7 +15,7 @@ from conftest import diag_unitary, spy
 from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
                   NoSpectralGap, PerturbationSpec, PresentationMismatch,
                   SurfacePullback, Unitary, bott_almost_projection, evaluate,
-                  k_invariant, unitary_eig, kappa, op_norm, parse_word, perturb,
+                  k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
                   perturbed_copy, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
@@ -200,6 +200,18 @@ def test_verify_measures_the_commutator_once(monkeypatch):
     assert rep.defects["commutator_defect"] == comm
     loop = evaluate(parse_word("[b, a]"), qr.images).m
     assert rep.defects["loop_defect"] == op_norm(loop - np.eye(32))
+
+
+def test_verify_takes_the_loop_determinant_once(monkeypatch):
+    # det(w) of the loop serves the winding's loop gate and kappa's det(w)
+    # check; every other determinant is a sample of the certified path
+    qr = perturb(voiculescu_qrep(64), PerturbationSpec(radius=0.02, seed=3))
+    calls = spy(monkeypatch, lu_det)
+    rep = verify_index_formula(qr)
+    wn = rep.rhs_wn.defect_data
+    assert wn["certified"] is True
+    assert len(calls) == wn["det_evaluations"] + 1 < 10
+    assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == rep.lhs_k == 1
 
 
 def test_verify_evaluates_a_datum_other_than_the_relator(monkeypatch):

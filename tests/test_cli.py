@@ -763,6 +763,17 @@ def test_csv_only_on_sweeps(tmp_path, capsys, command):
     assert not out_csv.exists()
 
 
+def test_verify_csv_needs_n_range(tmp_path, capsys):
+    # a single verification has no rows: --csv without --n-range is refused
+    # before any work, and neither file is written
+    out_csv, out_json = tmp_path / "x.csv", tmp_path / "x.json"
+    code = main(["verify", "exel-loring", "--n", "16", "--csv", str(out_csv),
+                 "-o", str(out_json)])
+    assert code == 3
+    assert "--n-range" in capsys.readouterr().err
+    assert not out_csv.exists() and not out_json.exists()
+
+
 def test_exit_code_gen_requires_source(capsys):
     code, _ = run_cli(capsys, "gen", "perturbed", "--radius", "0.1")
     assert code == 3

@@ -98,43 +98,62 @@ def test_winding_voiculescu_commutator():
     assert rep.name == "winding_number"
     assert rep.rounded == -1
     assert abs(rep.value + 1.0) < 1e-9
-    assert rep.defect_data["det_evaluations"] >= 65
+    # w = e^{2 pi i/8} 1, so ||w - 1|| = |e^{2 pi i/8} - 1| = r < 1 and the
+    # certified grid has ceil(2 L/pi) = 17 intervals, L = 8 r/(1 - r): its
+    # 16 interior points and no bisection
+    r = abs(np.exp(2j * np.pi / 8) - 1)
+    assert rep.defect_data["certified"] is True
+    assert abs(rep.defect_data["phase_rate_bound"] - 8 * r / (1 - r)) < 1e-12
+    assert rep.defect_data["det_evaluations"] == 16
 
 
-def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int]:
-    # the adaptive tracker of winding_number_det_segment at default
-    # tolerances, each pencil formed as (1 - t) eye + t w; determinants are
-    # Python complex numbers, as lu_det returns them
+def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int, bool, int]:
+    # the tracker of winding_number_det_segment at default tolerances, each
+    # pencil formed as (1 - t) eye + t w; determinants are Python complex
+    # numbers, as lu_det returns them.  Where ||w - 1|| < 1 allows
+    # N = ceil(2 L/pi) <= winding_samples intervals, L = sqrt(n) ||w - 1||_F
+    # / (1 - ||w - 1||), the grid has N intervals and no dip rule; otherwise
+    # winding_samples intervals, adaptively bisected.  t = 0 is not
+    # evaluated and t = 1 is det(w); the count is of the other determinants.
     n = w.shape[0]
     eye = np.eye(n)
-    dets = []
+    norm = np.linalg.norm(w - eye, 2)
+    needed = 2 * np.sqrt(n) * np.linalg.norm(w - eye) / (1 - norm) / np.pi
+    certified = bool(norm < 1 and needed <= DEFAULTS.winding_samples)
+    samples = max(1, int(np.ceil(needed))) if certified else DEFAULTS.winding_samples
+    det_w = complex(np.linalg.det(w))
+    dets = [1.0 + 0.0j, det_w]
+    evaluations = 0
 
     def det(t):
+        nonlocal evaluations
+        evaluations += 1
         dets.append(complex(np.linalg.det((1.0 - t) * eye + t * w)))
         return dets[-1]
 
     def track(t0, d0, t1, d1, depth):
         step = np.angle(d1 / d0)
         runmax = max(abs(d) for d in dets)
-        cap = np.pi / 16 if min(abs(d0), abs(d1)) < 0.1 * runmax else np.pi / 2
-        if abs(step) <= cap:
+        dipped = not certified and min(abs(d0), abs(d1)) < 0.1 * runmax
+        if abs(step) <= (np.pi / 16 if dipped else np.pi / 2):
             return step
         assert depth < DEFAULTS.winding_max_depth
         tm = 0.5 * (t0 + t1)
         dm = det(tm)
         return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
 
-    ts = np.linspace(0.0, 1.0, DEFAULTS.winding_samples + 1)
-    ds = [det(float(t)) for t in ts]
+    ts = np.linspace(0.0, 1.0, samples + 1)
+    ds = [1.0 + 0.0j] + [det(float(t)) for t in ts[1:-1]] + [det_w]
     total = sum(track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
-                for i in range(DEFAULTS.winding_samples))
-    return total / (2 * np.pi), len(dets)
+                for i in range(samples))
+    return total / (2 * np.pi), evaluations, certified, samples
 
 
 def test_winding_pencils_in_place_match_direct_pencils():
-    # at n = 64: the commutator of a perturbed pair (winding -1), and a
-    # det-1 unitary with one eigenvalue 0.05 from -1, whose determinants dip
-    # so that the tracker bisects; value and evaluation count match bit for bit
+    # at n = 64: the commutator of a perturbed pair (winding -1, on the
+    # certified grid), and a det-1 unitary with one eigenvalue 0.05 from -1,
+    # whose determinants dip so that the tracker bisects; value and
+    # evaluation count match bit for bit
     rng = np.random.default_rng(21)
     u, v = voiculescu_pair(64)
     u2, v2 = perturbed_copy(u, 0.05, rng), perturbed_copy(v, 0.05, rng)
@@ -144,13 +163,19 @@ def test_winding_pencils_in_place_match_direct_pencils():
     theta[1:] -= theta.sum() / 63
     q = random_unitary(64, rng).m
     near_minus_one = (q * np.exp(1j * theta)) @ q.conj().T
+    routes = []
     for w, winding in ((commutator, -1), (near_minus_one, 0)):
         rep = winding_number_det_segment(Unitary(w))
-        value, evaluations = _winding_by_direct_pencils(w)
+        value, evaluations, certified, samples = _winding_by_direct_pencils(w)
         assert rep.rounded == winding
         assert rep.value == value
         assert rep.defect_data["det_evaluations"] == evaluations
-    assert evaluations > DEFAULTS.winding_samples + 1
+        assert rep.defect_data["certified"] is certified
+        routes.append((certified, samples, evaluations))
+    (c_cert, c_samples, c_evals), (b_cert, b_samples, b_evals) = routes
+    assert c_cert and c_samples < DEFAULTS.winding_samples and c_evals == c_samples - 1
+    assert not b_cert and b_samples == DEFAULTS.winding_samples
+    assert b_evals > DEFAULTS.winding_samples - 1
 
 
 def test_winding_zero_for_real_positive_paths():
@@ -198,6 +223,87 @@ def test_winding_agrees_with_kappa_randomized():
         n = int(rng.integers(2, 9))
         w = haar_det1_unitary(n, rng, avoid_minus_one=0.1)
         assert winding_number_det_segment(w).rounded == kappa(w).rounded
+
+
+# -- the winding certificate -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [48, 64, 128, 256])
+def test_winding_matches_kappa_on_haar_det1_at_scale(n):
+    # |det| along these paths falls to 1e-15 at n = 48 and 1e-77 at n = 256,
+    # while the sigma_min bound stays above 1e-4: the winding is well defined
+    # and equals kappa
+    for seed in range(5):
+        w = haar_det1_unitary(n, np.random.default_rng(seed))
+        wn = winding_number_det_segment(w)
+        assert wn.defect_data["sigma_min_bound"] > DEFAULTS.path_floor
+        assert wn.defect_data["certified"] is False
+        assert wn.is_integer and wn.rounded == kappa(w).rounded, seed
+
+
+def _phase_along_segment(w: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # arg det((1 - t) 1 + t w), continuous in t: det is the product of the
+    # factors (1 - t) + t lambda over the eigenvalues lambda of w (a test-side
+    # oracle), each on a chord of the unit circle that meets the negative
+    # real axis only if lambda = -1, so the phase is the sum of principal args
+    lam = np.linalg.eigvals(w)
+    return np.angle((1.0 - ts[:, None]) + ts[:, None] * lam).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_phase_rate_bound_holds_and_certified_grid_never_bisects(n):
+    rng = np.random.default_rng(300 + n)
+    u, v = voiculescu_pair(n)
+    ts = np.linspace(0.0, 1.0, 4097)
+    for radius in (0.02, 0.1):
+        u2, v2 = perturbed_copy(u, radius, rng), perturbed_copy(v, radius, rng)
+        w = u2.m @ v2.m @ adjoint(u2.m) @ adjoint(v2.m)
+        rep = winding_number_det_segment(Unitary(w))
+        data = rep.defect_data
+        phase = _phase_along_segment(w, ts)
+        if n == 16:
+            dets = np.linalg.det((1.0 - ts[:, None, None]) * np.eye(n)
+                                 + ts[:, None, None] * w)
+            assert np.abs(np.unwrap(np.angle(dets)) - phase).max() < 1e-9
+        assert data["phase_rate_bound"] >= np.abs(np.diff(phase)).max() * 4096
+        assert data["sigma_min_bound"] == 1.0 - op_norm(w - np.eye(n))
+        # the certified grid: ceil(2 L/pi) intervals, each interior point
+        # evaluated once, nothing bisected
+        assert data["certified"] is True
+        assert data["det_evaluations"] == np.ceil(2 * data["phase_rate_bound"] / np.pi) - 1
+        assert rep.rounded == round(phase[-1] / (2 * np.pi)) == -1
+
+
+def test_winding_refusal_carries_the_sigma_min_bound():
+    # w = -1: sigma_min(1 + w) = 0, the path passes through 0 at t = 1/2
+    with pytest.raises(PathSingular) as err:
+        winding_number_det_segment(Unitary.of(-np.eye(2)))
+    assert err.value.details["sigma_min_bound"] <= DEFAULTS.path_floor
+    # path_floor is a floor on s: at s itself the loop is refused, below it
+    # accepted
+    w = haar_det1_unitary(64, np.random.default_rng(0))
+    s = winding_number_det_segment(w).defect_data["sigma_min_bound"]
+    with pytest.raises(PathSingular) as err:
+        winding_number_det_segment(w, tolerances=dataclasses.replace(DEFAULTS, path_floor=s))
+    assert err.value.details == {"sigma_min_bound": s, "path_floor": s}
+    below = dataclasses.replace(DEFAULTS, path_floor=0.5 * s)
+    assert winding_number_det_segment(w, tolerances=below).rounded == kappa(w).rounded
+
+
+@pytest.mark.parametrize("bad", [0j, complex("nan"), complex("inf")])
+def test_winding_vanishing_determinant_raises_at_once(monkeypatch, bad):
+    # a sampled determinant of 0 or inf/nan has no argument to track: the
+    # first one refuses, with no bisection around it
+    import qrep.invariants
+    real, calls = qrep.invariants.lu_det, []
+
+    def lu_det(m):
+        calls.append(m)
+        return real(m) if len(calls) == 1 else bad  # det(w) first, then the path
+    monkeypatch.setattr(qrep.invariants, "lu_det", lu_det)
+    with pytest.raises(PathSingular) as err:
+        winding_number_det_segment(commutator_unitary(8))
+    assert len(calls) == 2
+    assert err.value.details["t"] == 1 / 17
 
 
 # -- homotopy gap -----------------------------------------------------------------
