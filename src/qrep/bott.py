@@ -33,8 +33,8 @@ from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
 from .examples import pullback
 from .matcore import (Unitary, _above_band, _hermitize, adjoint, commutator_product,
-                      identity_defect, lu_det, unitary_eig)
-from .invariants import InvariantReport, _kappa_pair, _winding
+                      identity_defect, unitary_eig)
+from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -260,10 +260,8 @@ def verify_index_formula(qr: QuasiRep,
     loop_u = Unitary(commutator_product([(mb, ma) for ma, mb in images], n))
 
     lhs = k_invariant(u, v, tolerances=tolerances)
-    # det(w) and ||w - 1|| of the loop, taken once for both right-hand routes
-    det_loop, loop_defect = lu_det(loop_u.m), identity_defect(loop_u.m)
-    rhs_wn = _winding(loop_u, tolerances, det_loop, loop_defect)
-    rhs_kappa, rhs_tau = _kappa_pair(loop_u, tolerances, loop_defect, det_loop)
+    rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
+    rhs_kappa, rhs_tau = _kappa_pair(loop_u, tolerances)
     lhs_k = lhs.rounded
     normalized = lhs_k / n
     equal = (rhs_wn.is_integer and rhs_kappa.is_integer
@@ -280,13 +278,13 @@ def verify_index_formula(qr: QuasiRep,
 
     def word_defect(word: FreeWord) -> float:
         if word not in norms:
-            norms[word] = identity_defect(evaluate(word, rep.images).m)
+            norms[word] = evaluate(word, rep.images).distance_from_one
         return norms[word]
 
     defects = {
         "relator_defect": relator_defect(rep, word_defect),
         "datum_product_defect": word_defect(used.commutator_product()),
-        "loop_defect": loop_defect,
+        "loop_defect": loop_u.distance_from_one,
         "commutator_defect": lhs.defect_data["commutator_defect"],
         "e_defect": lhs.defect_data["e_defect"],
         "spectral_gap": lhs.defect_data["spectral_gap"],

@@ -334,11 +334,11 @@ def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
 
 
 def _base_qrep(args, tol):
-    if getattr(args, "input", None):
+    if args.input and args.n is None:
         return _load_qrep(args.input, tol)
-    if getattr(args, "n", None):
+    if args.n and not args.input:
         return voiculescu_qrep(args.n)
-    raise InputError("give either -i or --n")
+    raise InputError("give exactly one of -i and --n")
 
 
 # -- command handlers ----------------------------------------------------------
@@ -434,6 +434,8 @@ def cmd_verify_exel_loring(args, tol):
     if args.csv and not args.n_range:
         raise InputError("--csv writes the rows of an --n-range sweep; give --n-range",
                          csv=args.csv)
+    if args.n_range and (args.input or args.n is not None):
+        raise InputError("--n-range sweeps the built-in pair; give neither -i nor --n")
     if args.n_range:
         def row(n):
             qr = voiculescu_qrep(n)

@@ -121,17 +121,14 @@ def kappa(w: Unitary,
     return standard if trace_mode == "standard" else normalized
 
 
-def _kappa_pair(w: Unitary, tol: Tolerances,
-                norm_w_minus_1: float | None = None,
-                det_w: complex | None = None) -> tuple[InvariantReport, InvariantReport]:
-    # (kappa, kappa_tau) from one eigensystem, one ||w - 1|| and one det(w);
-    # a caller that already holds ||w - 1|| or det(w) passes it in.
+def _kappa_pair(w: Unitary, tol: Tolerances) -> tuple[InvariantReport, InvariantReport]:
+    # (kappa, kappa_tau) from one eigensystem; ||w - 1|| and det(w) are w's own
     es = unitary_eig(w, tol.cluster_width)
     nearest = branch_distance(es.values, tol.branch_margin,
                               "spectrum within margin of -1; invariant undefined")
     total = float(np.angle(es.values).sum()) / _TWO_PI
-    norm_dev = identity_defect(w.m) if norm_w_minus_1 is None else norm_w_minus_1
-    det_dev = abs((lu_det(w.m) if det_w is None else det_w) - 1.0)
+    norm_dev = w.distance_from_one
+    det_dev = abs(w.det - 1.0)
     rounded, is_integer = _integrality(total, det_dev <= tol.det_one, tol.integer_residual)
     standard = InvariantReport(
         name="kappa",
@@ -152,6 +149,13 @@ def _kappa_pair(w: Unitary, tol: Tolerances,
                              rounded=None, is_integer=False)
 
 
+def _polar_sigma_min_bound(m: np.ndarray) -> float:
+    # sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F <= sigma_min(1 + t(w - 1)) on [0, 1]
+    eye = np.eye(len(m))
+    return float(np.linalg.svd(m + eye, compute_uv=False)[-1] / 2
+                 - 1.5 * np.linalg.norm(adjoint(m) @ m - eye))
+
+
 def winding_number_det_segment(w: Unitary,
                                *,
                                tolerances: Tolerances = DEFAULTS) -> InvariantReport:
@@ -164,66 +168,56 @@ def winding_number_det_segment(w: Unitary,
     ||B||_* <= sqrt(n) ||B||_F gives |d/dt arg det p(t)| <= L =
     sqrt(n) ||w - 1||_F / s.
 
-    * Where ||w - 1|| < 1, Weyl's inequality gives s = 1 - ||w - 1||.  If
-      N = ceil(2L/pi) intervals fit in ``winding_samples``, the argument is
-      summed over N uniform intervals: every true increment is at most pi/2,
-      so no turn can be missed and nothing is bisected (``certified``).
-    * Otherwise s is the larger of that and sigma_min(1 + w)/2 -
-      1.5 ||w* w - 1||_F (exact for unitary w, where the minimum over t falls
-      at t = 1/2; the second term covers w = U + E with U its polar factor
-      and ||E|| <= ||w* w - 1||), and the argument is accumulated over ``winding_samples`` intervals,
-      adaptively bisected: an interval is split while its increment exceeds
-      pi/2, with the stricter cap pi/16 wherever |det| dips below 0.1x the
-      largest magnitude seen.  An increment still ambiguous at depth
-      ``winding_max_depth`` raises :class:`PathSingular`.
+    * s is Weyl's 1 - ||w - 1||, a bound where ||w - 1|| < 1.  Only where
+      that s certifies no grid (below) is s the larger of it and
+      sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F (exact for unitary w, where
+      the minimum over t falls at t = 1/2; the second term covers w = U + E
+      with U its polar factor and ||E|| <= ||w* w - 1||).
+    * If N = ceil(2L/pi) intervals fit in ``winding_samples``, the argument
+      is summed over N uniform intervals: every true increment is at most
+      pi/2, so no turn can be missed and nothing is bisected (``certified``).
+    * Otherwise the argument is accumulated over ``winding_samples``
+      intervals, adaptively bisected: an interval is split while its
+      increment exceeds pi/2, with the stricter cap pi/16 wherever |det|
+      dips below 0.1x the largest magnitude seen.  An increment still
+      ambiguous at depth ``winding_max_depth`` raises :class:`PathSingular`.
 
     ``path_floor`` is a floor on s: unless s > ``path_floor`` the path counts
     as singular and :class:`PathSingular` carries ``sigma_min_bound``.  So
     does a sampled determinant that is 0 or not finite.  t = 0 is not
-    evaluated (its determinant is exactly 1), and t = 1 reuses det(w);
+    evaluated (its determinant is exactly 1), and t = 1 is ``w.det``, shared
+    with :func:`kappa` of the same ``Unitary`` like ``w.distance_from_one``;
     ``det_evaluations`` counts the determinants taken at interior points.
 
     Deliberately independent of :func:`kappa`: no eigenvalues of w are used.
     s and L come from norms and singular values, which are moduli, not
     eigenvalues, so the certificate takes nothing from kappa's spectrum.
     """
-    return _winding(w, tolerances)
-
-
-def _polar_sigma_min_bound(m: np.ndarray) -> float:
-    # sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F <= sigma_min(1 + t(w - 1)) on [0, 1]
-    eye = np.eye(len(m))
-    return float(np.linalg.svd(m + eye, compute_uv=False)[-1] / 2
-                 - 1.5 * np.linalg.norm(adjoint(m) @ m - eye))
-
-
-def _winding(w: Unitary, tol: Tolerances, det_w: complex | None = None,
-             norm_w_minus_1: float | None = None) -> InvariantReport:
-    # winding_number_det_segment; a caller that already holds det(w) and
-    # ||w - 1|| passes them in
+    tol = tolerances
     m = w.m
     n = w.dim
-    if det_w is None:
-        det_w = lu_det(m)
+    det_w = w.det
     det_dev = abs(det_w - 1.0)
     if det_dev > tol.loop_closure:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
                        deviation=det_dev, tol=tol.loop_closure)
-    norm = identity_defect(m) if norm_w_minus_1 is None else norm_w_minus_1
     root_n_fro = math.sqrt(n) * float(np.linalg.norm(m - np.eye(n)))
-    s = 1.0 - norm  # Weyl: sigma_min(1 + t(w - 1)) >= 1 - t ||w - 1||
-    # the intervals over which the phase turns by at most pi/2
-    needed = 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
-    certified = needed <= tol.winding_samples
-    if certified:
-        samples = max(1, math.ceil(needed))
-    else:
+
+    def intervals(s: float) -> float:
+        # the intervals over which the phase turns by at most pi/2
+        return 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
+
+    s = 1.0 - w.distance_from_one  # Weyl: sigma_min(1 + t(w - 1)) >= 1 - t ||w - 1||
+    needed = intervals(s)
+    if needed > tol.winding_samples:
         s = max(s, _polar_sigma_min_bound(m))
-        samples = tol.winding_samples
-        if not s > tol.path_floor:
-            raise PathSingular("segment path may be singular: sigma_min bound at or "
-                               "below path_floor",
-                               sigma_min_bound=s, path_floor=tol.path_floor)
+        needed = intervals(s)
+    certified = needed <= tol.winding_samples
+    if not (certified or s > tol.path_floor):
+        raise PathSingular("segment path may be singular: sigma_min bound at or "
+                           "below path_floor",
+                           sigma_min_bound=s, path_floor=tol.path_floor)
+    samples = max(1, math.ceil(needed)) if certified else tol.winding_samples
     rate = root_n_fro / s
     state = {"runmax": max(1.0, abs(det_w)), "minabs": min(1.0, abs(det_w)), "evals": 0}
 
@@ -370,11 +364,10 @@ def kazhdan_stability(g: int,
     n = dims.pop()
     bound = 1.0 / (5.0 * g)
 
-    w0 = commutator_product([(u.m, v.m) for u, v in pairs], n)
-    base_defect = identity_defect(w0)
-    if base_defect >= bound:
+    w0 = Unitary(commutator_product([(u.m, v.m) for u, v in pairs], n))
+    if w0.distance_from_one >= bound:
         raise HypothesisViolated("commutator product too far from 1",
-                                 which="relator", value=base_defect, bound=bound)
+                                 which="relator", value=w0.distance_from_one, bound=bound)
     max_dist = 0.0
     for i, ((u, v), (u2, v2)) in enumerate(zip(pairs, pairs_alt), start=1):
         for label, a, b in (("u", u, u2), ("v", v, v2)):
@@ -397,17 +390,17 @@ def kazhdan_stability(g: int,
                  for (u, v), (eu, ev) in zip(pairs, arcs)]
         worst = max(worst, identity_defect(commutator_product(moved, n)))
 
-    w1 = commutator_product([(u.m, v.m) for u, v in pairs_alt], n)
-    kappa_start, _ = _kappa_pair(Unitary(w0), tol, norm_w_minus_1=base_defect)
-    kappa_end = kappa(Unitary(w1), tolerances=tol)
+    w1 = Unitary(commutator_product([(u.m, v.m) for u, v in pairs_alt], n))
+    kappa_start = kappa(w0, tolerances=tol)
+    kappa_end = kappa(w1, tolerances=tol)
     equal = (kappa_start.is_integer and kappa_end.is_integer
              and kappa_start.rounded == kappa_end.rounded)
     return StabilityReport(
         genus=g,
         dim=n,
         bound=bound,
-        relator_defect=base_defect,
-        relator_defect_alt=kappa_end.defect_data["norm_w_minus_1"],
+        relator_defect=w0.distance_from_one,
+        relator_defect_alt=w1.distance_from_one,
         max_generator_distance=max_dist,
         homotopy_max_deviation=worst,
         homotopy_ok=worst < 1.0,

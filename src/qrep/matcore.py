@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -137,7 +137,8 @@ class Unitary:
     adjoints and powers of checked unitaries are wrapped as ``Unitary(m)``
     without a second check: their defect is bounded by their factors', since
     (ab)*(ab) - 1 = b*(a*a - 1)b + (b*b - 1) gives
-    d_ab <= d_a (1 + d_b) + d_b.  Treat ``m`` as immutable.
+    d_ab <= d_a (1 + d_b) + d_b.  Treat ``m`` as immutable: :attr:`det` and
+    :attr:`distance_from_one` are cached, each taken at most once.
     """
 
     m: np.ndarray
@@ -152,6 +153,14 @@ class Unitary:
     @property
     def dim(self) -> int:
         return self.m.shape[0]
+
+    @cached_property
+    def det(self) -> complex:
+        return lu_det(self.m)
+
+    @cached_property
+    def distance_from_one(self) -> float:
+        return identity_defect(self.m)
 
     def adjoint(self) -> "Unitary":
         return Unitary(self.m.conj().T)

@@ -41,8 +41,7 @@ from .errors import (
     UnboundGenerator,
     WordSyntaxError,
 )
-from .matcore import (Unitary, adjoint, identity_defect, matrix_from_json,
-                      matrix_to_json, op_norm, product)
+from .matcore import Unitary, adjoint, matrix_from_json, matrix_to_json, op_norm, product
 
 __all__ = [
     "FreeWord",
@@ -408,10 +407,8 @@ def relator_defect(qr: QuasiRep, word_defect=None) -> float:
     """
     if not qr.presentation.relators:
         raise PresentationMismatch("presentation has no relators")
-    if word_defect is None:
-        def word_defect(word: FreeWord) -> float:
-            return identity_defect(evaluate(word, qr.images).m)
-    return max(map(word_defect, qr.presentation.relators))
+    defect = word_defect or (lambda word: evaluate(word, qr.images).distance_from_one)
+    return max(map(defect, qr.presentation.relators))
 
 
 @dataclass(frozen=True)

@@ -777,3 +777,37 @@ def test_verify_csv_needs_n_range(tmp_path, capsys):
 def test_exit_code_gen_requires_source(capsys):
     code, _ = run_cli(capsys, "gen", "perturbed", "--radius", "0.1")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "perturbed", "--radius", "0.1", "--n", "4", "-i", "{pair}"],
+    ["gen", "pullback", "--images", "s1=a,t1=b", "--n", "4", "-i", "{pair}"],
+    ["verify", "exel-loring", "--n", "16", "-i", "{pair}"],
+    ["verify", "exel-loring", "--n-range", "8:8:8", "-i", "{pair}"],
+    ["verify", "exel-loring", "--n-range", "8:8:8", "--n", "16"],
+], ids=["perturbed-n-and-i", "pullback-n-and-i", "verify-n-and-i", "sweep-and-i",
+        "sweep-and-n"])
+def test_ignored_inputs_are_refused(tmp_path, capsys, pair_file, command):
+    # an input the command would not read is an InputError before any work,
+    # and neither the report nor the CSV is written
+    out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
+    argv = [a.replace("{pair}", pair_file) for a in command] + ["-o", str(out_json)]
+    if "--n-range" in command:
+        argv += ["--csv", str(out_csv)]
+    code = main(argv)
+    assert code == 3
+    assert "InputError" in capsys.readouterr().err
+    assert not out_json.exists() and not out_csv.exists()
+
+
+def test_cli_depth_cap_refusal_is_a_numerical_failure(tmp_path, capsys):
+    # the awkward-dip loop needs bisection; with no depth allowed the winding
+    # is refused with PathSingular, exit 2
+    th = np.pi - 0.05
+    w = np.diag(np.exp(1j * np.array([th, -th / 3, -th / 3, -th / 3])))
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(matrix_to_json(w)))
+    code = main(["invariant", "winding", "-i", str(path), "--tol-winding-max-depth", "0"])
+    assert code == 2
+    assert "PathSingular: argument increment unresolvable at depth cap" in \
+        capsys.readouterr().err

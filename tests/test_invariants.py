@@ -110,16 +110,25 @@ def test_winding_voiculescu_commutator():
 def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int, bool, int]:
     # the tracker of winding_number_det_segment at default tolerances, each
     # pencil formed as (1 - t) eye + t w; determinants are Python complex
-    # numbers, as lu_det returns them.  Where ||w - 1|| < 1 allows
-    # N = ceil(2 L/pi) <= winding_samples intervals, L = sqrt(n) ||w - 1||_F
-    # / (1 - ||w - 1||), the grid has N intervals and no dip rule; otherwise
-    # winding_samples intervals, adaptively bisected.  t = 0 is not
-    # evaluated and t = 1 is det(w); the count is of the other determinants.
+    # numbers, as lu_det returns them.  With L = sqrt(n) ||w - 1||_F / s,
+    # where N = ceil(2 L/pi) <= winding_samples, the grid has N intervals and
+    # no dip rule; otherwise winding_samples intervals, adaptively bisected.
+    # s is Weyl's 1 - ||w - 1||, or, where that certifies no grid, the larger
+    # of it and the polar bound sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F.
+    # t = 0 is not evaluated and t = 1 is det(w); the count is of the other
+    # determinants.
     n = w.shape[0]
     eye = np.eye(n)
-    norm = np.linalg.norm(w - eye, 2)
-    needed = 2 * np.sqrt(n) * np.linalg.norm(w - eye) / (1 - norm) / np.pi
-    certified = bool(norm < 1 and needed <= DEFAULTS.winding_samples)
+
+    def intervals(s):
+        return 2 * np.sqrt(n) * np.linalg.norm(w - eye) / s / np.pi if s > DEFAULTS.path_floor else np.inf
+
+    s = 1 - np.linalg.norm(w - eye, 2)
+    if intervals(s) > DEFAULTS.winding_samples:
+        s = max(s, np.linalg.svd(w + eye, compute_uv=False)[-1] / 2
+                - 1.5 * np.linalg.norm(w.conj().T @ w - eye))
+    needed = intervals(s)
+    certified = bool(needed <= DEFAULTS.winding_samples)
     samples = max(1, int(np.ceil(needed))) if certified else DEFAULTS.winding_samples
     det_w = complex(np.linalg.det(w))
     dets = [1.0 + 0.0j, det_w]
@@ -292,18 +301,63 @@ def test_winding_refusal_carries_the_sigma_min_bound():
 @pytest.mark.parametrize("bad", [0j, complex("nan"), complex("inf")])
 def test_winding_vanishing_determinant_raises_at_once(monkeypatch, bad):
     # a sampled determinant of 0 or inf/nan has no argument to track: the
-    # first one refuses, with no bisection around it
+    # first one refuses, with no bisection around it.  det(w) comes through
+    # Unitary.det in matcore, the path through invariants: both are patched
     import qrep.invariants
+    import qrep.matcore
     real, calls = qrep.invariants.lu_det, []
 
     def lu_det(m):
         calls.append(m)
         return real(m) if len(calls) == 1 else bad  # det(w) first, then the path
-    monkeypatch.setattr(qrep.invariants, "lu_det", lu_det)
+    for module in (qrep.matcore, qrep.invariants):
+        monkeypatch.setattr(module, "lu_det", lu_det)
     with pytest.raises(PathSingular) as err:
         winding_number_det_segment(commutator_unitary(8))
     assert len(calls) == 2
     assert err.value.details["t"] == 1 / 17
+
+
+@pytest.mark.parametrize("phases, winding, evaluations", [
+    ([2.0, -2.0], 0, 3),
+    ([2.0, 2.0, -2.0, -2.0], 0, 7),
+    ([1.5, 1.5, 1.5, -4.5], 1, 5),
+])
+def test_polar_bound_certifies_loops_weyl_cannot(phases, winding, evaluations):
+    # ||w - 1|| > 1, so Weyl's s certifies no grid; the polar bound
+    # sigma_min(1 + w)/2 = min |1 + lambda|/2 does, with ceil(2 L/pi) intervals
+    # inside winding_samples: a few determinants instead of the 63 of the
+    # bisected grid, bit for bit the direct-pencil tracker's
+    w = diag_unitary(phases)
+    n = len(phases)
+    assert op_norm(w.m - np.eye(n)) > 1
+    rep = winding_number_det_segment(w)
+    data = rep.defect_data
+    s = np.abs(1 + np.exp(1j * np.asarray(phases))).min() / 2
+    assert abs(data["sigma_min_bound"] - s) < 1e-12
+    assert data["certified"] is True
+    assert data["det_evaluations"] == np.ceil(2 * data["phase_rate_bound"] / np.pi) - 1
+    assert data["det_evaluations"] == evaluations
+    value, count, certified, _ = _winding_by_direct_pencils(w.m)
+    assert (rep.value, data["det_evaluations"], certified) == (value, count, True)
+    assert rep.rounded == kappa(w).rounded == winding
+
+
+def test_winding_depth_cap_refusal_carries_its_details():
+    # the awkward-dip loop needs bisection; with no depth allowed, the first
+    # increment above its cap is refused, and the refusal says where
+    th = np.pi - 0.05
+    w = diag_unitary([th, -th / 3, -th / 3, -th / 3])
+    no_depth = dataclasses.replace(DEFAULTS, winding_max_depth=0)
+    with pytest.raises(PathSingular, match="unresolvable at depth cap") as err:
+        winding_number_det_segment(w, tolerances=no_depth)
+    details = err.value.details
+    assert set(details) == {"t0", "t1", "increment", "depth", "sigma_min_bound"}
+    assert details["depth"] == 0
+    assert details["t1"] - details["t0"] == pytest.approx(1 / DEFAULTS.winding_samples)
+    assert abs(details["increment"]) > np.pi / 16
+    assert details["sigma_min_bound"] == winding_number_det_segment(w).defect_data[
+        "sigma_min_bound"]
 
 
 # -- homotopy gap -----------------------------------------------------------------

@@ -322,6 +322,27 @@ def test_qrep_json_surface_and_pullback_round_trip():
     assert np.array_equal(got.m, want.m)
 
 
+def test_qrep_json_word_product_and_custom_round_trip():
+    from qrep import PerturbationSpec, perturb, pullback
+    # a perturbed pullback no longer factors through its base: word products
+    pb = pullback(voiculescu_qrep(8), {"s1": "a", "t1": "b", "s2": "", "t2": ""})
+    perturbed = perturb(pb, PerturbationSpec(radius=0.1, seed=7))
+    rng = np.random.default_rng(11)
+    custom = QuasiRep(Presentation.custom(("x", "y", "z"), (w("x y z"), w("[x, y] z^2"))),
+                      {g: random_unitary(5, rng) for g in "xyz"}, WordProduct())
+    for qr in (perturbed, custom):
+        # qrep_to_json, through JSON text, qrep_from_json, and back to JSON
+        back = qrep_from_json(json.loads(json.dumps(qrep_to_json(qr))))
+        assert qrep_to_json(back) == qrep_to_json(qr)
+        assert back.presentation == qr.presentation
+        assert back.strategy == qr.strategy
+        assert back.strategy.kind == "word-product"
+        for g in qr.presentation.generators:
+            assert np.array_equal(back.images[g].m, qr.images[g].m)
+    assert perturbed.presentation.kind == "surface"
+    assert custom.presentation.kind == "custom"
+
+
 def test_qrep_json_file_reference(tmp_path):
     from qrep import matrix_to_json
     qr = voiculescu_qrep(4)
