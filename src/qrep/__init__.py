@@ -88,7 +88,6 @@ from .examples import (
 from .bott import (
     AlmostProjection,
     IndexFormulaReport,
-    SurfacePullback,
     bott_almost_projection,
     k_invariant,
     push_k_class,

@@ -25,13 +25,12 @@ on the n = 64 shift/phase pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Mapping
+from typing import ClassVar
 
 import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
-from .examples import pullback
 from .matcore import (Unitary, _above_band, _hermitize, adjoint, commutator_product,
                       identity_defect, unitary_eig)
 from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
@@ -39,6 +38,7 @@ from .words import (
     CommutatorDatum,
     FreeWord,
     Presentation,
+    PullbackThrough,
     QuasiRep,
     abelianize,
     evaluate,
@@ -50,7 +50,6 @@ __all__ = [
     "bott_almost_projection",
     "push_k_class",
     "k_invariant",
-    "SurfacePullback",
     "IndexFormulaReport",
     "verify_index_formula",
 ]
@@ -149,22 +148,15 @@ def k_invariant(u: Unitary, v: Unitary,
 
 
 @dataclass(frozen=True)
-class SurfacePullback:
-    """Verification case: route the pair through a genus-g substitution."""
-
-    genus: int
-    images: Mapping[str, FreeWord | str]
-
-
-@dataclass(frozen=True)
 class IndexFormulaReport:
     """Both sides of the index identity, each computed independently.
 
     lhs_k comes from the Bott almost-projection rank (``lhs_k_report``);
     rhs_wn from pure determinant tracking; rhs_kappa from the eigenphase
-    trace.  ``equal`` asserts the three integers coincide; ``trace_close``
-    compares lhs_k / n with the normalized-trace invariant of the loop at
-    tolerance :data:`TRACE_TOL`.
+    trace.  ``equal`` asserts rhs_wn = rhs_kappa = datum_class * lhs_k;
+    ``trace_close`` compares ``normalized_lhs`` = datum_class * lhs_k / n
+    with the normalized-trace invariant of the loop at tolerance
+    :data:`TRACE_TOL`.
     """
 
     case: str
@@ -209,80 +201,77 @@ def _default_datum(pres: Presentation) -> CommutatorDatum:
 
 def verify_index_formula(qr: QuasiRep,
                          datum: CommutatorDatum | None = None,
-                         case: SurfacePullback | None = None,
                          *,
                          tolerances: Tolerances = DEFAULTS) -> IndexFormulaReport:
-    """Check the index identity on a two-generator abelian quasi-rep.
+    """Check the index identity wn = kappa = d * k on a datum of class d.
 
-    Left side: k(u, v) of the generator images (the pushforward of the rank
-    obstruction class; only the standard generator class of the datum has a
-    concrete representative, so the datum's class is recorded and equality
-    is meaningful for class 1).  Right side: the loop built from the datum
-    pairs with the reversed ordering prod_i [pi(b_i), pi(a_i)], fed to the
-    winding tracker and to both trace-logarithm invariants.
+    The base pair (u, v) is read off ``qr``: the two generator images of a
+    ``Z2`` presentation, or the two base images of a surface pullback, as
+    ``pullback`` and ``qrep gen pullback`` build it.  Anything else, including
+    a perturbed pullback, which no longer factors through its base, raises
+    :class:`PresentationMismatch`.
 
-    With ``case`` set, the quasi-representation is first pulled back along
-    the given surface substitution; the datum then defaults to the canonical
-    pairs (s_i, t_i) and is evaluated through the pullback strategy, while
-    the left side lives on the base pair (the substitution sends the surface
-    fundamental class to the standard one).
+    Left side: k(u, v), the pushforward of the rank obstruction class.  The
+    datum (default: the canonical pairs (a, b) or (s_i, t_i) of ``qr``'s
+    presentation) is a product of commutators prod_i [a_i, b_i]; its class d
+    in H_2 of the base is the sum of the 2x2 determinants of the exponent
+    sums of the base words of a_i, b_i.  Right side: the loop
+    prod_i [pi(b_i), pi(a_i)], evaluated through ``qr``'s strategy and fed
+    to the winding tracker and to both trace-logarithm invariants.  By
+    naturality the loop's integer is d * k(u, v), which ``equal`` checks.
     """
-    if qr.presentation.kind != "Z2":
-        raise PresentationMismatch("verification needs a two-generator abelian base",
-                                   kind=qr.presentation.kind)
-    a_sym, b_sym = qr.presentation.generators
-    u, v = qr.images[a_sym], qr.images[b_sym]
-
-    if case is None:
-        rep = qr
-        used = datum if datum is not None else _default_datum(qr.presentation)
-        base_words = used.pairs
+    pres, strategy = qr.presentation, qr.strategy
+    if pres.kind == "Z2":
+        base_generators, base_images = pres.generators, qr.images
+        substitute = lambda word: word
         label = "z2-bott"
+    elif (pres.kind == "surface" and isinstance(strategy, PullbackThrough)
+          and len(strategy.base_generators) == 2):
+        base_generators, base_images = strategy.base_generators, strategy.base_images
+        substitute = strategy.substitute
+        label = f"surface-pullback-g{pres.genus}"
     else:
-        rep = pullback(qr, case.images)
-        if rep.presentation.genus != case.genus:
-            raise PresentationMismatch("substitution does not match the stated genus",
-                                       stated=case.genus,
-                                       inferred=rep.presentation.genus)
-        used = datum if datum is not None else _default_datum(rep.presentation)
-        base_words = tuple((rep.strategy.substitute(a), rep.strategy.substitute(b))
-                           for a, b in used.pairs)
-        label = f"surface-pullback-g{case.genus}"
+        raise PresentationMismatch(
+            "verification needs a two-generator abelian quasi-representation or "
+            "a surface pullback of one", kind=pres.kind, strategy=strategy.kind)
+    a_sym, b_sym = base_generators
+    u, v = base_images[a_sym], base_images[b_sym]
+    used = datum if datum is not None else _default_datum(pres)
 
     datum_class = 0
-    for wa, wb in base_words:
-        (pa, qa) = abelianize(wa, qr.presentation.generators)
-        (pb, qb) = abelianize(wb, qr.presentation.generators)
+    for wa, wb in used.pairs:
+        (pa, qa) = abelianize(substitute(wa), base_generators)
+        (pb, qb) = abelianize(substitute(wb), base_generators)
         datum_class += pa * qb - qa * pb
 
-    n = qr.dim
-    images = [(rep.apply(wa).m, rep.apply(wb).m) for wa, wb in used.pairs]
+    n = u.dim
+    images = [(qr.apply(wa).m, qr.apply(wb).m) for wa, wb in used.pairs]
     loop_u = Unitary(commutator_product([(mb, ma) for ma, mb in images], n))
 
     lhs = k_invariant(u, v, tolerances=tolerances)
     rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
     rhs_kappa, rhs_tau = _kappa_pair(loop_u, tolerances)
     lhs_k = lhs.rounded
-    normalized = lhs_k / n
+    normalized = datum_class * lhs_k / n
     equal = (rhs_wn.is_integer and rhs_kappa.is_integer
-             and lhs_k == rhs_wn.rounded == rhs_kappa.rounded)
+             and datum_class * lhs_k == rhs_wn.rounded == rhs_kappa.rounded)
     trace_close = abs(normalized - rhs_tau.value) <= TRACE_TOL
 
-    # ||pi(word) - 1|| over rep.images, once per distinct word; on the base
-    # pair, [a, b] is the product k_invariant measured, bit for bit: both
-    # are matcore.product of the factors u, v, u*, v*
+    # ||pi(word) - 1|| over qr.images, once per distinct word; on a Z2
+    # presentation, [a, b] is the product k_invariant measured, bit for bit:
+    # both are matcore.product of the factors u, v, u*, v*
     norms = {}
-    if rep is qr:
-        norms[_default_datum(qr.presentation).commutator_product()] = \
+    if pres.kind == "Z2":
+        norms[_default_datum(pres).commutator_product()] = \
             lhs.defect_data["commutator_defect"]
 
     def word_defect(word: FreeWord) -> float:
         if word not in norms:
-            norms[word] = evaluate(word, rep.images).distance_from_one
+            norms[word] = evaluate(word, qr.images).distance_from_one
         return norms[word]
 
     defects = {
-        "relator_defect": relator_defect(rep, word_defect),
+        "relator_defect": relator_defect(qr, word_defect),
         "datum_product_defect": word_defect(used.commutator_product()),
         "loop_defect": loop_u.distance_from_one,
         "commutator_defect": lhs.defect_data["commutator_defect"],
@@ -290,7 +279,7 @@ def verify_index_formula(qr: QuasiRep,
         "spectral_gap": lhs.defect_data["spectral_gap"],
     }
     return IndexFormulaReport(
-        case=label,
+        label,
         lhs_k=lhs_k,
         lhs_k_report=lhs,
         rhs_wn=rhs_wn,

@@ -536,6 +536,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # only kappa has a trace mode; any other command would ignore it
+        if args.trace != "standard" and getattr(args, "which", None) != "kappa":
+            raise InputError("--trace applies to invariant kappa only", trace=args.trace)
         tol = _resolve_tolerances(args)
         args.func(args, tol)
     except QrepError as exc:

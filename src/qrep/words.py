@@ -543,5 +543,8 @@ def _strategy_from_json(obj, base_dir, unitarity: float):
                            for g, v in _typed(obj["base_images"], dict, "base_images").items()}
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None
+        if set(base_images) != set(base_gens):
+            raise FormatError("base_images must cover exactly the base_generators",
+                              base_generators=list(base_gens), base_images=sorted(base_images))
         return PullbackThrough(words, base_gens, base_images)
     raise FormatError("unknown strategy kind", kind=kind)

@@ -13,10 +13,10 @@ import pytest
 
 from conftest import diag_unitary, spy
 from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
-                  NoSpectralGap, PerturbationSpec, PresentationMismatch,
-                  SurfacePullback, Unitary, bott_almost_projection, evaluate,
+                  NoSpectralGap, PerturbationSpec, Presentation, PresentationMismatch,
+                  QuasiRep, Unitary, WordProduct, bott_almost_projection, evaluate,
                   k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
-                  perturbed_copy, push_k_class, relator_defect,
+                  perturbed_copy, pullback, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
@@ -235,12 +235,13 @@ def test_verify_empty_datum_is_the_empty_product():
     assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == 0
     assert rep.defects["datum_product_defect"] == rep.defects["loop_defect"] == 0.0
     assert rep.datum_class == 0
-    assert rep.lhs_k != 0 and rep.equal is False
+    # wn = kappa = 0 = 0 * k: the identity holds on the class-0 datum
+    assert rep.lhs_k != 0 and rep.equal is True
 
 
 def test_verify_surface_pullback_case():
-    case = SurfacePullback(2, {"s1": "a", "t1": "b", "s2": "", "t2": ""})
-    rep = verify_index_formula(voiculescu_qrep(64), case=case)
+    images = {"s1": "a", "t1": "b", "s2": "", "t2": ""}
+    rep = verify_index_formula(pullback(voiculescu_qrep(64), images))
     assert rep.case == "surface-pullback-g2"
     assert rep.equal and rep.trace_close
     assert rep.datum_class == 1
@@ -248,12 +249,61 @@ def test_verify_surface_pullback_case():
 
 
 def test_verify_genus_mismatch_and_non_z2():
+    # a perturbed pullback no longer factors through its base, and a custom
+    # presentation has no base pair: both are refused
     qr = voiculescu_qrep(16)
-    with pytest.raises(PresentationMismatch):
-        verify_index_formula(qr, case=SurfacePullback(3, {"s1": "a", "t1": "b"}))
-    from qrep import pullback
-    with pytest.raises(PresentationMismatch):
-        verify_index_formula(pullback(qr, {"s1": "a", "t1": "b"}))
+    moved = perturb(pullback(qr, {"s1": "a", "t1": "b"}),
+                    PerturbationSpec(radius=0.01, seed=1))
+    assert isinstance(moved.strategy, WordProduct)
+    custom = QuasiRep(Presentation.custom(("a", "b"), (parse_word("[a, b]"),)),
+                      qr.images, WordProduct())
+    for bad in (moved, custom):
+        with pytest.raises(PresentationMismatch, match="surface pullback"):
+            verify_index_formula(bad)
+
+
+@pytest.mark.parametrize("pairs, d", [
+    ([("a^2", "b")], 2),
+    ([("b", "a")], -1),
+    ([("a", "b"), ("a", "b")], 2),
+    ([("a^3", "b^-1")], -3),
+])
+def test_verify_datum_of_class_d_gives_d_times_k(pairs, d):
+    # naturality: a datum of class d on the base pair has wn = kappa = d * k
+    qr = voiculescu_qrep(64)
+    datum = CommutatorDatum(tuple((parse_word(x), parse_word(y)) for x, y in pairs),
+                            qr.presentation)
+    rep = verify_index_formula(qr, datum=datum)
+    assert rep.datum_class == d and rep.lhs_k == 1
+    assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == d
+    assert rep.normalized_lhs == d / 64
+    assert rep.equal is True and rep.trace_close is True
+
+
+@pytest.mark.parametrize("images, d", [
+    ({"s1": "a^2", "t1": "b"}, 2),
+    ({"s1": "a", "t1": "b", "s2": "b", "t2": "a^-1"}, 2),
+])
+def test_verify_pullback_of_degree_d(images, d):
+    # a surface pullback of a perturbed pair carries the class d of its
+    # substitution; the base pair keeps k = 1
+    base = perturb(voiculescu_qrep(64), PerturbationSpec(radius=0.01, seed=2))
+    rep = verify_index_formula(pullback(base, images))
+    assert rep.case == f"surface-pullback-g{len(images) // 2}"
+    assert rep.datum_class == d and rep.lhs_k == 1
+    assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == d
+    assert rep.equal is True and rep.trace_close is True
+
+
+def test_verify_pullback_reads_the_base_pair():
+    # k is taken on the base images, not on the surface generator images
+    base = perturb(voiculescu_qrep(32), PerturbationSpec(radius=0.01, seed=3))
+    pb = pullback(base, {"s1": "b", "t1": "a^2"})
+    rep = verify_index_formula(pb)
+    assert rep.lhs_k_report.to_json() == k_invariant(base.images["a"],
+                                                     base.images["b"]).to_json()
+    assert rep.defects["relator_defect"] == relator_defect(pb)
+    assert rep.datum_class == -2 and rep.equal is True
 
 
 def test_verify_report_json_schema():

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
-                  kazhdan_stability, matrix_to_json, perturbed_copy, qrep_to_json,
+                  kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 from qrep.cli import CSV_COLUMNS, _json_chunks, main
 
@@ -220,6 +220,61 @@ def test_verify_exel_loring_single(capsys):
     assert res["lhs_k"] == res["rhs_wn"] == res["rhs_kappa"] == 1
     assert res["orientation"] == "+1"
     assert res["trace_close"] is True
+
+
+def _gen_pullback(tmp_path, capsys, n, images, name="pb.json") -> str:
+    pair, pb = tmp_path / f"pair{n}.json", tmp_path / name
+    assert main(["gen", "voiculescu", "--n", str(n), "-o", str(pair)]) == 0
+    assert main(["gen", "pullback", "-i", str(pair), "--images", images,
+                 "-o", str(pb)]) == 0
+    capsys.readouterr()
+    return str(pb)
+
+
+def test_verify_exel_loring_reads_a_pullback(tmp_path, capsys):
+    # gen pullback's output verifies as the library verifies the pullback
+    pb = _gen_pullback(tmp_path, capsys, 32, "s1=a,t1=b^2")
+    obj = run_json(capsys, "verify", "exel-loring", "-i", pb, "--deterministic")
+    expected = verify_index_formula(pullback(voiculescu_qrep(32), {"s1": "a", "t1": "b^2"}))
+    assert obj["result"] == json.loads("".join(_json_chunks(expected.to_json())))
+    res = obj["result"]
+    assert res["case"] == "surface-pullback-g1" and res["datum_class"] == 2
+    assert res["rhs_wn"] == res["rhs_kappa"] == 2 and res["lhs_k"] == 1
+    assert res["equal"] is True and res["trace_close"] is True
+
+
+def test_verify_exel_loring_direct_sum_of_pullbacks(tmp_path, capsys):
+    # the base pairs are summed too, so k of the sum is 1 + 1
+    pb = _gen_pullback(tmp_path, capsys, 32, "s1=a,t1=b,s2=,t2=")
+    both = tmp_path / "sum.json"
+    assert main(["gen", "direct-sum", "-i", pb, "-i", pb, "-o", str(both)]) == 0
+    res = run_json(capsys, "verify", "exel-loring", "-i", str(both))["result"]
+    assert res["case"] == "surface-pullback-g2"
+    assert res["lhs_k"] == res["rhs_wn"] == res["rhs_kappa"] == 2
+    assert res["equal"] is True and res["trace_close"] is True
+
+
+def test_verify_exel_loring_refuses_a_three_generator_base(tmp_path, capsys):
+    pb = _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")
+    obj = json.loads(Path(pb).read_text())
+    strategy = obj["result"]["strategy"]
+    strategy["base_generators"].append("c")
+    strategy["base_images"]["c"] = strategy["base_images"]["a"]
+    Path(pb).write_text(json.dumps(obj))
+    code = main(["verify", "exel-loring", "-i", pb])
+    assert code == 1
+    assert "PresentationMismatch" in capsys.readouterr().err
+
+
+def test_pullback_base_images_must_match_base_generators(tmp_path, capsys):
+    # a base generator without an image is refused when the file is read
+    pb = _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")
+    obj = json.loads(Path(pb).read_text())
+    del obj["result"]["strategy"]["base_images"]["b"]
+    Path(pb).write_text(json.dumps(obj))
+    code = main(["verify", "exel-loring", "-i", pb])
+    assert code == 3
+    assert "FormatError" in capsys.readouterr().err
 
 
 def test_verify_exel_loring_sweep_csv(tmp_path, capsys):
@@ -772,6 +827,27 @@ def test_verify_csv_needs_n_range(tmp_path, capsys):
     assert code == 3
     assert "--n-range" in capsys.readouterr().err
     assert not out_csv.exists() and not out_json.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "exel-loring", "--n", "16"],
+    ["invariant", "winding", "-i", "{matrix}"],
+    ["stability", "--n", "16", "--radius", "0.1", "--csv", "{csv}"],
+], ids=["verify", "winding", "stability"])
+def test_trace_outside_kappa_is_refused(tmp_path, capsys, matrix_file, command):
+    # only invariant kappa reads --trace; elsewhere a non-default mode would
+    # be ignored, so it is an InputError and no file is written
+    out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
+    argv = [a.replace("{matrix}", matrix_file).replace("{csv}", str(out_csv))
+            for a in command]
+    code = main(argv + ["--trace", "normalized", "-o", str(out_json)])
+    assert code == 3
+    assert "--trace" in capsys.readouterr().err
+    assert not out_json.exists() and not out_csv.exists()
+    # the default mode is accepted everywhere, and normalized by kappa
+    assert main(argv + ["--trace", "standard", "-o", str(out_json)]) == 0
+    assert main(["invariant", "kappa", "-i", matrix_file, "--trace", "normalized"]) == 0
+    capsys.readouterr()
 
 
 def test_exit_code_gen_requires_source(capsys):
