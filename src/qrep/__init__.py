@@ -63,7 +63,6 @@ from .words import (
     parse_word,
     qrep_from_json,
     qrep_to_json,
-    reduce_word,
     relator_defect,
     render,
 )

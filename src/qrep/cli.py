@@ -187,7 +187,7 @@ def build_parser() -> _Parser:
 # -- plumbing -----------------------------------------------------------------
 
 def _resolve_tolerances(args) -> config.Tolerances:
-    tol = config.from_env(config.DEFAULTS)
+    tol = config.from_env()
     overrides = {}
     for f in dataclasses.fields(config.Tolerances):
         value = getattr(args, f"tol_{f.name}", None)
@@ -293,7 +293,7 @@ def _emit(args, tol: config.Tolerances, command: str, result) -> None:
     report = {
         "command": command,
         "config": cfg,
-        "tolerances": tol.as_dict(),
+        "tolerances": dataclasses.asdict(tol),
         "result": result,
     }
     if not args.deterministic:
@@ -536,9 +536,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # only kappa has a trace mode; any other command would ignore it
+        # only kappa has a trace mode, and only gen perturbed and stability
+        # draw random numbers; any other command would ignore these
         if args.trace != "standard" and getattr(args, "which", None) != "kappa":
             raise InputError("--trace applies to invariant kappa only", trace=args.trace)
+        if args.seed != 0 and args.func not in (cmd_gen_perturbed, cmd_stability):
+            raise InputError("--seed applies to gen perturbed and stability only",
+                             seed=args.seed)
         tol = _resolve_tolerances(args)
         args.func(args, tol)
     except QrepError as exc:

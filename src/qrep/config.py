@@ -12,8 +12,8 @@ matrix enters qrep: every matrix read from a file (``qrep_from_json`` takes
 the object too).  Products, adjoints and powers of checked unitaries are not
 checked again; their defect is bounded by their factors',
 d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
-parameters defaulting to ``DEFAULTS``, which every ``hermiticity`` check
-uses.  The CLI builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables
+parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
+1e-8.  The CLI builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables
 and ``--tol-*`` flags.
 
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
@@ -45,7 +45,6 @@ _INT_MINIMUM = {"winding_samples": 1, "winding_max_depth": 0,
 class Tolerances:
     # matrix predicates
     unitarity: float = 1e-8         # max allowed ||m* m - 1||_op
-    hermiticity: float = 1e-8       # max allowed ||m - m*||_op
     # logarithms and eigen decompositions
     branch_margin: float = 1e-6     # min allowed distance of spectrum to -1
     cluster_width: float = 1e-7     # eigenvalue clustering width (real parts)
@@ -77,9 +76,6 @@ class Tolerances:
                 raise InputError(f"tolerance {f.name} must be finite and >= 0",
                                  field=f.name, value=value)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def subset(self, *names: str) -> dict:
         """The named fields with their values, as a report echoes them."""
         return {name: getattr(self, name) for name in names}
@@ -90,17 +86,17 @@ DEFAULTS = Tolerances()
 _ENV_PREFIX = "QREP_TOL_"
 
 
-def from_env(base: Tolerances = DEFAULTS, environ=None) -> Tolerances:
-    """Return ``base`` with any ``QREP_TOL_<FIELD>`` overrides applied.
+def from_env() -> Tolerances:
+    """Return ``DEFAULTS`` with any ``QREP_TOL_<FIELD>`` overrides from the
+    process environment applied.
 
     Field names map to upper case, e.g. ``QREP_TOL_BRANCH_MARGIN=1e-9``.
     Integer fields are parsed as integers.  Unknown variables with the
     prefix raise ``ValueError`` so typos do not silently do nothing.
     """
-    env = os.environ if environ is None else environ
     fields = {f.name: f for f in dataclasses.fields(Tolerances)}
     updates = {}
-    for key, raw in env.items():
+    for key, raw in os.environ.items():
         if not key.startswith(_ENV_PREFIX):
             continue
         name = key[len(_ENV_PREFIX):].lower()
@@ -108,4 +104,4 @@ def from_env(base: Tolerances = DEFAULTS, environ=None) -> Tolerances:
             raise ValueError(f"unknown tolerance variable {key}")
         caster = int if fields[name].type == "int" else float
         updates[name] = caster(raw)
-    return dataclasses.replace(base, **updates) if updates else base
+    return dataclasses.replace(DEFAULTS, **updates) if updates else DEFAULTS

@@ -26,7 +26,6 @@ import numpy as np
 from .config import DEFAULTS, Tolerances
 from .errors import (
     DimensionMismatch,
-    FormatError,
     HypothesisViolated,
     NotALoop,
     PathSingular,
@@ -78,20 +77,6 @@ class InvariantReport:
         if self.rounded is None:
             del obj["rounded"]
         return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "InvariantReport":
-        try:
-            return cls(
-                name=obj["name"],
-                value=float(obj["value"]),
-                rounded=int(obj["rounded"]) if "rounded" in obj else None,
-                is_integer=bool(obj["is_integer"]),
-                defect_data=dict(obj["defect_data"]),
-                tolerances=dict(obj["tolerances"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed invariant report: {exc}") from None
 
 
 def _integrality(value: float, expected: bool, integer_tol: float):

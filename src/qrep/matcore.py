@@ -204,7 +204,7 @@ def _fix_column_phases(vectors: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return (vectors.T * phases.conj()[:, None]).T
 
 
-def herm_eig(h, tol: float = DEFAULTS.hermiticity) -> EigenSystem:
+def herm_eig(h, tol: float = 1e-8) -> EigenSystem:
     """Eigendecomposition of a self-adjoint matrix, values real ascending.
 
     Refuses ``||h - h*||_op > tol`` with :class:`NotHermitian`, gated

@@ -47,7 +47,6 @@ __all__ = [
     "FreeWord",
     "parse_word",
     "render",
-    "reduce_word",
     "commutator",
     "evaluate",
     "abelianize",
@@ -205,17 +204,6 @@ def render(word: FreeWord) -> str:
     return " ".join(parts)
 
 
-def reduce_word(word: FreeWord) -> FreeWord:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
-    stack: list[tuple[str, int]] = []
-    for sym, sgn in word.letters:
-        if stack and stack[-1] == (sym, -sgn):
-            stack.pop()
-        else:
-            stack.append((sym, sgn))
-    return FreeWord(tuple(stack))
-
-
 def abelianize(word: FreeWord, generators: tuple[str, ...]) -> tuple[int, ...]:
     """Exponent sums of ``word`` relative to an ordered generator list."""
     counts = dict.fromkeys(generators, 0)
@@ -298,10 +286,6 @@ class CommutatorDatum:
 
     pairs: tuple[tuple[FreeWord, FreeWord], ...]
     ambient: Presentation
-
-    @property
-    def genus(self) -> int:
-        return len(self.pairs)
 
     def commutator_product(self) -> FreeWord:
         return commutator_word(self.pairs)

@@ -408,7 +408,7 @@ def test_tol_reported_in_envelope(capsys, matrix_file):
 # every Tolerances field moved off its default, but not far enough to turn
 # an ok case into a refusal
 TOL_FLAGS = {
-    "unitarity": "2e-8", "hermiticity": "2e-8", "branch_margin": "2e-6",
+    "unitarity": "2e-8", "branch_margin": "2e-6",
     "cluster_width": "2e-7", "projection_threshold": "0.49",
     "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
     "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
@@ -848,6 +848,59 @@ def test_trace_outside_kappa_is_refused(tmp_path, capsys, matrix_file, command):
     assert main(argv + ["--trace", "standard", "-o", str(out_json)]) == 0
     assert main(["invariant", "kappa", "-i", matrix_file, "--trace", "normalized"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "exel-loring", "--n", "16"],
+    ["verify", "exel-loring", "--n-range", "8:8:8", "--csv", "{csv}"],
+    ["gen", "voiculescu", "--n", "4"],
+    ["invariant", "kappa", "-i", "{matrix}"],
+], ids=["verify", "verify-sweep", "voiculescu", "kappa"])
+def test_seed_outside_random_commands_is_refused(tmp_path, capsys, matrix_file, command):
+    # only gen perturbed and stability draw random numbers; elsewhere a
+    # non-default seed would be ignored, so it is an InputError and no file
+    # is written
+    out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
+    argv = [a.replace("{matrix}", matrix_file).replace("{csv}", str(out_csv))
+            for a in command]
+    code = main(argv + ["--seed", "5", "-o", str(out_json)])
+    assert code == 3
+    assert "--seed" in capsys.readouterr().err
+    assert not out_json.exists() and not out_csv.exists()
+    # the default seed is accepted everywhere, and echoed
+    assert main(argv + ["--seed", "0", "-o", str(out_json)]) == 0
+    assert json.loads(out_json.read_text())["config"]["seed"] == 0
+
+
+def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
+    def images(seed):
+        obj = run_json(capsys, "gen", "perturbed", "--n", "4", "--radius", "0.05",
+                       "--seed", str(seed), "--deterministic")
+        assert obj["config"]["seed"] == seed
+        return obj["result"]["images"]
+    assert images(9) != images(0)
+    obj = run_json(capsys, "stability", "--n", "16", "--radius", "0.1",
+                   "--seed", "5", "--seeds", "2", "--deterministic")
+    assert [r["seed"] for r in obj["result"]["rows"]] == [5, 6]
+
+
+# herm_eig's gate is a fixed library default, so no flag or variable sets it
+def test_removed_hermiticity_flag_is_refused(tmp_path, capsys):
+    out_json = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "voiculescu", "--n", "4", "--tol-hermiticity", "1e-8",
+              "-o", str(out_json)])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --tol-hermiticity" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+def test_removed_hermiticity_variable_is_refused(tmp_path, capsys, monkeypatch):
+    out_json = tmp_path / "x.json"
+    monkeypatch.setenv("QREP_TOL_HERMITICITY", "1e-8")
+    assert main(["gen", "voiculescu", "--n", "4", "-o", str(out_json)]) == 3
+    assert "unknown tolerance variable QREP_TOL_HERMITICITY" in capsys.readouterr().err
+    assert not out_json.exists()
 
 
 def test_exit_code_gen_requires_source(capsys):

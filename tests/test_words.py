@@ -16,7 +16,7 @@ from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
                   StrategyUndefined, UnboundGenerator, Unitary, WordProduct,
                   WordSyntaxError, Z2NormalForm, abelianize, commutator,
                   evaluate, mult_defect, op_norm, parse_word, qrep_from_json,
-                  qrep_to_json, random_unitary, reduce_word, relator_defect,
+                  qrep_to_json, random_unitary, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
 from qrep.words import commutator_word, generators_and_inverses
@@ -122,13 +122,6 @@ def test_commutator_word_is_the_one_product_of_commutators():
 def test_generators_and_inverses():
     assert generators_and_inverses(Presentation.z2()) == [w("a"), w("b"), w("a^-1"),
                                                           w("b^-1")]
-
-
-def test_reduce_word_cancels():
-    assert reduce_word(w("a a^-1")) == EMPTY_WORD
-    assert reduce_word(w("a b b^-1 a^-1")) == EMPTY_WORD
-    assert reduce_word(w("a b b^-1 c")) == w("a c")
-    assert reduce_word(w("a b c")) == w("a b c")
 
 
 def test_abelianize_exponent_sums():
