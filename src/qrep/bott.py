@@ -58,6 +58,9 @@ __all__ = [
 ORIENTATION = 1
 # How close lhs_k / n and the normalized-trace invariant must be for trace_close.
 TRACE_TOL = 1e-9
+# k counts e's eigenvalues above 1/2; with ||e^2 - e|| < defect_max none lies
+# near it, so no other threshold gives the class.
+PROJECTION_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,9 @@ def bott_almost_projection(u: Unitary, v: Unitary,
 def push_k_class(ap: AlmostProjection,
                  *,
                  tolerances: Tolerances = DEFAULTS) -> int:
-    """Rank of the spectral projection of e above ``projection_threshold``
-    (1/2), counted on ``ap.spectrum``, minus the base rank n.
+    """Rank of the spectral projection of e above
+    :data:`PROJECTION_THRESHOLD` (1/2), counted on ``ap.spectrum``, minus the
+    base rank n.
 
     Well-defined only when the defect is below ``defect_max`` (default 1/8),
     which forces the spectrum of e into two bands clear of 1/2; an
@@ -116,7 +120,7 @@ def push_k_class(ap: AlmostProjection,
     if ap.defect >= tol.defect_max:
         raise DefectTooLarge("almost-projection defect leaves no usable gap",
                              defect=ap.defect, bound=tol.defect_max)
-    above = _above_band(ap.spectrum, tol.projection_threshold, tol.projection_gap)
+    above = _above_band(ap.spectrum, PROJECTION_THRESHOLD, tol.projection_gap)
     return int(np.count_nonzero(above)) - ap.base_dim
 
 
@@ -127,8 +131,8 @@ def k_invariant(u: Unitary, v: Unitary,
     tol = tolerances
     ap = bott_almost_projection(u, v, tolerances=tol)
     k = push_k_class(ap, tolerances=tol)
-    below = ap.spectrum[ap.spectrum < tol.projection_threshold]
-    above = ap.spectrum[ap.spectrum >= tol.projection_threshold]
+    below = ap.spectrum[ap.spectrum < PROJECTION_THRESHOLD]
+    above = ap.spectrum[ap.spectrum >= PROJECTION_THRESHOLD]
     gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
     comm_defect = identity_defect(commutator_product([(u.m, v.m)], u.dim))
     return InvariantReport(
@@ -142,8 +146,7 @@ def k_invariant(u: Unitary, v: Unitary,
             "spectral_gap": gap_width,
             "orientation": float(ORIENTATION),
         },
-        tolerances=tol.subset("projection_threshold", "projection_gap",
-                              "defect_max", "integer_residual"),
+        tolerances=tol.subset("projection_gap", "defect_max", "integer_residual"),
     )
 
 

@@ -350,8 +350,10 @@ def cmd_gen_voiculescu(args, tol):
 def cmd_gen_perturbed(args, tol):
     base = _base_qrep(args, tol)
     targets = None
-    if args.targets:
+    if args.targets is not None:
         targets = tuple(s for s in _split_top_level(args.targets) if s)
+        if not targets:
+            raise InputError("--targets names no generator", targets=args.targets)
     spec = PerturbationSpec(radius=args.radius, seed=args.seed, targets=targets)
     _emit(args, tol, "gen perturbed", qrep_to_json(perturb(base, spec)))
 
@@ -365,7 +367,10 @@ def cmd_gen_pullback(args, tol):
         if "=" not in part:
             raise InputError("each image must look like s1=word", part=part)
         name, _, word = part.partition("=")
-        images[name.strip()] = parse_word(word)
+        name = name.strip()
+        if name in images:
+            raise InputError("generator given twice in --images", generator=name)
+        images[name] = parse_word(word)
     _emit(args, tol, "gen pullback", qrep_to_json(pullback(base, images)))
 
 

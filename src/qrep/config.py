@@ -1,8 +1,8 @@
 """Numerical policy in one place.
 
-Every tolerance, threshold, and sampling density used by the library lives
-in the :class:`Tolerances` dataclass so that reports can record exactly the
-policy under which a number was produced.  The invariant layer (``kappa``,
+Every settable tolerance and sampling density lives in the
+:class:`Tolerances` dataclass so that reports can record exactly the policy
+under which a number was produced.  The invariant layer (``kappa``,
 ``winding_number_det_segment``, ``exel_homotopy_gap``,
 ``kazhdan_stability``, ``bott_almost_projection``, ``push_k_class``,
 ``k_invariant``, ``verify_index_formula``) takes one keyword-only
@@ -13,16 +13,21 @@ the object too).  Products, adjoints and powers of checked unitaries are not
 checked again; their defect is bounded by their factors',
 d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
 parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
-1e-8.  The CLI builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables
-and ``--tol-*`` flags.
+1e-8 and ``spectral_projection``'s threshold 0.5.  The CLI builds its object
+from ``DEFAULTS``, ``QREP_TOL_*`` variables and ``--tol-*`` flags.
 
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
 included: each float field must be finite and >= 0, and the integer
-sampling fields need ``winding_samples >= 1``, ``winding_max_depth >= 0``,
-``homotopy_grid >= 2`` and ``stability_samples >= 2``.  Anything else would
-make a check vacuous (no winding samples, a one-point homotopy scan) or fail
-only after the work is done, so it raises ``InputError`` (exit 3) naming
-the field and its value.
+sampling fields need ``winding_samples >= 1``, ``winding_max_depth >= 0``
+and ``stability_samples >= 2``.  Anything else would make a check vacuous
+(no winding samples, a one-point homotopy scan) or fail only after the work
+is done, so it raises ``InputError`` (exit 3) naming the field and its
+value.
+
+Values the mathematics fixes are constants, not fields: the Bott class is
+the rank of e's spectral projection above ``bott.PROJECTION_THRESHOLD`` =
+1/2 (as ``bott.TRACE_TOL`` and ``bott.ORIENTATION`` are constants), and
+``exel_homotopy_gap`` is a closed form with no grid to size.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import InputError
 # least allowed value of each integer field (every one is listed); every
 # float field needs a finite value >= 0
 _INT_MINIMUM = {"winding_samples": 1, "winding_max_depth": 0,
-                "homotopy_grid": 2, "stability_samples": 2}
+                "stability_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,7 @@ class Tolerances:
     branch_margin: float = 1e-6     # min allowed distance of spectrum to -1
     cluster_width: float = 1e-7     # eigenvalue clustering width (real parts)
     # almost projections
-    projection_threshold: float = 0.5
-    projection_gap: float = 0.1     # forbidden half-band around the threshold
+    projection_gap: float = 0.1     # forbidden half-band around 1/2
     defect_max: float = 0.125       # ||e^2 - e|| bound for a usable rank
     # integrality
     integer_residual: float = 1e-6  # |value - round(value)| for integer claims
@@ -61,7 +65,6 @@ class Tolerances:
     winding_samples: int = 64       # cap on the certified grid; the bisected grid's size
     winding_max_depth: int = 40     # bisection depth cap per interval
     # homotopy scans
-    homotopy_grid: int = 257        # samples for the linear-path deviation max
     stability_samples: int = 65     # samples along a stability homotopy
 
     def __post_init__(self):

@@ -9,8 +9,9 @@
   cross-check for kappa: the two must agree and share no machinery (the
   winding code takes norms and singular values, never an eigenvalue of w).
 * :func:`exel_homotopy_gap` — the maximal deviation between the linear
-  segment (1-t) 1 + t w and the one-parameter group exp(t log w); the
-  identity wn = kappa rests on this staying below 1.
+  segment (1-t) 1 + t w and the one-parameter group exp(t log w), in closed
+  form 2 sin^2(max |theta| / 4) over the eigenphases of w (the maximum sits
+  at t = 1/2); the identity wn = kappa rests on this staying below 1.
 * :func:`kazhdan_stability` — the quantitative stability experiment for
   products of commutators: small hypothesis norms force the invariant of
   the perturbed tuple to match, witnessed along an explicit homotopy.
@@ -264,35 +265,24 @@ def winding_number_det_segment(w: Unitary,
 def exel_homotopy_gap(w: Unitary,
                       *,
                       tolerances: Tolerances = DEFAULTS) -> float:
-    """Max over t of ||(1-t) 1 + t w  -  exp(t log w)||.
+    """Max over t in [0, 1] of ||(1-t) 1 + t w  -  exp(t log w)||, in closed
+    form: 2 sin^2(max_j |theta_j| / 4) over the principal eigenphases
+    theta_j of w.
 
     Both paths are functions of w, so in w's eigenbasis the difference is
-    diagonal and its operator norm is the max over eigenvalues e^{i s} of
-    the scalar |(1-t) + t e^{i s} - e^{i t s}|; the reduction to scalars is
-    exact, not an approximation.  The max is taken on a uniform grid of
-    ``homotopy_grid`` points and then refined around the maximizer.  Values
-    below 1 certify that the determinant loop of the linear segment is
-    homotopic to the exponential path through invertibles, which is what
-    ties the winding number to kappa.
+    diagonal and its norm is the max over eigenphases theta of the scalar
+    |(1-t) + t e^{i theta} - e^{i t theta}|.  That distance from the chord to
+    the arc is symmetric under t -> 1 - t (multiply by e^{-i theta} and
+    conjugate), so t = 1/2 is where it turns, and there it is largest
+    (Exel & Loring, J. Funct. Anal. 95, 1991): |cos(theta/2) - 1| =
+    2 sin^2(theta/4), increasing in |theta| on [0, pi].  A gap below 1,
+    which certifies that the determinant loop of the segment is homotopic to
+    the exponential path through invertibles (what ties the winding number
+    to kappa), is then the same as no eigenvalue of w at -1; one within
+    ``branch_margin`` of -1 raises :class:`BranchCut`.
     """
-    tol = tolerances
-    theta = _log_eigensystem(w, tol.branch_margin, tol.cluster_width).values[None, :]
-    lam = np.exp(1j * theta)
-
-    def deviation(ts: np.ndarray) -> np.ndarray:
-        t = ts[:, None]
-        return np.abs((1.0 - t) + t * lam - np.exp(1j * t * theta)).max(axis=1)
-
-    # the grid, then four 65-point passes around the last maximizer
-    lo, hi, count = 0.0, 1.0, tol.homotopy_grid
-    best = 0.0
-    for _ in range(5):
-        ts = np.linspace(lo, hi, count)
-        devs = deviation(ts)
-        i = int(np.argmax(devs))
-        best = max(best, float(devs[i]))
-        lo, hi, count = ts[max(i - 1, 0)], ts[min(i + 1, count - 1)], 65
-    return best
+    theta = _log_eigensystem(w, tolerances.branch_margin, tolerances.cluster_width).values
+    return 2.0 * math.sin(float(np.abs(theta).max()) / 4.0) ** 2
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ adjoint(self.vectors)
-
     def apply(self, scalar_fn) -> np.ndarray:
         """Functional calculus: scalar_fn maps the eigenvalue array pointwise."""
         return (self.vectors * scalar_fn(self.values)) @ adjoint(self.vectors)
@@ -305,7 +302,7 @@ def exp_skew(l) -> Unitary:
 
 
 def spectral_projection(e,
-                        threshold: float = DEFAULTS.projection_threshold,
+                        threshold: float = 0.5,
                         gap: float = DEFAULTS.projection_gap) -> tuple[np.ndarray, int]:
     """Spectral projection of a self-adjoint matrix above a threshold.
 

@@ -145,6 +145,27 @@ def test_gen_pullback_bad_image_spec(capsys, pair_file):
     assert code == 3
 
 
+def test_gen_pullback_refuses_a_generator_given_twice(tmp_path, capsys, pair_file):
+    out_json = tmp_path / "pb.json"
+    code = main(["gen", "pullback", "-i", pair_file, "--images", "s1=a,s1=b^2,t1=b",
+                 "-o", str(out_json)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "InputError" in err and "'s1'" in err
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("targets", [",", "", " , "])
+def test_gen_perturbed_refuses_targets_naming_no_generator(tmp_path, capsys, pair_file,
+                                                           targets):
+    out_json = tmp_path / "pe.json"
+    code = main(["gen", "perturbed", "-i", pair_file, "--radius", "0.1",
+                 "--targets", targets, "-o", str(out_json)])
+    assert code == 3
+    assert "InputError" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 # -- invariants ------------------------------------------------------------------------
 
 def test_invariant_kappa_word_on_qrep(capsys, pair_file):
@@ -409,11 +430,11 @@ def test_tol_reported_in_envelope(capsys, matrix_file):
 # an ok case into a refusal
 TOL_FLAGS = {
     "unitarity": "2e-8", "branch_margin": "2e-6",
-    "cluster_width": "2e-7", "projection_threshold": "0.49",
+    "cluster_width": "2e-7",
     "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
     "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
     "winding_samples": "72", "winding_max_depth": "45",
-    "homotopy_grid": "129", "stability_samples": "33",
+    "stability_samples": "33",
 }
 
 
@@ -772,7 +793,7 @@ def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
 
 
 def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
-    monkeypatch.setenv("QREP_TOL_HOMOTOPY_GRID", "1")
+    monkeypatch.setenv("QREP_TOL_STABILITY_SAMPLES", "1")
     assert main(["invariant", "kappa", "-i", pair_file, "--word", "[a, b]"]) == 3
     assert "InputError" in capsys.readouterr().err
 
@@ -780,7 +801,6 @@ def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
     ("winding_samples", 0), ("winding_samples", 2.5), ("winding_max_depth", -1),
-    ("homotopy_grid", 1),
     ("stability_samples", 1),
 ])
 def test_tolerances_reject_invalid_values(field, value):
@@ -793,8 +813,8 @@ def test_tolerances_accept_their_least_values():
     least = dataclasses.replace(
         DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)
                      if f.type == "float"},
-        winding_samples=1, winding_max_depth=0, homotopy_grid=2, stability_samples=2)
-    assert least.homotopy_grid == 2 and least.unitarity == 0.0
+        winding_samples=1, winding_max_depth=0, stability_samples=2)
+    assert least.stability_samples == 2 and least.unitarity == 0.0
 
 
 def test_exit_code_usage_error(capsys):
@@ -885,21 +905,27 @@ def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
 
 
 # herm_eig's gate is a fixed library default, so no flag or variable sets it
-def test_removed_hermiticity_flag_is_refused(tmp_path, capsys):
+# herm_eig's gate has no setting; the homotopy gap is a closed form and the
+# Bott threshold the constant 1/2, so none of these is a tolerance any more
+@pytest.mark.parametrize("flag", ["--tol-hermiticity", "--tol-homotopy-grid",
+                                  "--tol-projection-threshold"])
+def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
     out_json = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "voiculescu", "--n", "4", "--tol-hermiticity", "1e-8",
-              "-o", str(out_json)])
+        main(["gen", "voiculescu", "--n", "4", flag, "1", "-o", str(out_json)])
     assert exc.value.code == 3
-    assert "unrecognized arguments: --tol-hermiticity" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out_json.exists()
 
 
-def test_removed_hermiticity_variable_is_refused(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("variable", ["QREP_TOL_HERMITICITY", "QREP_TOL_HOMOTOPY_GRID",
+                                      "QREP_TOL_PROJECTION_THRESHOLD"])
+def test_removed_tolerance_variables_are_refused(tmp_path, capsys, monkeypatch,
+                                                 variable):
     out_json = tmp_path / "x.json"
-    monkeypatch.setenv("QREP_TOL_HERMITICITY", "1e-8")
+    monkeypatch.setenv(variable, "1")
     assert main(["gen", "voiculescu", "--n", "4", "-o", str(out_json)]) == 3
-    assert "unknown tolerance variable QREP_TOL_HERMITICITY" in capsys.readouterr().err
+    assert f"unknown tolerance variable {variable}" in capsys.readouterr().err
     assert not out_json.exists()
 
 

@@ -399,6 +399,36 @@ def test_homotopy_gap_mixed_spectrum_takes_worst_phase():
     assert abs(exel_homotopy_gap(w) - (1 - np.cos(1.0))) < 1e-9
 
 
+def test_homotopy_gap_closed_form_at_tiny_phases():
+    # the chord and the arc agree to about theta^2 / 8 here, so a sampled
+    # maximum of their difference is mostly rounding
+    for theta in (1e-5, 1e-7):
+        want = 2 * np.sin(theta / 4) ** 2
+        got = exel_homotopy_gap(diag_unitary([theta, -theta]))
+        assert abs(got - want) <= 1e-12 * want, theta
+
+
+def test_homotopy_gap_bounds_a_fine_scan_of_haar_unitaries():
+    # np.linalg.eigvals is the test-side oracle; t = 1/2 is a grid point
+    t = np.linspace(0.0, 1.0, 4097)[:, None]
+    for n in (4, 16):
+        for seed in range(5):
+            w = random_unitary(n, np.random.default_rng(seed))
+            lam = np.linalg.eigvals(w.m)[None, :]
+            scan = np.abs((1 - t) + t * lam - np.exp(1j * t * np.angle(lam))).max()
+            gap = exel_homotopy_gap(w)
+            assert scan <= gap + 1e-15, (n, seed)
+            assert scan >= gap - 1e-14, (n, seed)
+
+
+def test_homotopy_gap_below_one_unless_an_eigenvalue_is_at_minus_one():
+    near = np.pi - 1e-3
+    assert exel_homotopy_gap(diag_unitary([near, -near])) < 1.0
+    with pytest.raises(BranchCut) as err:
+        exel_homotopy_gap(diag_unitary([np.pi, -np.pi]))
+    assert err.value.details["distance"] <= DEFAULTS.branch_margin
+
+
 # -- stability --------------------------------------------------------------------
 
 def test_stability_trivial_perturbation():

@@ -144,7 +144,7 @@ def test_herm_eig_reconstructs_and_rejects_non_hermitian():
     rng = np.random.default_rng(5)
     h = random_hermitian(7, rng)
     es = herm_eig(h)
-    assert op_norm(es.reconstruct() - h) < 1e-12
+    assert op_norm(es.apply(lambda v: v) - h) < 1e-12
     assert np.all(np.diff(es.values.real) >= 0)
     with pytest.raises(NotHermitian):
         herm_eig(h + 1e-3 * 1j * np.eye(7))
@@ -202,7 +202,7 @@ def test_unitary_eig_cyclic_shift_roots_of_unity():
     got = np.sort_complex(es.values)
     want = np.sort_complex(np.exp(2j * np.pi * np.arange(n) / n))
     assert np.max(np.abs(got - want)) < 1e-10
-    assert op_norm(es.reconstruct() - u.m) < 1e-10
+    assert op_norm(es.apply(lambda v: v) - u.m) < 1e-10
     assert np.max(np.abs(np.abs(es.values) - 1.0)) < 1e-10
 
 
@@ -216,7 +216,7 @@ def test_unitary_eig_resolves_conjugate_phase_pairs():
     got = np.sort(np.angle(es.values))
     want = np.sort([theta, -theta, theta, -theta])
     assert np.max(np.abs(got - want)) < 1e-10
-    assert op_norm(es.reconstruct() - w.m) < 1e-10
+    assert op_norm(es.apply(lambda v: v) - w.m) < 1e-10
 
 
 def test_unitary_eig_random_unitaries_reconstruct():
@@ -225,7 +225,7 @@ def test_unitary_eig_random_unitaries_reconstruct():
         n = int(rng.integers(2, 10))
         w = random_unitary(n, rng)
         es = unitary_eig(w)
-        assert op_norm(es.reconstruct() - w.m) < 1e-9
+        assert op_norm(es.apply(lambda v: v) - w.m) < 1e-9
         assert op_norm(es.vectors @ adjoint(es.vectors) - np.eye(n)) < 1e-10
 
 
