@@ -3,11 +3,12 @@
 * :func:`kappa` — the trace-logarithm invariant (1/2pi i) tr(log w), an
   integer whenever det(w) = 1, in its standard and normalized-trace forms.
 * :func:`winding_number_det_segment` — the winding number of the loop
-  t -> det((1-t) 1 + t w), computed from determinants by argument tracking
-  on a grid that a lower bound on sigma_min of the path makes certain (or,
-  where the bound allows no small grid, by adaptive bisection).  This is the
-  cross-check for kappa: the two must agree and share no machinery (the
-  winding code takes norms and singular values, never an eigenvalue of w).
+  t -> det((1-t) 1 + t w), computed from determinants on a uniform grid
+  that Weyl's bound on sigma_min of the path makes certain, or, where that
+  grid would be too fine, by steps whose length a second-order bound on the
+  phase certifies.  This is the cross-check for kappa: the two must agree
+  and share no machinery (the winding code takes norms, traces, solves and
+  determinants, never an eigenvalue of w).
 * :func:`exel_homotopy_gap` — the maximal deviation between the linear
   segment (1-t) 1 + t w and the one-parameter group exp(t log w), in closed
   form 2 sin^2(max |theta| / 4) over the eigenphases of w (the maximum sits
@@ -34,7 +35,6 @@ from .errors import (
 from .matcore import (
     Unitary,
     _log_eigensystem,
-    adjoint,
     branch_distance,
     commutator_product,
     identity_defect,
@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# The step route's bound on the phase turned in one step: below pi, so the
+# principal argument of the step's determinant is the whole increment
+STEP_PHASE = 1.5
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,40 @@ def _kappa_pair(w: Unitary, tol: Tolerances) -> tuple[InvariantReport, Invariant
                              rounded=None, is_integer=False)
 
 
-def _polar_sigma_min_bound(m: np.ndarray) -> float:
-    # sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F <= sigma_min(1 + t(w - 1)) on [0, 1]
-    eye = np.eye(len(m))
-    return float(np.linalg.svd(m + eye, compute_uv=False)[-1] / 2
-                 - 1.5 * np.linalg.norm(adjoint(m) @ m - eye))
+def _step_length(m: np.ndarray) -> float:
+    # the largest h with h |Im Tr M| + (h ||M||_F)^2 / (2 (1 - h ||M||_F)) <= c:
+    # the root in (0, 1/||M||_F) of the quadratic that equality gives, in a
+    # form with no cancellation; M = 0 (w = 1) allows any step
+    a = abs(float(np.trace(m).imag))
+    f = float(np.linalg.norm(m))
+    c = STEP_PHASE
+    denominator = a + c * f + math.sqrt((a - c * f) ** 2 + 2.0 * c * f * f)
+    return 2.0 * c / denominator if denominator else math.inf
+
+
+def _winding_by_steps(d: np.ndarray, path_floor: float) -> tuple[float, dict]:
+    # the step route of winding_number_det_segment; d = w - 1
+    n = len(d)
+    floor = max(path_floor, np.finfo(float).eps)
+    t, total, steps, least, m = 0.0, 0.0, 0, math.inf, d
+    while t < 1.0:
+        if t > 0.0:
+            p = t * d
+            p.flat[::n + 1] += 1.0
+            m = np.linalg.solve(p, d)
+        step = _step_length(m)
+        if not step > floor:
+            raise PathSingular("segment path may be singular: certified step at "
+                               "or below path_floor or machine epsilon",
+                               t=t, step=step, path_floor=path_floor)
+        least = min(least, step)
+        h = min(step, 1.0 - t)
+        q = h * m
+        q.flat[::n + 1] += 1.0
+        total += np.angle(lu_det(q))
+        steps += 1
+        t = 1.0 if h == 1.0 - t else t + h
+    return total, {"det_evaluations": float(steps), "min_step": least, "route": "steps"}
 
 
 def winding_number_det_segment(w: Unitary,
@@ -148,99 +181,65 @@ def winding_number_det_segment(w: Unitary,
     """Winding number of t -> det((1-t) 1 + t w) around 0, by determinants only.
 
     The loop starts and ends at 1 (hence the |det(w) - 1| <= loop_closure
-    gate).  Before sampling, a lower bound s <= sigma_min(1 + t(w - 1)) on
-    [0, 1] is taken, and from it a bound on the phase rate: d/dt log det p(t)
-    is Tr(p(t)^-1 (w - 1)), and |Tr(AB)| <= ||A|| ||B||_* with
-    ||B||_* <= sqrt(n) ||B||_F gives |d/dt arg det p(t)| <= L =
-    sqrt(n) ||w - 1||_F / s.
+    gate).  With p(t) = 1 + t(w - 1), the phase rate is Im Tr(p(t)^-1 (w - 1)).
+    Both routes certify their integer; ``defect_data["route"]`` names the one
+    that ran.
 
-    * s is Weyl's 1 - ||w - 1||, a bound where ||w - 1|| < 1.  Only where
-      that s certifies no grid (below) is s the larger of it and
-      sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F (exact for unitary w, where
-      the minimum over t falls at t = 1/2; the second term covers w = U + E
-      with U its polar factor and ||E|| <= ||w* w - 1||).
-    * If N = ceil(2L/pi) intervals fit in ``winding_samples``, the argument
-      is summed over N uniform intervals: every true increment is at most
-      pi/2, so no turn can be missed and nothing is bisected (``certified``).
-    * Otherwise the argument is accumulated over ``winding_samples``
-      intervals, adaptively bisected: an interval is split while its
-      increment exceeds pi/2, with the stricter cap pi/16 wherever |det|
-      dips below 0.1x the largest magnitude seen.  An increment still
-      ambiguous at depth ``winding_max_depth`` raises :class:`PathSingular`.
+    * "grid": Weyl's s = 1 - ||w - 1|| <= sigma_min(p(t)) and |Tr(AB)| <=
+      ||A|| sqrt(n) ||B||_F bound the rate by L = sqrt(n) ||w - 1||_F / s
+      (``sigma_min_bound``, ``phase_rate_bound``).  Where s > ``path_floor``
+      and N = ceil(2L/pi) <= ``winding_samples``, the argument is summed over
+      N uniform intervals, none turning by more than pi/2.  t = 0 is not
+      evaluated and t = 1 is ``w.det``, shared with :func:`kappa`;
+      ``det_evaluations`` counts the N - 1 others.  A sampled determinant
+      that is 0 or not finite raises :class:`PathSingular`.
+    * "steps", every other loop: at a node t, M = p(t)^-1 (w - 1) (w - 1 at
+      t = 0) and p(t + tau) = p(t)(1 + tau M).  The series of
+      log det(1 + tau M), with |Tr M^k| <= ||M||_F^k for k >= 2, bounds the
+      phase turned on [t, t + h] by h |Im Tr M| + (h ||M||_F)^2 /
+      (2 (1 - h ||M||_F)); Im Tr M is the exact rate at t, so turns of
+      different directions cancel at first order.  h is the largest step
+      (cut at t = 1) with that bound <= ``STEP_PHASE`` < pi, so
+      np.angle(det(1 + hM)) is the exact increment, and h ||M|| < 1 keeps the
+      path off 0.  det p(t), which underflows at large n, is never formed.
+      A step at or below ``path_floor`` or machine epsilon (p(t) singular to
+      working precision) raises :class:`PathSingular` with ``t``, ``step``
+      and ``path_floor``.  ``det_evaluations`` counts the steps, and
+      ``min_step`` is the shortest certified one.
 
-    ``path_floor`` is a floor on s: unless s > ``path_floor`` the path counts
-    as singular and :class:`PathSingular` carries ``sigma_min_bound``.  So
-    does a sampled determinant that is 0 or not finite.  t = 0 is not
-    evaluated (its determinant is exactly 1), and t = 1 is ``w.det``, shared
-    with :func:`kappa` of the same ``Unitary`` like ``w.distance_from_one``;
-    ``det_evaluations`` counts the determinants taken at interior points.
-
-    Deliberately independent of :func:`kappa`: no eigenvalues of w are used.
-    s and L come from norms and singular values, which are moduli, not
-    eigenvalues, so the certificate takes nothing from kappa's spectrum.
+    Deliberately independent of :func:`kappa`: norms, traces, solves and
+    determinants only, never an eigenvalue of w.
     """
     tol = tolerances
-    m = w.m
-    n = w.dim
-    det_w = w.det
-    det_dev = abs(det_w - 1.0)
+    det_dev = abs(w.det - 1.0)
     if det_dev > tol.loop_closure:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
                        deviation=det_dev, tol=tol.loop_closure)
-    root_n_fro = math.sqrt(n) * float(np.linalg.norm(m - np.eye(n)))
-
-    def intervals(s: float) -> float:
-        # the intervals over which the phase turns by at most pi/2
-        return 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
-
+    m, n = w.m, w.dim
+    d = m - np.eye(n)
+    root_n_fro = math.sqrt(n) * float(np.linalg.norm(d))
     s = 1.0 - w.distance_from_one  # Weyl: sigma_min(1 + t(w - 1)) >= 1 - t ||w - 1||
-    needed = intervals(s)
+    needed = 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
     if needed > tol.winding_samples:
-        s = max(s, _polar_sigma_min_bound(m))
-        needed = intervals(s)
-    certified = needed <= tol.winding_samples
-    if not (certified or s > tol.path_floor):
-        raise PathSingular("segment path may be singular: sigma_min bound at or "
-                           "below path_floor",
-                           sigma_min_bound=s, path_floor=tol.path_floor)
-    samples = max(1, math.ceil(needed)) if certified else tol.winding_samples
-    rate = root_n_fro / s
-    state = {"runmax": max(1.0, abs(det_w)), "minabs": min(1.0, abs(det_w)), "evals": 0}
+        total, data = _winding_by_steps(d, tol.path_floor)
+    else:
+        def pencil(t: float) -> complex:
+            # (1 - t) 1 + t m built in place: the same bits, no n x n temporaries
+            p = t * m
+            p.flat[::n + 1] += 1.0 - t
+            det = lu_det(p)
+            if not 0.0 < abs(det) < math.inf:
+                raise PathSingular("determinant vanishes along the segment path",
+                                   t=t, abs_det=abs(det), sigma_min_bound=s)
+            return det
 
-    def pencil(t: float) -> complex:
-        # (1 - t) 1 + t m built in place: the same bits, no n x n temporaries
-        p = t * m
-        p.flat[::n + 1] += 1.0 - t
-        d = lu_det(p)
-        a = abs(d)
-        state["runmax"] = max(state["runmax"], a)
-        state["minabs"] = min(state["minabs"], a)
-        state["evals"] += 1
-        if not 0.0 < a < math.inf:
-            raise PathSingular("determinant vanishes along the segment path",
-                               t=t, abs_det=a, sigma_min_bound=s)
-        return d
-
-    def track(t0, d0, t1, d1, depth) -> float:
-        step = np.angle(d1 / d0)
-        dipped = not certified and min(abs(d0), abs(d1)) < 0.1 * state["runmax"]
-        cap = math.pi / 16 if dipped else math.pi / 2
-        if abs(step) <= cap:
-            return step
-        if depth >= tol.winding_max_depth:
-            raise PathSingular("argument increment unresolvable at depth cap",
-                               t0=t0, t1=t1, increment=float(step), depth=depth,
-                               sigma_min_bound=s)
-        tm = 0.5 * (t0 + t1)
-        dm = pencil(tm)
-        return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
-
-    ts = np.linspace(0.0, 1.0, samples + 1)
-    ds = [1.0 + 0.0j] + [pencil(float(t)) for t in ts[1:-1]] + [det_w]
-    total = 0.0
-    for i in range(samples):
-        total += track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
-    del track  # it refers to itself: a cycle that would keep m alive until a full gc
+        ts = np.linspace(0.0, 1.0, max(1, math.ceil(needed)) + 1)
+        ds = [1.0 + 0.0j] + [pencil(float(t)) for t in ts[1:-1]] + [w.det]
+        total = sum(np.angle(d1 / d0) for d0, d1 in zip(ds, ds[1:]))
+        mags = [abs(x) for x in ds]
+        data = {"min_abs_det_sampled": min(mags), "max_abs_det_sampled": max(mags),
+                "det_evaluations": float(len(ds) - 2), "route": "grid",
+                "sigma_min_bound": s, "phase_rate_bound": root_n_fro / s}
     value = total / _TWO_PI
     rounded, is_integer = _integrality(value, True, tol.integer_residual)
     return InvariantReport(
@@ -248,17 +247,9 @@ def winding_number_det_segment(w: Unitary,
         value=value,
         rounded=rounded,
         is_integer=is_integer,
-        defect_data={
-            "det_deviation": det_dev,
-            "min_abs_det_sampled": state["minabs"],
-            "max_abs_det_sampled": state["runmax"],
-            "det_evaluations": float(state["evals"]),
-            "certified": certified,
-            "sigma_min_bound": s,
-            "phase_rate_bound": rate,
-        },
+        defect_data={"det_deviation": det_dev, **data},
         tolerances=tol.subset("loop_closure", "path_floor", "integer_residual",
-                              "winding_samples", "winding_max_depth"),
+                              "winding_samples"),
     )
 
 

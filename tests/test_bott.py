@@ -204,12 +204,12 @@ def test_verify_measures_the_commutator_once(monkeypatch):
 
 def test_verify_takes_the_loop_determinant_once(monkeypatch):
     # det(w) of the loop serves the winding's loop gate and kappa's det(w)
-    # check; every other determinant is a sample of the certified path
+    # check; every other determinant is a sample of the grid
     qr = perturb(voiculescu_qrep(64), PerturbationSpec(radius=0.02, seed=3))
     calls = spy(monkeypatch, lu_det)
     rep = verify_index_formula(qr)
     wn = rep.rhs_wn.defect_data
-    assert wn["certified"] is True
+    assert wn["route"] == "grid"
     assert len(calls) == wn["det_evaluations"] + 1 < 10
     assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == rep.lhs_k == 1
 

@@ -433,7 +433,7 @@ TOL_FLAGS = {
     "cluster_width": "2e-7",
     "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
     "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
-    "winding_samples": "72", "winding_max_depth": "45",
+    "winding_samples": "72",
     "stability_samples": "33",
 }
 
@@ -800,7 +800,7 @@ def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
-    ("winding_samples", 0), ("winding_samples", 2.5), ("winding_max_depth", -1),
+    ("winding_samples", 0), ("winding_samples", 2.5),
     ("stability_samples", 1),
 ])
 def test_tolerances_reject_invalid_values(field, value):
@@ -813,7 +813,7 @@ def test_tolerances_accept_their_least_values():
     least = dataclasses.replace(
         DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)
                      if f.type == "float"},
-        winding_samples=1, winding_max_depth=0, stability_samples=2)
+        winding_samples=1, stability_samples=2)
     assert least.stability_samples == 2 and least.unitarity == 0.0
 
 
@@ -904,11 +904,12 @@ def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
     assert [r["seed"] for r in obj["result"]["rows"]] == [5, 6]
 
 
-# herm_eig's gate is a fixed library default, so no flag or variable sets it
-# herm_eig's gate has no setting; the homotopy gap is a closed form and the
-# Bott threshold the constant 1/2, so none of these is a tolerance any more
+# herm_eig's gate has no setting; the homotopy gap is a closed form, the
+# Bott threshold the constant 1/2, and the winding's step route has no depth
+# to cap, so none of these is a tolerance any more
 @pytest.mark.parametrize("flag", ["--tol-hermiticity", "--tol-homotopy-grid",
-                                  "--tol-projection-threshold"])
+                                  "--tol-projection-threshold",
+                                  "--tol-winding-max-depth"])
 def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
     out_json = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
@@ -919,7 +920,8 @@ def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("variable", ["QREP_TOL_HERMITICITY", "QREP_TOL_HOMOTOPY_GRID",
-                                      "QREP_TOL_PROJECTION_THRESHOLD"])
+                                      "QREP_TOL_PROJECTION_THRESHOLD",
+                                      "QREP_TOL_WINDING_MAX_DEPTH"])
 def test_removed_tolerance_variables_are_refused(tmp_path, capsys, monkeypatch,
                                                  variable):
     out_json = tmp_path / "x.json"
@@ -953,16 +955,3 @@ def test_ignored_inputs_are_refused(tmp_path, capsys, pair_file, command):
     assert code == 3
     assert "InputError" in capsys.readouterr().err
     assert not out_json.exists() and not out_csv.exists()
-
-
-def test_cli_depth_cap_refusal_is_a_numerical_failure(tmp_path, capsys):
-    # the awkward-dip loop needs bisection; with no depth allowed the winding
-    # is refused with PathSingular, exit 2
-    th = np.pi - 0.05
-    w = np.diag(np.exp(1j * np.array([th, -th / 3, -th / 3, -th / 3])))
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(matrix_to_json(w)))
-    code = main(["invariant", "winding", "-i", str(path), "--tol-winding-max-depth", "0"])
-    assert code == 2
-    assert "PathSingular: argument increment unresolvable at depth cap" in \
-        capsys.readouterr().err

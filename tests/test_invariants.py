@@ -18,6 +18,7 @@ from qrep import (DEFAULTS, BranchCut, DimensionMismatch, HypothesisViolated,
                   kazhdan_stability, op_norm, parse_word, perturbed_copy,
                   random_unitary, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
+from qrep.invariants import STEP_PHASE, _step_length
 
 
 def commutator_unitary(n: int) -> Unitary:
@@ -93,70 +94,39 @@ def test_winding_voiculescu_commutator():
     assert rep.rounded == -1
     assert abs(rep.value + 1.0) < 1e-9
     # w = e^{2 pi i/8} 1, so ||w - 1|| = |e^{2 pi i/8} - 1| = r < 1 and the
-    # certified grid has ceil(2 L/pi) = 17 intervals, L = 8 r/(1 - r): its
-    # 16 interior points and no bisection
+    # grid has ceil(2 L/pi) = 17 intervals, L = 8 r/(1 - r): its 16 interior
+    # points
     r = abs(np.exp(2j * np.pi / 8) - 1)
-    assert rep.defect_data["certified"] is True
+    assert rep.defect_data["route"] == "grid"
     assert abs(rep.defect_data["phase_rate_bound"] - 8 * r / (1 - r)) < 1e-12
     assert rep.defect_data["det_evaluations"] == 16
 
 
-def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int, bool, int]:
-    # the tracker of winding_number_det_segment at default tolerances, each
+def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int]:
+    # the grid of winding_number_det_segment at default tolerances, each
     # pencil formed as (1 - t) eye + t w; determinants are Python complex
-    # numbers, as lu_det returns them.  With L = sqrt(n) ||w - 1||_F / s,
-    # where N = ceil(2 L/pi) <= winding_samples, the grid has N intervals and
-    # no dip rule; otherwise winding_samples intervals, adaptively bisected.
-    # s is Weyl's 1 - ||w - 1||, or, where that certifies no grid, the larger
-    # of it and the polar bound sigma_min(1 + w)/2 - 1.5 ||w* w - 1||_F.
-    # t = 0 is not evaluated and t = 1 is det(w); the count is of the other
-    # determinants.
+    # numbers, as lu_det returns them.  With s = 1 - ||w - 1|| and
+    # L = sqrt(n) ||w - 1||_F / s the grid has N = ceil(2 L/pi) intervals,
+    # which must fit in winding_samples.  t = 0 is not evaluated and t = 1 is
+    # det(w); the count is of the other determinants.
     n = w.shape[0]
     eye = np.eye(n)
-
-    def intervals(s):
-        return 2 * np.sqrt(n) * np.linalg.norm(w - eye) / s / np.pi if s > DEFAULTS.path_floor else np.inf
-
     s = 1 - np.linalg.norm(w - eye, 2)
-    if intervals(s) > DEFAULTS.winding_samples:
-        s = max(s, np.linalg.svd(w + eye, compute_uv=False)[-1] / 2
-                - 1.5 * np.linalg.norm(w.conj().T @ w - eye))
-    needed = intervals(s)
-    certified = bool(needed <= DEFAULTS.winding_samples)
-    samples = max(1, int(np.ceil(needed))) if certified else DEFAULTS.winding_samples
-    det_w = complex(np.linalg.det(w))
-    dets = [1.0 + 0.0j, det_w]
-    evaluations = 0
-
-    def det(t):
-        nonlocal evaluations
-        evaluations += 1
-        dets.append(complex(np.linalg.det((1.0 - t) * eye + t * w)))
-        return dets[-1]
-
-    def track(t0, d0, t1, d1, depth):
-        step = np.angle(d1 / d0)
-        runmax = max(abs(d) for d in dets)
-        dipped = not certified and min(abs(d0), abs(d1)) < 0.1 * runmax
-        if abs(step) <= (np.pi / 16 if dipped else np.pi / 2):
-            return step
-        assert depth < DEFAULTS.winding_max_depth
-        tm = 0.5 * (t0 + t1)
-        dm = det(tm)
-        return track(t0, d0, tm, dm, depth + 1) + track(tm, dm, t1, d1, depth + 1)
-
+    needed = 2 * np.sqrt(n) * np.linalg.norm(w - eye) / s / np.pi
+    assert s > DEFAULTS.path_floor and needed <= DEFAULTS.winding_samples
+    samples = max(1, int(np.ceil(needed)))
     ts = np.linspace(0.0, 1.0, samples + 1)
-    ds = [1.0 + 0.0j] + [det(float(t)) for t in ts[1:-1]] + [det_w]
-    total = sum(track(float(ts[i]), ds[i], float(ts[i + 1]), ds[i + 1], 0)
-                for i in range(samples))
-    return total / (2 * np.pi), evaluations, certified, samples
+    ds = ([1.0 + 0.0j] + [complex(np.linalg.det((1.0 - t) * eye + t * w)) for t in ts[1:-1]]
+          + [complex(np.linalg.det(w))])
+    total = sum(np.angle(d1 / d0) for d0, d1 in zip(ds, ds[1:]))
+    return total / (2 * np.pi), samples - 1
 
 
 def test_winding_pencils_in_place_match_direct_pencils():
     # at n = 64: the commutator of a perturbed pair (winding -1, on the
-    # certified grid), and a det-1 unitary with one eigenvalue 0.05 from -1,
-    # whose determinants dip so that the tracker bisects; value and
-    # evaluation count match bit for bit
+    # grid), whose value and evaluation count match bit for bit; and a det-1
+    # unitary with one eigenvalue 0.05 from -1, which no grid certifies, so
+    # it takes the step route
     rng = np.random.default_rng(21)
     u, v = voiculescu_pair(64)
     u2, v2 = perturbed_copy(u, 0.05, rng), perturbed_copy(v, 0.05, rng)
@@ -165,20 +135,16 @@ def test_winding_pencils_in_place_match_direct_pencils():
     theta[0] = np.pi - 0.05
     theta[1:] -= theta.sum() / 63
     q = random_unitary(64, rng).m
-    near_minus_one = (q * np.exp(1j * theta)) @ q.conj().T
-    routes = []
-    for w, winding in ((commutator, -1), (near_minus_one, 0)):
-        rep = winding_number_det_segment(Unitary(w))
-        value, evaluations, certified, samples = _winding_by_direct_pencils(w)
-        assert rep.rounded == winding
-        assert rep.value == value
-        assert rep.defect_data["det_evaluations"] == evaluations
-        assert rep.defect_data["certified"] is certified
-        routes.append((certified, samples, evaluations))
-    (c_cert, c_samples, c_evals), (b_cert, b_samples, b_evals) = routes
-    assert c_cert and c_samples < DEFAULTS.winding_samples and c_evals == c_samples - 1
-    assert not b_cert and b_samples == DEFAULTS.winding_samples
-    assert b_evals > DEFAULTS.winding_samples - 1
+    near_minus_one = Unitary((q * np.exp(1j * theta)) @ q.conj().T)
+    rep = winding_number_det_segment(Unitary(commutator))
+    value, evaluations = _winding_by_direct_pencils(commutator)
+    assert rep.rounded == -1
+    assert rep.value == value
+    assert rep.defect_data["det_evaluations"] == evaluations < DEFAULTS.winding_samples - 1
+    assert rep.defect_data["route"] == "grid"
+    rep = winding_number_det_segment(near_minus_one)
+    assert rep.defect_data["route"] == "steps"
+    assert rep.rounded == kappa(near_minus_one).rounded == 0
 
 
 def test_winding_zero_for_real_positive_paths():
@@ -190,16 +156,16 @@ def test_winding_zero_for_real_positive_paths():
 
 def test_winding_matches_kappa_on_awkward_dips():
     # an unbalanced near-pi phase makes |det| dip close to zero while
-    # arg(det) swings fast, exercising the adaptive refinement
+    # arg(det) swings fast; no grid is certified, so the steps shorten there
     th = np.pi - 0.05
     w = diag_unitary([th, -th / 3, -th / 3, -th / 3])
     wn = winding_number_det_segment(w)
-    assert wn.defect_data["det_evaluations"] > 65  # refinement actually ran
+    assert wn.defect_data["route"] == "steps"
     assert wn.rounded == kappa(w).rounded == 0
     # same stress but with a nontrivial answer: phases sum to 2 pi
     w2 = diag_unitary([th, th, np.pi - th, np.pi - th])
     wn2 = winding_number_det_segment(w2)
-    assert wn2.defect_data["det_evaluations"] > 65
+    assert wn2.defect_data["route"] == "steps"
     assert wn2.rounded == kappa(w2).rounded == 1
 
 
@@ -233,29 +199,64 @@ def test_winding_agrees_with_kappa_randomized():
 @pytest.mark.parametrize("n", [48, 64, 128, 256])
 def test_winding_matches_kappa_on_haar_det1_at_scale(n):
     # |det| along these paths falls to 1e-15 at n = 48 and 1e-77 at n = 256,
-    # while the sigma_min bound stays above 1e-4: the winding is well defined
-    # and equals kappa
+    # and ||w - 1|| is near 2, so no grid is certified; the steps stay far
+    # above path_floor, and the winding equals kappa
     for seed in range(5):
         w = haar_det1_unitary(n, np.random.default_rng(seed))
         wn = winding_number_det_segment(w)
-        assert wn.defect_data["sigma_min_bound"] > DEFAULTS.path_floor
-        assert wn.defect_data["certified"] is False
+        assert wn.defect_data["route"] == "steps"
+        assert wn.defect_data["min_step"] > 1e-4
         assert wn.is_integer and wn.rounded == kappa(w).rounded, seed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the bisected (uncertified) route aliases whole turns: every chord factor "
-    "1 - t + t lambda of a unitary comes closest to 0 at t = 1/2, so the factors "
-    "of eigenvalues near -1 each turn by about pi there, together, inside one "
-    "grid interval, and the winding reads 0 with is_integer true where kappa "
-    "is 2, 2 and 4"))
 def test_winding_matches_kappa_on_loops_turning_faster_than_the_grid():
     # n - 1 eigenvalues at pi - eps and one at -(n - 1)(pi - eps): det = 1,
-    # sigma_min bound about eps / 2, so no grid is certified
+    # and every chord factor 1 - t + t lambda comes closest to 0 at t = 1/2,
+    # so the factors of the eigenvalues near -1 each turn by about pi there,
+    # together.  A uniform grid would need intervals of about eps; the steps
+    # shorten around t = 1/2 instead
     loops = [diag_unitary([np.pi - eps] * (n - 1) + [-(n - 1) * (np.pi - eps)])
              for n, eps in ((5, 1e-3), (6, 1e-2), (9, 1e-3))]
-    assert ([winding_number_det_segment(w).rounded for w in loops]
+    reports = [winding_number_det_segment(w) for w in loops]
+    assert all(r.defect_data["route"] == "steps" and r.is_integer for r in reports)
+    assert ([r.rounded for r in reports]
             == [kappa(w).rounded for w in loops] == [2, 2, 4])
+
+
+def test_winding_steps_through_an_underflowing_determinant():
+    # 50 eigenvalues at e^{i(pi - 1e-3)} and 50 at their conjugates: at
+    # t = 1/2, |det| = (1e-3 / 2)^100 underflows to 0, while sigma_min of the
+    # path stays at least 5e-4.  The steps multiply determinants of
+    # 1 + hM, never det p(t), so the path is not refused
+    th = np.pi - 1e-3
+    w = diag_unitary([th] * 50 + [-th] * 50)
+    rep = winding_number_det_segment(w)
+    assert rep.defect_data["route"] == "steps"
+    assert rep.is_integer and rep.rounded == kappa(w).rounded == 0
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_step_bound_holds_on_a_fine_scan(n):
+    # over tau in [0, h], h the certified step of M, |arg det(1 + tau M)|
+    # stays within tau |Im Tr M| + (tau ||M||_F)^2 / (2 (1 - tau ||M||_F)),
+    # which reaches STEP_PHASE at h.  Every eigenvalue of tau M lies inside
+    # the unit disc, so the continuous phase is the sum of the principal
+    # args of the factors 1 + tau lambda (np.linalg.eigvals is the test-side
+    # oracle)
+    rng = np.random.default_rng(400 + n)
+    for scale in (0.1, 1.0, 30.0):
+        for shift in (0.0, 1.0, -4.0):
+            m = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            m += 1j * shift * scale * np.eye(n)
+            h = _step_length(m)
+            a, f = abs(np.trace(m).imag), np.linalg.norm(m)
+            assert h * f < 1
+            tau = np.linspace(0.0, h, 4097)
+            bound = tau * a + (tau * f) ** 2 / (2 * (1 - tau * f))
+            assert abs(bound[-1] - STEP_PHASE) <= 1e-12
+            lam = np.linalg.eigvals(m)
+            phase = np.angle(1 + tau[:, None] * lam).sum(axis=1)
+            assert np.all(np.abs(phase) <= bound + 1e-12), (scale, shift)
 
 
 def _phase_along_segment(w: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -284,27 +285,44 @@ def test_phase_rate_bound_holds_and_certified_grid_never_bisects(n):
             assert np.abs(np.unwrap(np.angle(dets)) - phase).max() < 1e-9
         assert data["phase_rate_bound"] >= np.abs(np.diff(phase)).max() * 4096
         assert data["sigma_min_bound"] == 1.0 - op_norm(w - np.eye(n))
-        # the certified grid: ceil(2 L/pi) intervals, each interior point
-        # evaluated once, nothing bisected
-        assert data["certified"] is True
+        # the grid: ceil(2 L/pi) intervals, each interior point evaluated
+        # once
+        assert data["route"] == "grid"
         assert data["det_evaluations"] == np.ceil(2 * data["phase_rate_bound"] / np.pi) - 1
         assert rep.rounded == round(phase[-1] / (2 * np.pi)) == -1
 
 
-def test_winding_refusal_carries_the_sigma_min_bound():
-    # w = -1: sigma_min(1 + w) = 0, the path passes through 0 at t = 1/2
+def test_winding_refusal_carries_the_step():
+    # w = -1: det p(t) = (1 - 2t)^2, and the steps shorten geometrically
+    # towards t = 1/2 until one is at or below path_floor
     with pytest.raises(PathSingular) as err:
         winding_number_det_segment(Unitary.of(-np.eye(2)))
-    assert err.value.details["sigma_min_bound"] <= DEFAULTS.path_floor
-    # path_floor is a floor on s: at s itself the loop is refused, below it
-    # accepted
+    details = err.value.details
+    assert set(details) == {"t", "step", "path_floor"}
+    assert details["step"] <= DEFAULTS.path_floor == details["path_floor"]
+    assert abs(details["t"] - 0.5) < 1e-11
+    # path_floor is a floor on the step: at the shortest step the loop is
+    # refused there, below it accepted
     w = haar_det1_unitary(64, np.random.default_rng(0))
-    s = winding_number_det_segment(w).defect_data["sigma_min_bound"]
+    least = winding_number_det_segment(w).defect_data["min_step"]
     with pytest.raises(PathSingular) as err:
-        winding_number_det_segment(w, tolerances=dataclasses.replace(DEFAULTS, path_floor=s))
-    assert err.value.details == {"sigma_min_bound": s, "path_floor": s}
-    below = dataclasses.replace(DEFAULTS, path_floor=0.5 * s)
+        winding_number_det_segment(w, tolerances=dataclasses.replace(DEFAULTS, path_floor=least))
+    assert err.value.details["step"] == err.value.details["path_floor"] == least
+    below = dataclasses.replace(DEFAULTS, path_floor=0.5 * least)
     assert winding_number_det_segment(w, tolerances=below).rounded == kappa(w).rounded
+    # and a floor on the grid's s: diag(e^{i}, e^{-i}) has s = 1 - |e^{i} - 1|
+    # = 0.041 on the grid; with that floor it takes steps, which are longer
+    w = diag_unitary([1.0, -1.0])
+    grid = winding_number_det_segment(w).defect_data
+    floor = dataclasses.replace(DEFAULTS, path_floor=grid["sigma_min_bound"])
+    steps = winding_number_det_segment(w, tolerances=floor)
+    assert grid["route"] == "grid" and steps.defect_data["route"] == "steps"
+    assert steps.rounded == 0
+    # w = 1: the path is constant, so above every s the one step is unbounded
+    huge = dataclasses.replace(DEFAULTS, path_floor=1e300)
+    rep = winding_number_det_segment(Unitary.of(np.eye(3)), tolerances=huge)
+    assert rep.defect_data["route"] == "steps" and rep.defect_data["det_evaluations"] == 1
+    assert rep.rounded == 0
 
 
 @pytest.mark.parametrize("bad", [0j, complex("nan"), complex("inf")])
@@ -327,46 +345,21 @@ def test_winding_vanishing_determinant_raises_at_once(monkeypatch, bad):
     assert err.value.details["t"] == 1 / 17
 
 
-@pytest.mark.parametrize("phases, winding, evaluations", [
-    ([2.0, -2.0], 0, 3),
-    ([2.0, 2.0, -2.0, -2.0], 0, 7),
-    ([1.5, 1.5, 1.5, -4.5], 1, 5),
+@pytest.mark.parametrize("phases, winding", [
+    ([2.0, -2.0], 0),
+    ([2.0, 2.0, -2.0, -2.0], 0),
+    ([1.5, 1.5, 1.5, -4.5], 1),
 ])
-def test_polar_bound_certifies_loops_weyl_cannot(phases, winding, evaluations):
-    # ||w - 1|| > 1, so Weyl's s certifies no grid; the polar bound
-    # sigma_min(1 + w)/2 = min |1 + lambda|/2 does, with ceil(2 L/pi) intervals
-    # inside winding_samples: a few determinants instead of the 63 of the
-    # bisected grid, bit for bit the direct-pencil tracker's
+def test_loops_weyl_cannot_certify_take_the_step_route(phases, winding):
+    # ||w - 1|| > 1, so Weyl's s is negative and certifies no grid; the step
+    # route reports its step count and shortest step, and no s or L
     w = diag_unitary(phases)
-    n = len(phases)
-    assert op_norm(w.m - np.eye(n)) > 1
+    assert op_norm(w.m - np.eye(len(phases))) > 1
     rep = winding_number_det_segment(w)
     data = rep.defect_data
-    s = np.abs(1 + np.exp(1j * np.asarray(phases))).min() / 2
-    assert abs(data["sigma_min_bound"] - s) < 1e-12
-    assert data["certified"] is True
-    assert data["det_evaluations"] == np.ceil(2 * data["phase_rate_bound"] / np.pi) - 1
-    assert data["det_evaluations"] == evaluations
-    value, count, certified, _ = _winding_by_direct_pencils(w.m)
-    assert (rep.value, data["det_evaluations"], certified) == (value, count, True)
+    assert set(data) == {"det_deviation", "route", "det_evaluations", "min_step"}
+    assert data["route"] == "steps"
     assert rep.rounded == kappa(w).rounded == winding
-
-
-def test_winding_depth_cap_refusal_carries_its_details():
-    # the awkward-dip loop needs bisection; with no depth allowed, the first
-    # increment above its cap is refused, and the refusal says where
-    th = np.pi - 0.05
-    w = diag_unitary([th, -th / 3, -th / 3, -th / 3])
-    no_depth = dataclasses.replace(DEFAULTS, winding_max_depth=0)
-    with pytest.raises(PathSingular, match="unresolvable at depth cap") as err:
-        winding_number_det_segment(w, tolerances=no_depth)
-    details = err.value.details
-    assert set(details) == {"t0", "t1", "increment", "depth", "sigma_min_bound"}
-    assert details["depth"] == 0
-    assert details["t1"] - details["t0"] == pytest.approx(1 / DEFAULTS.winding_samples)
-    assert abs(details["increment"]) > np.pi / 16
-    assert details["sigma_min_bound"] == winding_number_det_segment(w).defect_data[
-        "sigma_min_bound"]
 
 
 # -- homotopy gap -----------------------------------------------------------------
