@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
 from .matcore import (Unitary, _above_band, _hermitize, adjoint, commutator_product,
-                      identity_defect, unitary_eig)
+                      unitary_eig)
 from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
@@ -126,15 +126,23 @@ def push_k_class(ap: AlmostProjection,
 
 def k_invariant(u: Unitary, v: Unitary,
                 *,
+                commutator: Unitary | None = None,
                 tolerances: Tolerances = DEFAULTS) -> InvariantReport:
-    """The integer class k(u, v) of the pair, with its full error budget."""
+    """The integer class k(u, v) of the pair, with its full error budget.
+
+    ``commutator`` is [u, v] = u v u* v* where the caller has formed it
+    already (with ``commutator_product``, so the same bits); its cached
+    ||[u, v] - 1|| is then the reported ``commutator_defect``.
+    """
     tol = tolerances
     ap = bott_almost_projection(u, v, tolerances=tol)
     k = push_k_class(ap, tolerances=tol)
     below = ap.spectrum[ap.spectrum < PROJECTION_THRESHOLD]
     above = ap.spectrum[ap.spectrum >= PROJECTION_THRESHOLD]
     gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
-    comm_defect = identity_defect(commutator_product([(u.m, v.m)], u.dim))
+    if commutator is None:
+        commutator = Unitary(commutator_product([(u.m, v.m)], u.dim))
+    comm_defect = commutator.distance_from_one
     return InvariantReport(
         name="k_invariant",
         value=float(k),

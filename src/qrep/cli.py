@@ -52,7 +52,7 @@ from .invariants import (
     kazhdan_stability,
     winding_number_det_segment,
 )
-from .matcore import Unitary, commutator_product, matrix_from_json
+from .matcore import Unitary, matrix_from_json
 from .words import (
     CommutatorDatum,
     FreeWord,
@@ -502,15 +502,14 @@ def cmd_stability(args, tol):
                       perturbed_copy(b, args.radius, gen))
                      for a, b in base_pairs]
         report = kazhdan_stability(g, base_pairs, alt_pairs, tolerances=tol)
-        w_alt = commutator_product([(a.m, b.m) for a, b in alt_pairs], n)
         columns = {
             "kappa": report.kappa_end.rounded,
-            "wn": winding_number_det_segment(Unitary(w_alt), tolerances=tol).rounded,
+            "wn": winding_number_det_segment(report.product_alt, tolerances=tol).rounded,
             "relator_defect": report.relator_defect_alt,
         }
         if g == 1:
             (a, b), = alt_pairs
-            k_rep = k_invariant(a, b, tolerances=tol)
+            k_rep = k_invariant(a, b, commutator=report.product_alt, tolerances=tol)
             qr_alt = QuasiRep(Presentation.z2(), {"a": a, "b": b}, Z2NormalForm())
             columns.update({
                 "k": k_rep.rounded,

@@ -149,6 +149,22 @@ def test_k_invariant_decomposes_e_once(monkeypatch):
     assert [args[0].shape for args in eigh + eigvalsh].count((32, 32)) == 1
 
 
+def test_k_invariant_takes_a_formed_commutator(monkeypatch):
+    # a caller's [u, v] (same fold, same bits) gives the same report, and its
+    # cached ||[u, v] - 1|| is read instead of measured again
+    rng = np.random.default_rng(3)
+    u, v = voiculescu_pair(32)
+    u2, v2 = perturbed_copy(u, 0.05, rng), perturbed_copy(v, 0.05, rng)
+    w = Unitary(u2.m @ v2.m @ u2.m.conj().T @ v2.m.conj().T)
+    defect = w.distance_from_one
+    norms = spy(monkeypatch, op_norm)
+    rep = k_invariant(u2, v2, commutator=w)
+    assert not any(args[0].shape == (32, 32) for args in norms)
+    monkeypatch.undo()
+    assert rep == k_invariant(u2, v2)
+    assert rep.defect_data["commutator_defect"] == defect
+
+
 def test_k_dimension_mismatch():
     from qrep import DimensionMismatch
     u, _ = voiculescu_pair(4)

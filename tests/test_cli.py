@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
                   kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 from qrep.cli import CSV_COLUMNS, _json_chunks, main
+from qrep.matcore import commutator_product
 
 
 def run_cli(capsys, *argv):
@@ -517,6 +519,32 @@ def test_stability_mismatch_row_keeps_its_report(capsys, monkeypatch):
     assert [r["kappa"] for r in rows] == [-1, -1]
     assert [e["equal"] for e in reports] == [False, False]
     assert obj["result"]["all_ok"] is False
+
+
+@pytest.mark.parametrize("g, n, radius", [(1, 32, 0.19), (2, 64, 0.05)], ids=["g1", "g2"])
+def test_stability_forms_the_perturbed_product_once_per_row(capsys, monkeypatch, g, n, radius):
+    # the wn column winds kazhdan_stability's product_alt, whose det and
+    # ||w - 1|| kappa_end already took, instead of forming it again
+    import qrep.cli
+
+    drawn, real = [], qrep.cli.perturbed_copy
+
+    def drawing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        drawn.append(out.m)
+        return out
+    monkeypatch.setattr(qrep.cli, "perturbed_copy", drawing)
+    products = spy(monkeypatch, commutator_product)
+    obj = run_json(capsys, "stability", "--g", str(g), "--n", str(n),
+                   "--radius", str(radius), "--seeds", "2", "--deterministic")
+    assert [r["status"] for r in obj["result"]["rows"]] == ["ok", "ok"]
+    assert len(drawn) == 2 * 2 * g
+    for row in range(2):
+        alt = drawn[2 * g * row:2 * g * (row + 1)]
+        formed = [args for args in products
+                  if len(args[0]) == g
+                  and all(m is a for m, a in zip((m for p in args[0] for m in p), alt))]
+        assert len(formed) == 1, row
 
 
 # -- the JSON writer ----------------------------------------------------------------

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qrep.invariants
 from conftest import diag_unitary, haar_det1_unitary, spy
 from qrep import (DEFAULTS, BranchCut, DimensionMismatch, HypothesisViolated,
                   NotALoop, PathSingular, Unitary,
-                  adjoint, evaluate, exel_homotopy_gap, herm_eig, kappa,
+                  adjoint, evaluate, exp_skew, exel_homotopy_gap, herm_eig, kappa,
                   kazhdan_stability, op_norm, parse_word, perturbed_copy,
                   random_unitary, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
-from qrep.invariants import STEP_PHASE, _step_length
+from qrep.invariants import SCAN_SLACK, STEP_PHASE, _step_length
+from qrep.matcore import _log_eigensystem, commutator_product, identity_defect
 
 
 def commutator_unitary(n: int) -> Unitary:
@@ -483,6 +485,116 @@ def test_stability_measures_each_matrix_once(monkeypatch):
     assert rep.relator_defect == op_norm(w0 - np.eye(32))
     assert rep.kappa_start.defect_data["norm_w_minus_1"] == rep.relator_defect
     assert rep.kappa_start == kappa(Unitary(w0))
+
+
+# The stability scan evaluates only the grid points whose Lipschitz cap reaches
+# the running maximum; these tests sample the same homotopy everywhere.
+
+def _homotopy(pairs, pairs_alt):
+    # f(t) = ||w(t) - 1|| with kazhdan_stability's per-sample code, and the
+    # Lipschitz constant 2 sum_i (||theta_u_i|| + ||theta_v_i||) of its arcs
+    n = pairs[0][0].dim
+    arcs = [(_log_eigensystem(u.adjoint() @ u2, DEFAULTS.branch_margin, DEFAULTS.cluster_width),
+             _log_eigensystem(v.adjoint() @ v2, DEFAULTS.branch_margin, DEFAULTS.cluster_width))
+            for (u, v), (u2, v2) in zip(pairs, pairs_alt)]
+
+    def f(t):
+        moved = [(u.m @ eu.apply(lambda vals: np.exp(1j * t * vals)),
+                  v.m @ ev.apply(lambda vals: np.exp(1j * t * vals)))
+                 for (u, v), (eu, ev) in zip(pairs, arcs)]
+        return identity_defect(commutator_product(moved, n))
+
+    lipschitz = 2.0 * sum(np.abs(eu.values).max() + np.abs(ev.values).max()
+                          for eu, ev in arcs)
+    return f, lipschitz
+
+
+def _exhaustive_max(pairs, pairs_alt):
+    f, _ = _homotopy(pairs, pairs_alt)
+    worst = 0.0
+    for t in np.linspace(0.0, 1.0, DEFAULTS.stability_samples):
+        worst = max(worst, f(t))
+    return worst
+
+
+def _perturbed_tuple(n, g, radius, seed):
+    u, v = voiculescu_pair(n)
+    eye = Unitary(np.eye(n, dtype=np.complex128))
+    pairs = [(u, v)] + [(eye, eye)] * (g - 1)
+    gen = np.random.default_rng(seed)
+    return pairs, [(perturbed_copy(a, radius, gen), perturbed_copy(b, radius, gen))
+                   for a, b in pairs]
+
+
+def _conjugated_pair(n=32, scale=0.05):
+    # (x u x*, x v x*) with x = exp(K), ||K|| = scale: both ends of the
+    # homotopy are conjugates of [u, v], and ||w(t) - 1|| peaks at t = 1/2
+    u, v = voiculescu_pair(n)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (a - a.conj().T) / 2
+    x = exp_skew(k * (scale / op_norm(k)))
+    return [(u, v)], [(x @ u @ x.adjoint(), x @ v @ x.adjoint())]
+
+
+@pytest.mark.parametrize("n, g, radius", [(32, 1, 0.19), (48, 1, 0.19), (64, 2, 0.05)])
+def test_stability_scan_returns_the_exhaustive_maximum(n, g, radius):
+    for seed in range(10):
+        pairs, pairs_alt = _perturbed_tuple(n, g, radius, seed)
+        rep = kazhdan_stability(g, pairs, pairs_alt)
+        assert rep.homotopy_max_deviation == _exhaustive_max(pairs, pairs_alt), seed
+
+
+def test_stability_scan_evaluates_every_point_of_a_flat_homotopy(monkeypatch):
+    # the unperturbed pair: L is a rounding error and f is flat to the last
+    # bits, so every cap reaches the maximum
+    u, v = voiculescu_pair(32)
+    calls = spy(monkeypatch, identity_defect, [qrep.invariants])
+    rep = kazhdan_stability(1, [(u, v)], [(u, v)])
+    assert len(calls) == rep.samples == 65
+    monkeypatch.undo()
+    assert rep.homotopy_max_deviation == _exhaustive_max([(u, v)], [(u, v)])
+
+
+def test_stability_scan_finds_an_interior_maximum():
+    pairs, pairs_alt = _conjugated_pair()
+    f, _ = _homotopy(pairs, pairs_alt)
+    values = [f(t) for t in np.linspace(0.0, 1.0, DEFAULTS.stability_samples)]
+    assert 0 < int(np.argmax(values)) < len(values) - 1
+    rep = kazhdan_stability(1, pairs, pairs_alt)
+    assert rep.homotopy_max_deviation == max(values) == _exhaustive_max(pairs, pairs_alt)
+    assert rep.homotopy_max_deviation > max(values[0], values[-1])
+
+
+@pytest.mark.parametrize("n, g, radius, seed", [
+    (32, 1, 0.19, 0), (32, 1, 0.19, 1), (16, 2, 0.1, 2),
+], ids=["n32-seed0", "n32-seed1", "g2"])
+def test_stability_homotopy_is_lipschitz_with_the_scan_constant(n, g, radius, seed):
+    # a scan 64 times finer than the grid: neighbours, and every point
+    # against each grid point, stay within L |t - s| plus the slack
+    # (the bound needs no stability hypothesis, so n = 16 serves at g = 2)
+    pairs, pairs_alt = _perturbed_tuple(n, g, radius, seed)
+    f, lipschitz = _homotopy(pairs, pairs_alt)
+    slack = SCAN_SLACK * g * n * n * np.finfo(float).eps * (1.0 + lipschitz)
+    ts = np.linspace(0.0, 1.0, 4097)
+    values = np.array([f(t) for t in ts])
+    assert np.all(np.abs(np.diff(values)) <= lipschitz * np.diff(ts) + slack)
+    grid = slice(None, None, 64)
+    gaps = np.abs(values[:, None] - values[grid][None, :])
+    assert np.all(gaps <= lipschitz * np.abs(ts[:, None] - ts[grid][None, :]) + slack)
+    # the bound is not vacuous: f moves by a visible part of L over [0, 1]
+    assert np.ptp(values) > 0.01 * lipschitz > 0.0
+
+
+def test_stability_scan_skips_most_samples(monkeypatch):
+    # an exhaustive scan takes all 65
+    calls = spy(monkeypatch, identity_defect, [qrep.invariants])
+    for seed in range(5):
+        pairs, pairs_alt = _perturbed_tuple(48, 1, 0.19, seed)
+        del calls[:]
+        rep = kazhdan_stability(1, pairs, pairs_alt)
+        assert rep.homotopy_ok and rep.equal
+        assert len(calls) <= 12, (seed, len(calls))
 
 
 def test_stability_hypothesis_violations():
