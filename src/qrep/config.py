@@ -17,18 +17,18 @@ parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
 from ``DEFAULTS``, ``QREP_TOL_*`` variables and ``--tol-*`` flags.
 
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
-included: each float field must be finite and >= 0, and the integer
-sampling fields need ``winding_samples >= 1`` and ``stability_samples >=
-2``.  Anything else would make a check vacuous (no winding samples, a
-one-point homotopy scan) or fail only after the work is done, so it raises
-``InputError`` (exit 3) naming the field and its value.
+included: each float field must be finite and >= 0, and the one integer
+field, ``winding_samples``, must be >= 1.  Anything else would make a check
+vacuous (no winding samples) or fail only after the work is done, so it
+raises ``InputError`` (exit 3) naming the field and its value.
 
 Values the mathematics fixes are constants, not fields: the Bott class is
 the rank of e's spectral projection above ``bott.PROJECTION_THRESHOLD`` =
 1/2 (as ``bott.TRACE_TOL`` and ``bott.ORIENTATION`` are constants),
 ``exel_homotopy_gap`` is a closed form with no grid to size, and the winding
 number's step route turns by at most ``invariants.STEP_PHASE`` = 1.5 < pi
-per step, a certificate with no depth to cap.
+per step, a certificate with no depth to cap, and ``kazhdan_stability``
+bounds its homotopy in closed form, with no grid of t.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import InputError
 
 # least allowed value of each integer field (every one is listed); every
 # float field needs a finite value >= 0
-_INT_MINIMUM = {"winding_samples": 1, "stability_samples": 2}
+_INT_MINIMUM = {"winding_samples": 1}
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,6 @@ class Tolerances:
     loop_closure: float = 1e-6      # |det(w) - 1| for the path to be a loop
     path_floor: float = 1e-12       # floor on the grid's sigma_min bound and on a step
     winding_samples: int = 64       # cap on the grid; loops above it take steps
-    # homotopy scans
-    stability_samples: int = 65     # samples along a stability homotopy
 
     def __post_init__(self):
         for f in dataclasses.fields(self):

@@ -15,7 +15,8 @@
   at t = 1/2); the identity wn = kappa rests on this staying below 1.
 * :func:`kazhdan_stability` — the quantitative stability experiment for
   products of commutators: small hypothesis norms force the invariant of
-  the perturbed tuple to match, witnessed along an explicit homotopy.
+  the perturbed tuple to match, certified along an explicit homotopy by a
+  closed-form Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .matcore import (
     _log_eigensystem,
     branch_distance,
     commutator_product,
-    identity_defect,
     lu_det,
     op_norm,
     unitary_eig,
@@ -58,10 +58,6 @@ _TWO_PI = 2.0 * math.pi
 # principal argument of the step's determinant is the whole increment
 STEP_PHASE = 1.5
 
-# The stability scan's rounding allowance in units of g n^2 eps (1 + L):
-# twice the worst-case rounding of one sample and of its cap, derived in
-# kazhdan_stability's docstring
-SCAN_SLACK = 64.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -297,10 +293,9 @@ class StabilityReport:
     relator_defect: float           # ||prod [u_i, v_i] - 1|| for the base tuple
     relator_defect_alt: float       # same for the perturbed tuple
     max_generator_distance: float   # max over i of ||u_i - u'_i||, ||v_i - v'_i||
-    homotopy_max_deviation: float   # max ||w(t) - 1|| over the grid of t
-    homotopy_ok: bool               # < 1 at every grid point: those not
-                                    # evaluated provably lie below the maximum
-    samples: int
+    lipschitz: float                # L: a Lipschitz constant of ||w(t) - 1||
+    homotopy_bound: float           # (relator_defect + relator_defect_alt + L) / 2
+    homotopy_ok: bool               # homotopy_bound < 1: ||w(t) - 1|| < 1 for all t
     kappa_start: InvariantReport
     kappa_end: InvariantReport
     equal: bool
@@ -325,47 +320,29 @@ def kazhdan_stability(g: int,
     generator is within 1/(5g) of its original.  Under them, the straight
     homotopy u_i(t) = u_i exp(t log(u_i* u_i')) (likewise v) keeps the
     commutator product w(t) within distance 1 of the identity, so its
-    invariant cannot jump; the report carries the maximum of
-    f(t) = ||w(t) - 1|| over the grid of ``stability_samples`` values of t
-    in [0, 1], plus both endpoint invariants.
+    invariant cannot jump (Kazhdan's budget, "On epsilon-representations",
+    1982).  The report certifies this for every t in [0, 1], with no sample
+    of the homotopy, and carries both endpoint invariants.
 
-    Not every grid point is evaluated.  With Theta = -i log(u_i* u_i'),
-    u_i(t)' = u_i(t) i Theta, so each of the 4g factors of w(t) moves at
-    speed at most the largest |eigenphase| of its arc, and f is Lipschitz
-    with L = 2 sum_i (||theta_{u_i}||_inf + ||theta_{v_i}||_inf), read off
-    the eigensystems that give the arcs (Kazhdan's budget, "On
-    epsilon-representations", 1982).  Each grid point t_j carries a cap, the
-    least f^(s) + L |t_j - s| + slack over the evaluated s (f^ the computed
-    f; +inf before any).  The scan evaluates the unevaluated point with the
-    largest cap (ties to the lowest t) and stops once no cap reaches the
-    running maximum (Shubert, SIAM J. Numer. Anal. 9, 1972).  A skipped
-    point lies below its cap, so below the maximum, and ``homotopy_ok``
-    still means < 1 at every grid point.  Each sample is a function of t
-    alone, so the maximum is the exhaustive scan's, bit for bit.  With
-    L ~ 0 (an unperturbed tuple, whose f is flat to the last bits) every
-    point is evaluated, as an exhaustive scan would; at radius 0.19 about 8
-    of 65 are.
+    u* u' is unitary, so ||u - u'|| = ||1 - u* u'|| = 2 sin(theta_max / 2)
+    over its eigenphases, and u(t) moves at speed theta_max =
+    2 arcsin(d / 2), d the generator distance the hypotheses measure.  Each
+    of the 4g factors of w(t) moves at its generator's speed, so
+    f(t) = ||w(t) - 1|| is Lipschitz with
+    L = 4 sum_i (arcsin(d_{u_i} / 2) + arcsin(d_{v_i} / 2)) (``lipschitz``),
+    and f(t) <= min(f(0) + L t, f(1) + L (1 - t)) <= (f(0) + f(1) + L) / 2
+    (``homotopy_bound``), f(0) and f(1) being the two relator defects.
+    ``homotopy_ok`` is ``homotopy_bound < 1``.  Under the hypotheses the
+    bound is at most f(0) + L < 1/(5g) + 8g arcsin(1/(10g)) <= 1.0014.
 
-    slack = ``SCAN_SLACK`` g n^2 eps (1 + L) covers twice the distance from
-    f^ to the exact f of the computed arcs, which is L-Lipschitz, plus the
-    caps' own rounding.  In worst-case bounds for unit-norm n x n factors,
-    a complex matmul is off by at most about 2 n eps ||A||_F ||B||_F =
-    2 n^2 eps.  Each of the 2g moved factors u_i V e^{i t Theta} V* takes two
-    matmuls, plus O(n eps) for V's departure from orthonormality and a few
-    eps for its phases; it enters w(t) twice (itself and its adjoint),
-    16 g n^2 eps in all.  The product's 4g - 1 matmuls add under 8 g n^2 eps.
-    ``op_norm``'s Gram matrix and backward-stable eigensolve err by a
-    relative O(n^2 eps), at most 4 n^2 eps on f <= 2.  One sample is thus
-    within 28 g n^2 eps of f; twice that, plus a few eps (1 + L) for L's and
-    the caps' rounding, stays below 64 g n^2 eps (1 + L): 3.7e-9 g (1 + L)
-    at n = 512, far below the steps of L |t - s| on the grid.  The inputs are taken unitary to working precision, as qrep's
-    constructors make them; an input of unitarity defect d scales the
-    factors' speeds by up to (1 + d/2), so a skipped sample could then exceed
-    the reported maximum by at most about 2 g d L.
+    The bound is formed from computed norms, each within O(g n^2 eps) of
+    the exact one, as every other reported norm is.  The inputs are taken
+    unitary to working precision, as qrep's constructors make them; an input
+    of unitarity defect d changes the speeds and the identity above by a
+    relative O(d), so L could then fall short by about d L.
 
     Raises :class:`HypothesisViolated` naming the first bound that fails.
     """
-    tol = tolerances
     pairs = [tuple(p) for p in pairs]
     pairs_alt = [tuple(p) for p in pairs_alt]
     if not (len(pairs) == len(pairs_alt) == g) or g < 1:
@@ -382,7 +359,7 @@ def kazhdan_stability(g: int,
     if w0.distance_from_one >= bound:
         raise HypothesisViolated("commutator product too far from 1",
                                  which="relator", value=w0.distance_from_one, bound=bound)
-    max_dist = 0.0
+    max_dist, lipschitz = 0.0, 0.0
     for i, ((u, v), (u2, v2)) in enumerate(zip(pairs, pairs_alt), start=1):
         for label, a, b in (("u", u, u2), ("v", v, v2)):
             d = op_norm(a.m - b.m)
@@ -390,37 +367,12 @@ def kazhdan_stability(g: int,
             if d >= bound:
                 raise HypothesisViolated("generator perturbation too large",
                                          which=f"{label}_{i}", value=d, bound=bound)
-
-    # Eigendata of the homotopy generators -i log(u_i* u_i'): u_i* u_i' is unitary
-    # and close to 1, so its principal log exists with room to spare.
-    arcs = [(_log_eigensystem(u.adjoint() @ u2, tol.branch_margin, tol.cluster_width),
-             _log_eigensystem(v.adjoint() @ v2, tol.branch_margin, tol.cluster_width))
-            for (u, v), (u2, v2) in zip(pairs, pairs_alt)]
-    lipschitz = 2.0 * sum(float(np.abs(eu.values).max()) + float(np.abs(ev.values).max())
-                          for eu, ev in arcs)
-    slack = SCAN_SLACK * g * n * n * _EPS * (1.0 + lipschitz)
-
-    def deviation(t) -> float:
-        moved = [(u.m @ eu.apply(lambda vals: np.exp(1j * t * vals)),
-                  v.m @ ev.apply(lambda vals: np.exp(1j * t * vals)))
-                 for (u, v), (eu, ev) in zip(pairs, arcs)]
-        return identity_defect(commutator_product(moved, n))
-
-    # Best-first over the grid: evaluate the point of largest cap until no cap
-    # reaches the running maximum; an evaluated point's cap is -inf
-    ts = np.linspace(0.0, 1.0, tol.stability_samples)
-    caps = np.full(len(ts), np.inf)
-    worst = 0.0
-    while caps.max() >= worst:
-        j = int(np.argmax(caps))
-        f = deviation(ts[j])
-        worst = max(worst, f)
-        caps = np.minimum(caps, f + lipschitz * np.abs(ts - ts[j]) + slack)
-        caps[j] = -np.inf
+            lipschitz += 4.0 * math.asin(d / 2.0)
 
     w1 = Unitary(commutator_product([(u.m, v.m) for u, v in pairs_alt], n))
-    kappa_start = kappa(w0, tolerances=tol)
-    kappa_end = kappa(w1, tolerances=tol)
+    homotopy_bound = (w0.distance_from_one + w1.distance_from_one + lipschitz) / 2.0
+    kappa_start = kappa(w0, tolerances=tolerances)
+    kappa_end = kappa(w1, tolerances=tolerances)
     equal = (kappa_start.is_integer and kappa_end.is_integer
              and kappa_start.rounded == kappa_end.rounded)
     return StabilityReport(
@@ -430,9 +382,9 @@ def kazhdan_stability(g: int,
         relator_defect=w0.distance_from_one,
         relator_defect_alt=w1.distance_from_one,
         max_generator_distance=max_dist,
-        homotopy_max_deviation=worst,
-        homotopy_ok=worst < 1.0,
-        samples=tol.stability_samples,
+        lipschitz=lipschitz,
+        homotopy_bound=homotopy_bound,
+        homotopy_ok=homotopy_bound < 1.0,
         kappa_start=kappa_start,
         kappa_end=kappa_end,
         equal=equal,

@@ -343,8 +343,10 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"dim", "re", "im"} <= set(obj):
         raise FormatError("matrix object must have keys dim, re, im")
+    n = obj["dim"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise FormatError("matrix dim must be an integer", dim=n)
     try:
-        n = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=np.float64)
         im = np.asarray(obj["im"], dtype=np.float64)
     except (TypeError, ValueError) as exc:

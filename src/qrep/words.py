@@ -482,12 +482,20 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _names(value, name: str) -> tuple[str, ...]:
+    # a list of generator names, none given twice
+    names = tuple(_typed(value, list, name))
+    if len(set(names)) != len(names):
+        raise FormatError(f"{name} names a generator twice", **{name: names})
+    return names
+
+
 def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
     """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
-        generators = tuple(_typed(pres_obj["generators"], list, "generators"))
+        generators = _names(pres_obj["generators"], "generators")
         relators = tuple(parse_word(r) for r in
                          _typed(pres_obj.get("relators", []), list, "relators"))
         strat_obj = _typed(obj.get("strategy", {"kind": "z2-normal-form"}), dict, "strategy")
@@ -502,6 +510,9 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
             relators = (commutator(_gen(generators[0]), _gen(generators[1])),)
         pres = Presentation(generators, relators, "Z2", genus=1)
     elif kind == "surface":
+        if len(generators) % 2:
+            raise FormatError("surface presentation needs an even number of generators",
+                              generators=generators)
         genus = pres_obj.get("genus") or len(generators) // 2
         pres = Presentation(generators, relators, "surface", genus=genus)
     elif kind == "custom":
@@ -522,7 +533,7 @@ def _strategy_from_json(obj, base_dir, unitarity: float):
     if kind == "pullback":
         try:
             words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
-            base_gens = tuple(_typed(obj["base_generators"], list, "base_generators"))
+            base_gens = _names(obj["base_generators"], "base_generators")
             base_images = {g: _load_image(v, base_dir, unitarity)
                            for g, v in _typed(obj["base_images"], dict, "base_images").items()}
         except (KeyError, TypeError) as exc:

@@ -152,19 +152,19 @@ def test_criterion_3_rank_class_identity():
 def criterion_4():
     u, v = voiculescu_pair(32)
     bad = []
-    worst_dev = 0.0
+    worst_bound = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         u2 = perturbed_copy(u, 0.19, rng)
         v2 = perturbed_copy(v, 0.19, rng)
         rep = kazhdan_stability(1, [(u, v)], [(u2, v2)])
-        worst_dev = max(worst_dev, rep.homotopy_max_deviation)
+        worst_bound = max(worst_bound, rep.homotopy_bound)
         if not (rep.homotopy_ok and rep.equal
                 and rep.kappa_start.rounded == -1 and rep.kappa_end.rounded == -1):
             bad.append(seed)
     ok = not bad
     return ok, (f"20 seeded radius-0.19 perturbations at n = 32: all kappa pairs "
-                f"(-1, -1), homotopy deviation max {worst_dev:.3f} < 1"
+                f"(-1, -1), homotopy bound max {worst_bound:.3f} < 1"
                 if ok else f"failing seeds {bad}")
 
 

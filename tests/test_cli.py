@@ -436,7 +436,6 @@ TOL_FLAGS = {
     "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
     "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
     "winding_samples": "72",
-    "stability_samples": "33",
 }
 
 
@@ -476,8 +475,6 @@ def test_tol_flags_reach_every_report(tmp_path, capsys, command):
             assert value == envelope[key], key
     if command[0] == "stability":
         assert obj["result"]["all_ok"] is True
-        for report in obj["result"]["reports"]:
-            assert report["samples"] == envelope["stability_samples"]
 
 
 def test_stability_honours_path_floor(capsys):
@@ -780,6 +777,61 @@ def test_exit_code_malformed_qrep_field(tmp_path, capsys, pair_file, keys, value
     assert "FormatError" in capsys.readouterr().err
 
 
+def _edit_z2_duplicate(obj):
+    # (u, u): read as the pair it names, its class would be 0
+    obj["presentation"]["generators"] = ["a", "a"]
+    del obj["images"]["b"]
+
+
+def _edit_surface_odd(obj):
+    obj["presentation"]["generators"] = ["s1", "t1", "s2"]
+    obj["images"]["s2"] = obj["images"]["s1"]
+
+
+def _edit_base_duplicate(obj):
+    obj["strategy"]["base_generators"] = ["a", "a"]
+    del obj["strategy"]["base_images"]["b"]
+
+
+@pytest.mark.parametrize("edit, command", [
+    (_edit_z2_duplicate, ["invariant", "k"]),
+    (_edit_surface_odd, ["verify", "exel-loring"]),
+    (_edit_base_duplicate, ["verify", "exel-loring"]),
+], ids=["z2-generators", "surface-odd", "base-generators"])
+def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
+        tmp_path, capsys, edit, command):
+    # each edited file is otherwise consistent (n = 16 leaves the k class a
+    # usable gap), so only the generator list can refuse it; images s1=a,
+    # t1=a^2 leave b unused by the pullback
+    source = str(tmp_path / "pair16.json")
+    assert main(["gen", "voiculescu", "--n", "16", "-o", source]) == 0
+    if edit is not _edit_z2_duplicate:
+        pair, source = source, str(tmp_path / "pullback.json")
+        assert main(["gen", "pullback", "-i", pair, "--images", "s1=a,t1=a^2",
+                     "-o", source]) == 0
+    obj = json.loads(Path(source).read_text())["result"]
+    edit(obj)
+    path, out_json = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main([*command, "-i", str(path), "-o", str(out_json)]) == 3
+    assert "FormatError" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("dim", [2.9, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("command", ["kappa", "winding"])
+def test_matrix_file_dim_must_be_an_integer(tmp_path, capsys, command, dim):
+    # entries for the identity of the size int(dim) would give
+    n = int(dim)
+    path, out_json = tmp_path / "m.json", tmp_path / "out.json"
+    eye = np.eye(n).ravel().tolist()
+    path.write_text(json.dumps({"dim": dim, "re": eye, "im": [0.0] * (n * n)}))
+    assert main(["invariant", command, "-i", str(path), "-o", str(out_json)]) == 3
+    assert "FormatError" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--g", "0"], ["--g", "-1"], ["--seeds", "0"],
 ], ids=["g0", "g-1", "seeds0"])
@@ -796,8 +848,6 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
     (["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
      ["--tol-winding-samples", "-2"]),
     (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
-     ["--tol-stability-samples", "0"]),
-    (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
      ["--tol-branch-margin", "nan"]),
     (["verify", "exel-loring", "--n-range", "16:32:16", "--csv", "{csv}"],
      ["--tol-branch-margin", "nan"]),
@@ -805,8 +855,7 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
      ["--tol-unitarity", "-0.5"]),
     (["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
      ["--tol-cluster-width", "inf"]),
-], ids=["winding-samples-0", "winding-samples-neg", "stability-samples-0",
-        "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
+], ids=["winding-samples-0", "winding-samples-neg", "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
 def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
                                                   command, flags):
     # refused with exit 3 before any work: no report and no CSV
@@ -821,7 +870,7 @@ def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
 
 
 def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
-    monkeypatch.setenv("QREP_TOL_STABILITY_SAMPLES", "1")
+    monkeypatch.setenv("QREP_TOL_WINDING_SAMPLES", "0")
     assert main(["invariant", "kappa", "-i", pair_file, "--word", "[a, b]"]) == 3
     assert "InputError" in capsys.readouterr().err
 
@@ -829,7 +878,6 @@ def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
     ("winding_samples", 0), ("winding_samples", 2.5),
-    ("stability_samples", 1),
 ])
 def test_tolerances_reject_invalid_values(field, value):
     with pytest.raises(InputError) as exc:
@@ -841,8 +889,8 @@ def test_tolerances_accept_their_least_values():
     least = dataclasses.replace(
         DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)
                      if f.type == "float"},
-        winding_samples=1, stability_samples=2)
-    assert least.stability_samples == 2 and least.unitarity == 0.0
+        winding_samples=1)
+    assert least.winding_samples == 1 and least.unitarity == 0.0
 
 
 def test_exit_code_usage_error(capsys):
@@ -932,12 +980,13 @@ def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
     assert [r["seed"] for r in obj["result"]["rows"]] == [5, 6]
 
 
-# herm_eig's gate has no setting; the homotopy gap is a closed form, the
-# Bott threshold the constant 1/2, and the winding's step route has no depth
-# to cap, so none of these is a tolerance any more
+# herm_eig's gate has no setting; the homotopy gap and the stability bound
+# are closed forms, the Bott threshold the constant 1/2, and the winding's
+# step route has no depth to cap, so none of these is a tolerance any more
 @pytest.mark.parametrize("flag", ["--tol-hermiticity", "--tol-homotopy-grid",
                                   "--tol-projection-threshold",
-                                  "--tol-winding-max-depth"])
+                                  "--tol-winding-max-depth",
+                                  "--tol-stability-samples"])
 def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
     out_json = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
@@ -949,7 +998,8 @@ def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("variable", ["QREP_TOL_HERMITICITY", "QREP_TOL_HOMOTOPY_GRID",
                                       "QREP_TOL_PROJECTION_THRESHOLD",
-                                      "QREP_TOL_WINDING_MAX_DEPTH"])
+                                      "QREP_TOL_WINDING_MAX_DEPTH",
+                                      "QREP_TOL_STABILITY_SAMPLES"])
 def test_removed_tolerance_variables_are_refused(tmp_path, capsys, monkeypatch,
                                                  variable):
     out_json = tmp_path / "x.json"
