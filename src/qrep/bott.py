@@ -31,8 +31,7 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
-from .matcore import (Unitary, _above_band, _hermitize, adjoint, commutator_product,
-                      unitary_eig)
+from .matcore import Unitary, _hermitize, adjoint, commutator_product, unitary_eig
 from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
@@ -58,8 +57,8 @@ __all__ = [
 ORIENTATION = 1
 # How close lhs_k / n and the normalized-trace invariant must be for trace_close.
 TRACE_TOL = 1e-9
-# k counts e's eigenvalues above 1/2; with ||e^2 - e|| < defect_max none lies
-# near it, so no other threshold gives the class.
+# k counts e's eigenvalues above 1/2; with ||e^2 - e|| < defect_max < 1/4 none
+# lies within sqrt(1/4 - defect_max) of it, so no other threshold gives the class.
 PROJECTION_THRESHOLD = 0.5
 
 
@@ -111,17 +110,18 @@ def push_k_class(ap: AlmostProjection,
     :data:`PROJECTION_THRESHOLD` (1/2), counted on ``ap.spectrum``, minus the
     base rank n.
 
-    Well-defined only when the defect is below ``defect_max`` (default 1/8),
-    which forces the spectrum of e into two bands clear of 1/2; an
-    eigenvalue within ``projection_gap`` of the threshold raises
-    :class:`NoSpectralGap`.
+    Well-defined only when the defect is below ``defect_max`` (default 1/8,
+    always below 1/4), else :class:`DefectTooLarge`.  ``ap.defect`` is
+    max |lambda^2 - lambda| over the same spectrum, and
+    |lambda - 1/2|^2 = 1/4 + lambda^2 - lambda, so every eigenvalue then lies
+    at least sqrt(1/4 - defect_max) (0.354 at the default) from 1/2: the
+    gate is the spectral gap, and no band needs checking.
     """
     tol = tolerances
     if ap.defect >= tol.defect_max:
         raise DefectTooLarge("almost-projection defect leaves no usable gap",
                              defect=ap.defect, bound=tol.defect_max)
-    above = _above_band(ap.spectrum, PROJECTION_THRESHOLD, tol.projection_gap)
-    return int(np.count_nonzero(above)) - ap.base_dim
+    return int(np.count_nonzero(ap.spectrum > PROJECTION_THRESHOLD)) - ap.base_dim
 
 
 def k_invariant(u: Unitary, v: Unitary,
@@ -154,7 +154,7 @@ def k_invariant(u: Unitary, v: Unitary,
             "spectral_gap": gap_width,
             "orientation": float(ORIENTATION),
         },
-        tolerances=tol.subset("projection_gap", "defect_max", "integer_residual"),
+        tolerances=tol.subset("defect_max"),
     )
 
 

@@ -91,9 +91,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp so identical runs are byte-identical")
     for f in dataclasses.fields(config.Tolerances):
-        kind = int if f.type == "int" else float
         common.add_argument(f"--tol-{f.name.replace('_', '-')}",
-                            dest=f"tol_{f.name}", type=kind, default=None,
+                            dest=f"tol_{f.name}", type=float, default=None,
                             metavar="X", help=f"override {f.name} (default {f.default})")
     return common
 

@@ -57,6 +57,10 @@ _TWO_PI = 2.0 * math.pi
 # The step route's bound on the phase turned in one step: below pi, so the
 # principal argument of the step's determinant is the whole increment
 STEP_PHASE = 1.5
+# Most intervals of the certified grid; a loop that needs more takes steps.
+# Both routes certify the same integer, so this only picks the cheaper: the
+# grid costs N - 1 LU determinants, a step one solve and one determinant.
+GRID_CAP = 64
 
 _EPS = float(np.finfo(float).eps)
 
@@ -190,7 +194,7 @@ def winding_number_det_segment(w: Unitary,
     * "grid": Weyl's s = 1 - ||w - 1|| <= sigma_min(p(t)) and |Tr(AB)| <=
       ||A|| sqrt(n) ||B||_F bound the rate by L = sqrt(n) ||w - 1||_F / s
       (``sigma_min_bound``, ``phase_rate_bound``).  Where s > ``path_floor``
-      and N = ceil(2L/pi) <= ``winding_samples``, the argument is summed over
+      and N = ceil(2L/pi) <= :data:`GRID_CAP`, the argument is summed over
       N uniform intervals, none turning by more than pi/2.  t = 0 is not
       evaluated and t = 1 is ``w.det``, shared with :func:`kappa`;
       ``det_evaluations`` counts the N - 1 others.  A sampled determinant
@@ -222,7 +226,7 @@ def winding_number_det_segment(w: Unitary,
     root_n_fro = math.sqrt(n) * float(np.linalg.norm(d))
     s = 1.0 - w.distance_from_one  # Weyl: sigma_min(1 + t(w - 1)) >= 1 - t ||w - 1||
     needed = 2.0 * root_n_fro / s / math.pi if s > tol.path_floor else math.inf
-    if needed > tol.winding_samples:
+    if needed > GRID_CAP:
         total, data = _winding_by_steps(d, tol.path_floor)
     else:
         def pencil(t: float) -> complex:
@@ -250,8 +254,7 @@ def winding_number_det_segment(w: Unitary,
         rounded=rounded,
         is_integer=is_integer,
         defect_data={"det_deviation": det_dev, **data},
-        tolerances=tol.subset("loop_closure", "path_floor", "integer_residual",
-                              "winding_samples"),
+        tolerances=tol.subset("loop_closure", "path_floor", "integer_residual"),
     )
 
 

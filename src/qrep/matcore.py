@@ -303,26 +303,23 @@ def exp_skew(l) -> Unitary:
 
 def spectral_projection(e,
                         threshold: float = 0.5,
-                        gap: float = DEFAULTS.projection_gap) -> tuple[np.ndarray, int]:
+                        gap: float = 0.1) -> tuple[np.ndarray, int]:
     """Spectral projection of a self-adjoint matrix above a threshold.
 
     Requires the spectrum to clear the band (threshold - gap, threshold + gap);
     an eigenvalue inside the band means the projection is not stable at this
-    precision and raises :class:`NoSpectralGap`.  Returns (p, rank).
+    precision and raises :class:`NoSpectralGap`.  Returns (p, rank).  (The
+    Bott class needs no band: its ``defect_max`` gate keeps e off 1/2.)
     """
     es = herm_eig(e)
-    above = es.vectors[:, _above_band(es.values, threshold, gap)]
-    p = above @ adjoint(above)
-    return _hermitize(p), above.shape[1]
-
-
-def _above_band(values: np.ndarray, threshold: float, gap: float) -> np.ndarray:
-    # Mask of the values above threshold; the first one within gap of it raises.
-    inside = np.abs(values - threshold) < gap
+    inside = np.abs(es.values - threshold) < gap
     if inside.any():
         raise NoSpectralGap("eigenvalue inside the forbidden band",
-                            eigenvalue=float(values[inside][0]), threshold=threshold, gap=gap)
-    return values > threshold
+                            eigenvalue=float(es.values[inside][0]),
+                            threshold=threshold, gap=gap)
+    above = es.vectors[:, es.values > threshold]
+    p = above @ adjoint(above)
+    return _hermitize(p), above.shape[1]
 
 
 # -- matrix JSON --------------------------------------------------------------

@@ -513,12 +513,16 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
         if len(generators) % 2:
             raise FormatError("surface presentation needs an even number of generators",
                               generators=generators)
-        genus = pres_obj.get("genus") or len(generators) // 2
-        pres = Presentation(generators, relators, "surface", genus=genus)
+        pres = Presentation(generators, relators, "surface", genus=len(generators) // 2)
     elif kind == "custom":
         pres = Presentation.custom(generators, relators)
     else:
         raise FormatError("unknown presentation kind", kind=kind)
+    # an optional genus must be the JSON integer the kind implies (null for custom)
+    genus = pres_obj.get("genus")
+    if genus is not None and not (type(genus) is int and genus == pres.genus):
+        raise FormatError("presentation genus disagrees with its generators",
+                          genus=genus, expected=pres.genus)
     images = {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images_obj.items()}
     strategy = _strategy_from_json(strat_obj, base_dir, tolerances.unitarity)
     return QuasiRep(pres, images, strategy)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import diag_unitary, spy
 from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
-                  NoSpectralGap, PerturbationSpec, Presentation, PresentationMismatch,
+                  InputError, PerturbationSpec, Presentation, PresentationMismatch,
                   QuasiRep, Unitary, WordProduct, bott_almost_projection, evaluate,
                   k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
                   perturbed_copy, pullback, push_k_class, relator_defect,
@@ -116,19 +116,46 @@ def test_k_boundary_case_n16_just_inside():
 
 
 def test_push_k_class_parameter_threading():
-    # a synthetic almost-projection with an eigenvalue parked at 0.45:
-    # the defect gate (loosened) passes but the band check must fire
+    # a synthetic almost-projection with an eigenvalue parked at 0.45: the
+    # defect gate refuses it, and no defect_max loose enough to pass it
+    # (>= 1/4, where an eigenvalue may sit at 1/2) can be set
     e = np.diag([1.0, 1.0, 0.45, 0.0])
     ap = AlmostProjection(e=e.astype(np.complex128),
                           spectrum=np.linalg.eigvalsh(e),
                           defect=float(np.linalg.norm(e @ e - e, 2)),
                           base_dim=2)
-    with pytest.raises(DefectTooLarge):
+    with pytest.raises(DefectTooLarge) as err:
         push_k_class(ap)  # 0.2475 >= 1/8
-    loose = dataclasses.replace(DEFAULTS, defect_max=0.3)
-    with pytest.raises(NoSpectralGap):
-        push_k_class(ap, tolerances=loose)
-    assert push_k_class(ap, tolerances=dataclasses.replace(loose, projection_gap=0.04)) == 0
+    assert err.value.details["bound"] == DEFAULTS.defect_max
+    with pytest.raises(DefectTooLarge):
+        push_k_class(ap, tolerances=dataclasses.replace(DEFAULTS, defect_max=0.2475))
+    with pytest.raises(InputError) as err:
+        dataclasses.replace(DEFAULTS, defect_max=0.3)
+    assert err.value.details == {"field": "defect_max", "value": 0.3}
+    # a threaded gate that passes counts the spectrum above 1/2 directly
+    assert push_k_class(ap, tolerances=dataclasses.replace(DEFAULTS, defect_max=0.249)) == 0
+
+
+@pytest.mark.parametrize("n", [16, 48, 64, 128])
+def test_defect_gate_keeps_the_spectrum_off_one_half(n):
+    # |lambda - 1/2|^2 = 1/4 + lambda^2 - lambda >= 1/4 - e_defect, so the
+    # eigenvalues either side of 1/2 are at least twice that root apart:
+    # what the band check used to test, on seeded perturbed pairs
+    u, v = voiculescu_pair(n)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u2, v2 = perturbed_copy(u, 0.01, rng), perturbed_copy(v, 0.01, rng)
+        rep = k_invariant(u2, v2)
+        d = rep.defect_data
+        assert d["spectral_gap"] >= 2 * np.sqrt(0.25 - d["e_defect"]) - 1e-12, (n, seed)
+
+
+def test_k_invariant_echoes_only_defect_max():
+    # k is an integer by construction, so no residual applies to it
+    u, v = voiculescu_pair(16)
+    rep = k_invariant(u, v)
+    assert rep.is_integer
+    assert rep.to_json()["tolerances"] == {"defect_max": DEFAULTS.defect_max}
 
 
 def test_k_stable_under_small_perturbations():

@@ -424,8 +424,9 @@ def test_tol_env_unknown_name_rejected(capsys, matrix_file, monkeypatch):
 
 def test_tol_reported_in_envelope(capsys, matrix_file):
     obj = run_json(capsys, "invariant", "winding", "-i", matrix_file,
-                   "--tol-winding-samples", "128", "--deterministic")
-    assert obj["tolerances"]["winding_samples"] == 128
+                   "--tol-loop-closure", "2e-6", "--deterministic")
+    assert obj["tolerances"]["loop_closure"] == 2e-6
+    assert obj["result"]["tolerances"]["loop_closure"] == 2e-6
 
 
 # every Tolerances field moved off its default, but not far enough to turn
@@ -433,9 +434,8 @@ def test_tol_reported_in_envelope(capsys, matrix_file):
 TOL_FLAGS = {
     "unitarity": "2e-8", "branch_margin": "2e-6",
     "cluster_width": "2e-7",
-    "projection_gap": "0.09", "defect_max": "0.13", "integer_residual": "2e-6",
+    "defect_max": "0.13", "integer_residual": "2e-6",
     "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
-    "winding_samples": "72",
 }
 
 
@@ -819,6 +819,40 @@ def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("source, genus, command", [
+    ("pullback", 3, ["verify", "exel-loring"]),
+    ("pullback", "x", ["verify", "exel-loring"]),
+    ("pullback", 1.0, ["verify", "exel-loring"]),
+    ("Z2", 2, ["verify", "exel-loring"]),
+    ("Z2", True, ["verify", "exel-loring"]),
+    ("custom", 1, ["defect"]),
+], ids=["surface-3", "surface-string", "surface-float", "z2-2", "z2-bool", "custom-1"])
+def test_qrep_file_with_a_wrong_genus_is_refused(tmp_path, capsys, source, genus,
+                                                 command):
+    # genus is len(generators)/2 for surface, 1 for Z2 and null for custom;
+    # anything else, kept as given, would be echoed in the case label
+    pair = str(tmp_path / "pair32.json")
+    assert main(["gen", "voiculescu", "--n", "32", "-o", pair]) == 0
+    path = pair
+    if source == "pullback":
+        path = str(tmp_path / "pullback.json")
+        assert main(["gen", "pullback", "-i", pair, "--images", "s1=a,t1=b",
+                     "-o", path]) == 0
+    obj = json.loads(Path(path).read_text())["result"]
+    if source == "custom":
+        obj["presentation"]["kind"] = "custom"
+    bad, out_json = tmp_path / "bad.json", tmp_path / "out.json"
+    for value, code in [(None, 0), (genus, 3)]:
+        obj["presentation"]["genus"] = value
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main([*command, "-i", str(bad), "-o", str(out_json)]) == code
+        assert out_json.exists() == (code == 0)
+        out_json.unlink(missing_ok=True)
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "genus" in err
+
+
 @pytest.mark.parametrize("dim", [2.9, True, "2"], ids=["float", "bool", "string"])
 @pytest.mark.parametrize("command", ["kappa", "winding"])
 def test_matrix_file_dim_must_be_an_integer(tmp_path, capsys, command, dim):
@@ -843,10 +877,9 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
 
 
 @pytest.mark.parametrize("command, flags", [
-    (["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
-     ["--tol-winding-samples", "0"]),
-    (["invariant", "winding", "-i", "{pair}", "--word", "[a, b]"],
-     ["--tol-winding-samples", "-2"]),
+    (["invariant", "k", "-i", "{pair}"], ["--tol-defect-max", "0.25"]),
+    (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
+     ["--tol-defect-max", "0.3"]),
     (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
      ["--tol-branch-margin", "nan"]),
     (["verify", "exel-loring", "--n-range", "16:32:16", "--csv", "{csv}"],
@@ -855,7 +888,7 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
      ["--tol-unitarity", "-0.5"]),
     (["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
      ["--tol-cluster-width", "inf"]),
-], ids=["winding-samples-0", "winding-samples-neg", "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
+], ids=["defect-max-quarter", "defect-max-0.3", "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
 def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
                                                   command, flags):
     # refused with exit 3 before any work: no report and no CSV
@@ -869,15 +902,21 @@ def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
     assert not csv_path.exists()
 
 
-def test_tolerance_variables_are_checked(capsys, pair_file, monkeypatch):
-    monkeypatch.setenv("QREP_TOL_WINDING_SAMPLES", "0")
-    assert main(["invariant", "kappa", "-i", pair_file, "--word", "[a, b]"]) == 3
-    assert "InputError" in capsys.readouterr().err
+def test_tolerance_variables_are_checked(tmp_path, capsys, pair_file, monkeypatch):
+    out_json = tmp_path / "out.json"
+    for field, value in [("path_floor", "-1"), ("defect_max", "0.25"),
+                         ("defect_max", "0.3")]:
+        with monkeypatch.context() as env:
+            env.setenv(f"QREP_TOL_{field.upper()}", value)
+            assert main(["invariant", "k", "-i", pair_file, "-o", str(out_json)]) == 3
+        err = capsys.readouterr().err
+        assert "InputError" in err and field in err
+        assert not out_json.exists()
 
 
 @pytest.mark.parametrize("field, value", [
     ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
-    ("winding_samples", 0), ("winding_samples", 2.5),
+    ("defect_max", 0.25), ("defect_max", 0.3),
 ])
 def test_tolerances_reject_invalid_values(field, value):
     with pytest.raises(InputError) as exc:
@@ -887,10 +926,15 @@ def test_tolerances_reject_invalid_values(field, value):
 
 def test_tolerances_accept_their_least_values():
     least = dataclasses.replace(
-        DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)
-                     if f.type == "float"},
-        winding_samples=1)
-    assert least.winding_samples == 1 and least.unitarity == 0.0
+        DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)})
+    assert least.unitarity == 0.0 and least.defect_max == 0.0
+    assert dataclasses.replace(DEFAULTS, defect_max=0.2499).defect_max == 0.2499
+
+
+def test_tolerances_are_float_thresholds_only():
+    fields = dataclasses.fields(DEFAULTS)
+    assert len(fields) == 8
+    assert all(f.type == "float" for f in fields)
 
 
 def test_exit_code_usage_error(capsys):
@@ -981,12 +1025,15 @@ def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
 
 
 # herm_eig's gate has no setting; the homotopy gap and the stability bound
-# are closed forms, the Bott threshold the constant 1/2, and the winding's
-# step route has no depth to cap, so none of these is a tolerance any more
+# are closed forms, the Bott threshold the constant 1/2 with defect_max
+# keeping the spectrum off it, the winding's step route has no depth to cap
+# and its grid cap is a constant, so none of these is a tolerance any more
 @pytest.mark.parametrize("flag", ["--tol-hermiticity", "--tol-homotopy-grid",
                                   "--tol-projection-threshold",
                                   "--tol-winding-max-depth",
-                                  "--tol-stability-samples"])
+                                  "--tol-stability-samples",
+                                  "--tol-projection-gap",
+                                  "--tol-winding-samples"])
 def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
     out_json = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
@@ -999,7 +1046,9 @@ def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
 @pytest.mark.parametrize("variable", ["QREP_TOL_HERMITICITY", "QREP_TOL_HOMOTOPY_GRID",
                                       "QREP_TOL_PROJECTION_THRESHOLD",
                                       "QREP_TOL_WINDING_MAX_DEPTH",
-                                      "QREP_TOL_STABILITY_SAMPLES"])
+                                      "QREP_TOL_STABILITY_SAMPLES",
+                                      "QREP_TOL_PROJECTION_GAP",
+                                      "QREP_TOL_WINDING_SAMPLES"])
 def test_removed_tolerance_variables_are_refused(tmp_path, capsys, monkeypatch,
                                                  variable):
     out_json = tmp_path / "x.json"

@@ -19,7 +19,7 @@ from qrep import (DEFAULTS, BranchCut, DimensionMismatch, HypothesisViolated,
                   kazhdan_stability, op_norm, parse_word, perturbed_copy,
                   random_unitary, unitary_eig, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
-from qrep.invariants import STEP_PHASE, _step_length
+from qrep.invariants import GRID_CAP, STEP_PHASE, _step_length
 
 
 def commutator_unitary(n: int) -> Unitary:
@@ -108,13 +108,13 @@ def _winding_by_direct_pencils(w: np.ndarray) -> tuple[float, int]:
     # pencil formed as (1 - t) eye + t w; determinants are Python complex
     # numbers, as lu_det returns them.  With s = 1 - ||w - 1|| and
     # L = sqrt(n) ||w - 1||_F / s the grid has N = ceil(2 L/pi) intervals,
-    # which must fit in winding_samples.  t = 0 is not evaluated and t = 1 is
+    # which must fit in GRID_CAP.  t = 0 is not evaluated and t = 1 is
     # det(w); the count is of the other determinants.
     n = w.shape[0]
     eye = np.eye(n)
     s = 1 - np.linalg.norm(w - eye, 2)
     needed = 2 * np.sqrt(n) * np.linalg.norm(w - eye) / s / np.pi
-    assert s > DEFAULTS.path_floor and needed <= DEFAULTS.winding_samples
+    assert s > DEFAULTS.path_floor and needed <= GRID_CAP
     samples = max(1, int(np.ceil(needed)))
     ts = np.linspace(0.0, 1.0, samples + 1)
     ds = ([1.0 + 0.0j] + [complex(np.linalg.det((1.0 - t) * eye + t * w)) for t in ts[1:-1]]
@@ -141,7 +141,7 @@ def test_winding_pencils_in_place_match_direct_pencils():
     value, evaluations = _winding_by_direct_pencils(commutator)
     assert rep.rounded == -1
     assert rep.value == value
-    assert rep.defect_data["det_evaluations"] == evaluations < DEFAULTS.winding_samples - 1
+    assert rep.defect_data["det_evaluations"] == evaluations < GRID_CAP - 1
     assert rep.defect_data["route"] == "grid"
     rep = winding_number_det_segment(near_minus_one)
     assert rep.defect_data["route"] == "steps"
