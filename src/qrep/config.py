@@ -86,7 +86,8 @@ def from_env() -> Tolerances:
 
     Field names map to upper case, e.g. ``QREP_TOL_BRANCH_MARGIN=1e-9``.
     Unknown variables with the prefix raise ``ValueError`` so typos do not
-    silently do nothing.
+    silently do nothing; a value that is not a number raises ``InputError``
+    naming the variable.
     """
     fields = {f.name for f in dataclasses.fields(Tolerances)}
     updates = {}
@@ -96,5 +97,8 @@ def from_env() -> Tolerances:
         name = key[len(_ENV_PREFIX):].lower()
         if name not in fields:
             raise ValueError(f"unknown tolerance variable {key}")
-        updates[name] = float(raw)
+        try:
+            updates[name] = float(raw)
+        except ValueError:
+            raise InputError(f"{key} must be a number", variable=key, value=raw) from None
     return dataclasses.replace(DEFAULTS, **updates) if updates else DEFAULTS

@@ -26,7 +26,7 @@ from .errors import (
     RadiusTooLarge,
     UnboundGenerator,
 )
-from .matcore import Unitary, adjoint, exp_skew, op_norm
+from .matcore import Unitary, adjoint, herm_eig
 from .words import (
     Presentation,
     PullbackThrough,
@@ -110,8 +110,11 @@ def perturbed_copy(u: Unitary, radius: float, gen: np.random.Generator) -> Unita
     if radius == 0.0:
         return u
     k = _random_skew(gen, u.dim)
-    k *= 2.0 * math.asin(radius / 2.0) / op_norm(k)
-    return Unitary(u.m @ exp_skew(k).m)
+    # K = iH: one eigensystem of H gives both ||K|| = max |lambda| and
+    # exp(tK) = V diag(e^{i t lambda}) V*
+    es = herm_eig(-1j * k)
+    t = 2.0 * math.asin(radius / 2.0) / max(-es.values[0], es.values[-1])
+    return Unitary(u.m @ es.apply(lambda vals: np.exp(1j * t * vals)))
 
 
 def perturb(qr: QuasiRep, spec: PerturbationSpec) -> QuasiRep:

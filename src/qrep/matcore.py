@@ -15,13 +15,16 @@ matrices are diagonalized through their commuting Cartesian parts
 H = (w + w*)/2 and K = (w - w*)/2i rather than a general nonsymmetric
 solver, which keeps the eigenbasis orthonormal by construction and the
 procedure deterministic; see :func:`unitary_eig`.  Its Rayleigh quotients
-v* w v come from one BLAS matmul w @ V and a column sum.
+v* w v come from one BLAS matmul w @ V and a column sum.  Eigenvectors keep
+the phases LAPACK gives them: every consumer (:meth:`EigenSystem.apply`,
+spectral projectors, Rayleigh quotients) is unchanged by a column phase.
 
 The unitarity gate of :meth:`Unitary.of` and the self-adjointness gate of
 :func:`herm_eig` are Frobenius-first: the Frobenius norm is an O(n^2) upper
 bound on the operator norm, so the eigensolve of :func:`op_norm` runs only
 when that bound exceeds the tolerance, and a refusal still reports the exact
-operator-norm defect.
+operator-norm defect.  A NaN or overflowed defect matrix is refused with
+an infinite defect.
 """
 
 from __future__ import annotations
@@ -118,9 +121,16 @@ def _gate(defect_matrix: np.ndarray, tol: float, error, message: str) -> None:
     # Refuse when ||defect_matrix||_op > tol.  The Frobenius norm is an O(n^2)
     # upper bound on the operator norm, so the eigensolve of op_norm runs only
     # when that bound exceeds tol, and a refusal reports the exact defect.
-    if np.linalg.norm(defect_matrix) > tol:
-        defect = op_norm(defect_matrix)
-        if defect > tol:
+    # `not <=` refuses a NaN norm too.  A NaN or inf entry (an overflowed
+    # product) is an infinite defect, and from 1e150 on the matrix is scaled
+    # by its largest entry so that op_norm's Gram product cannot overflow.
+    if not np.linalg.norm(defect_matrix) <= tol:
+        top = float(np.abs(defect_matrix).max())
+        if top < 1e150:
+            defect = op_norm(defect_matrix)
+        else:
+            defect = top * op_norm(defect_matrix / top) if math.isfinite(top) else math.inf
+        if not defect <= tol:
             raise error(message, defect=defect, tol=tol)
 
 
@@ -186,21 +196,6 @@ class EigenSystem:
         return (self.vectors * scalar_fn(self.values)) @ adjoint(self.vectors)
 
 
-def _fix_column_phases(vectors: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    # Deterministic gauge: rotate each eigenvector so its first coordinate of
-    # magnitude > floor (its largest, if none is) lands on the positive real axis.
-    mags = np.abs(vectors)
-    above = mags > floor
-    lead = np.where(above.any(axis=0), above.argmax(axis=0), mags.argmax(axis=0))
-    leads = vectors[lead, np.arange(vectors.shape[1])]
-    # np.hypot is the modulus that abs() of one entry takes (np.abs of an array
-    # can differ in the last bit), and scaling the rows of vectors.T runs the
-    # multiply loop of scaling one column at a time (a (1, 1) broadcast
-    # does not); so these bits are the column-by-column gauge's
-    phases = leads / np.hypot(leads.real, leads.imag)
-    return (vectors.T * phases.conj()[:, None]).T
-
-
 def herm_eig(h, tol: float = 1e-8) -> EigenSystem:
     """Eigendecomposition of a self-adjoint matrix, values real ascending.
 
@@ -209,14 +204,7 @@ def herm_eig(h, tol: float = 1e-8) -> EigenSystem:
     """
     a = as_cmatrix(h)
     _gate(a - adjoint(a), tol, NotHermitian, "self-adjointness defect above tolerance")
-    values, vectors = np.linalg.eigh(_hermitize(a))
-    return EigenSystem(values, _fix_column_phases(vectors))
-
-
-def _cluster_stops(sorted_reals: np.ndarray, width: float) -> list[int]:
-    # Split an ascending sequence at gaps wider than `width`.
-    stops = np.flatnonzero(np.diff(sorted_reals) > width) + 1
-    return [*stops.tolist(), len(sorted_reals)]
+    return EigenSystem(*np.linalg.eigh(_hermitize(a)))
 
 
 def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> EigenSystem:
@@ -228,26 +216,20 @@ def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> Ei
     e^{i t} and e^{-i t}), so eigenvalues of H are grouped into clusters of
     width ``cluster_width`` and K is compressed to each cluster's eigenspace
     and diagonalized there.  The result is ordered by ascending real part,
-    ties broken by ascending imaginary part, with each eigenvector's leading
-    significant coordinate rotated to the positive real axis.
+    ties broken by ascending imaginary part.  Eigenvectors are as LAPACK
+    returns them: no result reads the phase of a single column.
     """
     a = w.m
-    n = w.dim
-    h = _hermitize(a)
     k = (a - adjoint(a)) / 2j
-    h_vals, h_vecs = np.linalg.eigh(h)
-    vectors = np.empty((n, n), dtype=np.complex128)
-    start = 0
-    for stop in _cluster_stops(h_vals, cluster_width):
-        basis = h_vecs[:, start:stop]
-        if stop - start == 1:
-            vectors[:, start:stop] = basis
-        else:
-            compressed = _hermitize(adjoint(basis) @ k @ basis)
-            _, refine = np.linalg.eigh(compressed)
+    h_vals, vectors = np.linalg.eigh(_hermitize(a))
+    # split at gaps wider than cluster_width; a singleton cluster's vector is
+    # already an eigenvector of w
+    stops = (np.flatnonzero(np.diff(h_vals) > cluster_width) + 1).tolist()
+    for start, stop in zip([0, *stops], [*stops, len(h_vals)]):
+        if stop - start > 1:
+            basis = vectors[:, start:stop]
+            _, refine = np.linalg.eigh(_hermitize(adjoint(basis) @ k @ basis))
             vectors[:, start:stop] = basis @ refine
-        start = stop
-    vectors = _fix_column_phases(vectors)
     # Rayleigh quotients v* a v, column by column after one BLAS matmul: exact
     # eigenvalues for exact invariant lines, and the right reporting choice
     # either way.

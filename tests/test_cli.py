@@ -422,6 +422,28 @@ def test_tol_env_unknown_name_rejected(capsys, matrix_file, monkeypatch):
     assert code == 3
 
 
+def test_tol_env_value_not_a_number_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QREP_TOL_UNITARITY", "abc")
+    out_json = tmp_path / "pair.json"
+    code = main(["gen", "voiculescu", "--n", "4", "-o", str(out_json)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "InputError" in err and "QREP_TOL_UNITARITY" in err and "'abc'" in err
+    assert not out_json.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+def test_matrix_file_whose_gram_product_overflows_is_refused(tmp_path, capsys, scale):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(matrix_to_json(scale * np.eye(3))))
+    out_json = tmp_path / "huge-k.json"
+    code = main(["invariant", "kappa", "-i", str(path), "-o", str(out_json)])
+    assert code == 1
+    assert "NotUnitary" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 def test_tol_reported_in_envelope(capsys, matrix_file):
     obj = run_json(capsys, "invariant", "winding", "-i", matrix_file,
                    "--tol-loop-closure", "2e-6", "--deterministic")

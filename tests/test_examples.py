@@ -73,11 +73,22 @@ def test_random_unitary_is_unitary_and_seeded():
 
 def test_perturbed_copy_exact_distance():
     rng = np.random.default_rng(301)
-    u = random_unitary(8, rng)
-    for radius in (0.01, 0.19, 1.0, 1.9):
-        u2 = perturbed_copy(u, radius, np.random.default_rng(5))
-        assert abs(op_norm(u2.m - u.m) - radius) < 1e-10, radius
-        assert op_norm(u2.m @ u2.m.conj().T - np.eye(8)) < 1e-12
+    for n in (8, 256):
+        u = random_unitary(n, rng)
+        for radius in (0.01, 0.19, 1.0, 1.9):
+            u2 = perturbed_copy(u, radius, np.random.default_rng(5))
+            assert abs(op_norm(u2.m - u.m) - radius) < 1e-10, (n, radius)
+            assert op_norm(u2.m @ u2.m.conj().T - np.eye(n)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 48])
+def test_perturbed_copy_decomposes_once(monkeypatch, n):
+    # ||K|| and exp(K) come from one eigensystem of -iK
+    u = random_unitary(n, np.random.default_rng(303))
+    eigh = spy(monkeypatch, np.linalg.eigh, [np.linalg])
+    eigvalsh = spy(monkeypatch, np.linalg.eigvalsh, [np.linalg])
+    perturbed_copy(u, 0.1, np.random.default_rng(6))
+    assert len(eigh) + len(eigvalsh) == 1
 
 
 def test_perturbed_copy_radius_domain():

@@ -131,6 +131,25 @@ def test_unitary_of_refusal_reports_the_operator_defect():
     assert exc.value.details["tol"] == 1e-8
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e160, 1e200])
+def test_unitary_of_refuses_a_matrix_whose_gram_product_overflows(scale):
+    # from 1e154 on m* m overflows to inf, from 1e160 on its diagonal to
+    # inf + nan j; each is a unitarity defect, never an acceptance
+    with pytest.raises(NotUnitary) as exc:
+        Unitary.of(scale * np.eye(3))
+    defect = exc.value.details["defect"]
+    assert defect > 1e-8
+    assert defect == np.inf or abs(defect / scale**2 - 1) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_herm_eig_refuses_a_finite_matrix_whose_defect_overflows():
+    with pytest.raises(NotHermitian) as exc:
+        herm_eig([[0.0, 1e308], [-1e308, 0.0]])
+    assert exc.value.details["defect"] == np.inf
+
+
 def test_unitary_adjoint_and_matmul():
     rng = np.random.default_rng(4)
     u, v = random_unitary(5, rng), random_unitary(5, rng)
@@ -182,9 +201,12 @@ def test_herm_eig_refusal_reports_the_operator_defect():
 def test_herm_eig_is_deterministic():
     rng = np.random.default_rng(6)
     h = random_hermitian(6, rng)
-    a, b = herm_eig(h), herm_eig(h)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.vectors, b.vectors)
+    u, _ = voiculescu_pair(12)                    # conjugate pairs: clusters of 2
+    for decompose in (lambda: herm_eig(h), lambda: unitary_eig(u),
+                      lambda: unitary_eig(random_unitary(6, np.random.default_rng(7)))):
+        a, b = decompose(), decompose()
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
 
 
 def test_eigensystem_apply_functional_calculus():
@@ -251,35 +273,28 @@ def test_unitary_eig_values_match_eigvals_and_the_three_operand_product(n):
         assert np.max(np.abs(es.values - three)) <= 1e-13
 
 
-def _column_by_column_gauge(vectors, floor=1e-8):
-    # the gauge one column at a time: first entry above floor, else the largest
-    v = np.array(vectors, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        hits = np.flatnonzero(np.abs(col) > floor)
-        i0 = int(hits[0]) if hits.size else int(np.argmax(np.abs(col)))
-        v[:, j] = col * (col[i0] / abs(col[i0])).conjugate()
-    return v
+def _unit_phase(values):
+    return np.exp(1j * values)
 
 
-def test_column_phases_equal_the_column_by_column_gauge_bit_for_bit():
-    from qrep.matcore import _fix_column_phases
-
+def test_eigenvector_phases_change_no_result():
+    # no column gauge is fixed: every consumer of an eigenvector (functional
+    # calculus, Rayleigh quotients, spectral projectors) reads V diag V* or
+    # v* a v, which a unit phase per column leaves unchanged
     rng = np.random.default_rng(12)
-    for n in (2, 3, 7, 64):
-        for _ in range(20):
-            scale = 10.0 ** rng.integers(-14, 1, (n, n))
-            m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * scale
-            m[:, 0] *= 1e-9                       # every entry below floor
-            m[:, 1] = 3e-9 * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-            m[-1, 1] = 5e-9j                      # a tie among sub-floor entries
-            if n > 2:                             # a tie above floor: first one wins
-                m[:, 2] = 0.0
-                m[1, 2], m[2, 2] = 0.6 + 0.8j, -0.8 + 0.6j
-            assert np.array_equal(_fix_column_phases(m), _column_by_column_gauge(m))
-    es = unitary_eig(random_unitary(64, rng))
-    assert np.array_equal(_fix_column_phases(es.vectors),
-                          _column_by_column_gauge(es.vectors))
+    h = random_hermitian(24, rng)
+    u, _ = voiculescu_pair(16)
+    w = random_unitary(24, rng)
+    for es, a in ((herm_eig(h), h), (unitary_eig(u), u.m), (unitary_eig(w), w.m)):
+        n = len(es.values)
+        turned = EigenSystem(es.values,
+                             es.vectors * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+        assert np.max(np.abs(turned.apply(_unit_phase) - es.apply(_unit_phase))) < 1e-13
+        quotients = [np.sum(v.conj() * (a @ v), axis=0) for v in (es.vectors, turned.vectors)]
+        assert np.max(np.abs(quotients[1] - quotients[0])) < 1e-13
+        above = es.values.real > 0
+        projectors = [v[:, above] @ adjoint(v[:, above]) for v in (es.vectors, turned.vectors)]
+        assert np.max(np.abs(projectors[1] - projectors[0])) < 1e-13
 
 
 # -- principal log / exp_skew -------------------------------------------------
