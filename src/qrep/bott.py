@@ -89,18 +89,38 @@ def bott_almost_projection(u: Unitary, v: Unitary,
                            *,
                            tolerances: Tolerances = DEFAULTS) -> AlmostProjection:
     """Build e(u, v) by functional calculus of v (eigenvalues of v clustered
-    at ``cluster_width``); its one eigvalsh gives the rank, defect and gap."""
+    at ``cluster_width``); its one eigvalsh gives the rank, defect and gap.
+
+    Only e and LAPACK's copy of it are alive during that eigensolve: every
+    n x n temporary dies with :func:`_bott_matrix`."""
     if u.dim != v.dim:
         raise DimensionMismatch("pair must share a dimension", u=u.dim, v=v.dim)
-    es = unitary_eig(v, tolerances.cluster_width)
-    f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
-    f = _hermitize(f)
-    x = g + h @ adjoint(u.m)
-    n = u.dim
-    # exactly self-adjoint, so eigvalsh (which reads one triangle) sees all of e
-    e = np.block([[f, x], [adjoint(x), np.eye(n) - f]])
+    e = _bott_matrix(u, v, tolerances.cluster_width)
     spectrum = np.linalg.eigvalsh(e)
-    return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()), n)
+    return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()), u.dim)
+
+
+def _bott_matrix(u: Unitary, v: Unitary, cluster_width: float) -> np.ndarray:
+    # [[f, x], [x*, 1 - f]] with x = g + h u*, written block by block into one
+    # 2n x 2n array.  x is formed, and v's eigensystem dropped, before e is
+    # allocated; h u* + g has the bits of g + h u*, as IEEE addition commutes.
+    # e is exactly self-adjoint, so eigvalsh (which reads one triangle) sees
+    # all of it.
+    n = u.dim
+    es = unitary_eig(v, cluster_width)
+    f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
+    del es
+    x = h @ adjoint(u.m)
+    del h
+    x += g
+    del g
+    f = _hermitize(f)
+    e = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    e[:n, :n] = f
+    np.subtract(np.eye(n), f, out=e[n:, n:])
+    e[:n, n:] = x
+    e[n:, :n] = adjoint(x)
+    return e
 
 
 def push_k_class(ap: AlmostProjection,
@@ -255,11 +275,12 @@ def verify_index_formula(qr: QuasiRep,
         (pb, qb) = abelianize(substitute(wb), base_generators)
         datum_class += pa * qb - qa * pb
 
+    # k first, so that the loop is not alive during e's eigensolve
+    lhs = k_invariant(u, v, tolerances=tolerances)
     n = u.dim
     images = [(qr.apply(wa).m, qr.apply(wb).m) for wa, wb in used.pairs]
     loop_u = Unitary(commutator_product([(mb, ma) for ma, mb in images], n))
 
-    lhs = k_invariant(u, v, tolerances=tolerances)
     rhs_wn = winding_number_det_segment(loop_u, tolerances=tolerances)
     rhs_kappa, rhs_tau = _kappa_pair(loop_u, tolerances)
     lhs_k = lhs.rounded

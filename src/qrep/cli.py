@@ -551,6 +551,10 @@ def main(argv=None) -> int:
     except QrepError as exc:
         print(f"qrep: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but a numerical failure inside LAPACK, not an input error
+        print(f"qrep: LinAlgError: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"qrep: {exc}", file=sys.stderr)
         return 3

@@ -24,7 +24,9 @@ The unitarity gate of :meth:`Unitary.of` and the self-adjointness gate of
 bound on the operator norm, so the eigensolve of :func:`op_norm` runs only
 when that bound exceeds the tolerance, and a refusal still reports the exact
 operator-norm defect.  A NaN or overflowed defect matrix is refused with
-an infinite defect.
+an infinite defect, and without numpy's overflow warnings: each gate forms
+and measures its defect matrix under ``np.errstate(over="ignore",
+invalid="ignore")``.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ class Unitary:
     @classmethod
     def of(cls, m, tol: float = DEFAULTS.unitarity) -> "Unitary":
         a = as_cmatrix(m)
-        _gate(adjoint(a) @ a - np.eye(a.shape[0]), tol,
-              NotUnitary, "unitarity defect above tolerance")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _gate(adjoint(a) @ a - np.eye(a.shape[0]), tol,
+                  NotUnitary, "unitarity defect above tolerance")
         return cls(a)
 
     @property
@@ -203,7 +206,8 @@ def herm_eig(h, tol: float = 1e-8) -> EigenSystem:
     Frobenius-first like :meth:`Unitary.of`.
     """
     a = as_cmatrix(h)
-    _gate(a - adjoint(a), tol, NotHermitian, "self-adjointness defect above tolerance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _gate(a - adjoint(a), tol, NotHermitian, "self-adjointness defect above tolerance")
     return EigenSystem(*np.linalg.eigh(_hermitize(a)))
 
 

@@ -403,17 +403,29 @@ class MultDefect:
 
 
 def mult_defect(qr: QuasiRep, elements) -> MultDefect:
-    """Multiplicativity defect of a quasi-representation on a finite set."""
+    """Multiplicativity defect of a quasi-representation on a finite set.
+
+    Each maximum is a running one over the difference matrices, taken one at
+    a time.  ||m||_F >= ||m||_op, so the eigensolve of :func:`op_norm` runs
+    only where the Frobenius norm (widened by 1e-8 for rounding) exceeds the
+    maximum so far; a matrix it skips cannot raise that maximum.
+    """
     words = [parse_word(e) if isinstance(e, str) else e for e in elements]
-    pi = {i: qr.apply(w) for i, w in enumerate(words)}
+    pi = [qr.apply(w).m for w in words]
+
+    def raise_max(top: float, m: np.ndarray) -> float:
+        # `not <=` hands a NaN to op_norm, which refuses it
+        if not np.linalg.norm(m) * (1 + 1e-8) <= top:
+            top = max(top, op_norm(m))
+        return top
+
     eps = 0.0
     for i, s in enumerate(words):
         for j, t in enumerate(words):
-            st = qr.apply(s * t)
-            eps = max(eps, op_norm(st.m - pi[i].m @ pi[j].m))
+            eps = raise_max(eps, qr.apply(s * t).m - pi[i] @ pi[j])
     inv = 0.0
     for i, s in enumerate(words):
-        inv = max(inv, op_norm(qr.apply(s.inverse()).m - pi[i].m.conj().T))
+        inv = raise_max(inv, qr.apply(s.inverse()).m - pi[i].conj().T)
     return MultDefect(eps, inv, len(words))
 
 

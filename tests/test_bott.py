@@ -7,6 +7,7 @@ their observed halving trend.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
                   k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
                   perturbed_copy, pullback, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
+from qrep.bott import _circle_functions
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
 
@@ -53,6 +55,43 @@ def test_e_identity_pair_is_trivial_projection():
     want = np.zeros((6, 6))
     want[:3, :3] = np.eye(3)
     assert op_norm(ap.e - want) < 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 48, 128])
+def test_e_is_the_block_matrix_bit_for_bit(n):
+    # e is written block by block into one array; the reference assembles
+    # [[f, x], [x*, 1 - f]], x = g + h u*, with np.block
+    qr = perturb(voiculescu_qrep(n), PerturbationSpec(radius=0.02, seed=2))
+    u, v = qr.images["a"], qr.images["b"]
+    ap = bott_almost_projection(u, v)
+    es = unitary_eig(v)
+    f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
+    f = (f + f.conj().T) / 2
+    x = g + h @ u.m.conj().T
+    want = np.block([[f, x], [x.conj().T, np.eye(n) - f]])
+    assert ap.e.dtype == want.dtype and ap.e.tobytes() == want.tobytes()
+    assert ap.spectrum.tobytes() == np.linalg.eigvalsh(want).tobytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    # bytes numpy and Python allocate during fn(*args) above what was live before
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_bott_step_holds_e_and_little_else():
+    # no n x n temporary outlives e's assembly, and verify_index_formula takes
+    # k before it forms the loop: the peak stays within 2.5 copies of e
+    n = 128
+    qr = perturb(voiculescu_qrep(n), PerturbationSpec(radius=0.02, seed=1))
+    size_e = (2 * n) ** 2 * 16
+    assert _traced_peak(bott_almost_projection, qr.images["a"], qr.images["b"]) <= 2.5 * size_e
+    assert _traced_peak(verify_index_formula, qr) <= 2.5 * size_e
 
 
 def test_defect_family_frozen_and_monotone():

@@ -432,7 +432,7 @@ def test_tol_env_value_not_a_number_names_the_variable(tmp_path, capsys, monkeyp
     assert not out_json.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
 def test_matrix_file_whose_gram_product_overflows_is_refused(tmp_path, capsys, scale):
     path = tmp_path / "huge.json"
@@ -440,7 +440,23 @@ def test_matrix_file_whose_gram_product_overflows_is_refused(tmp_path, capsys, s
     out_json = tmp_path / "huge-k.json"
     code = main(["invariant", "kappa", "-i", str(path), "-o", str(out_json)])
     assert code == 1
-    assert "NotUnitary" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("qrep: NotUnitary: ") and err.count("\n") == 1
+    assert not out_json.exists()
+
+
+def test_lapack_failure_exits_2_and_names_itself(tmp_path, capsys, monkeypatch, matrix_file):
+    # numpy's LinAlgError is a ValueError, but a numerical failure, not an
+    # input error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    out_json = tmp_path / "kappa.json"
+    code = main(["invariant", "kappa", "-i", matrix_file, "-o", str(out_json)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "qrep: LinAlgError: Eigenvalues did not converge\n"
     assert not out_json.exists()
 
 

@@ -131,7 +131,7 @@ def test_unitary_of_refusal_reports_the_operator_defect():
     assert exc.value.details["tol"] == 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e150, 1e154, 1e160, 1e200])
 def test_unitary_of_refuses_a_matrix_whose_gram_product_overflows(scale):
     # from 1e154 on m* m overflows to inf, from 1e160 on its diagonal to
@@ -143,7 +143,7 @@ def test_unitary_of_refuses_a_matrix_whose_gram_product_overflows(scale):
     assert defect == np.inf or abs(defect / scale**2 - 1) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_herm_eig_refuses_a_finite_matrix_whose_defect_overflows():
     with pytest.raises(NotHermitian) as exc:
         herm_eig([[0.0, 1e308], [-1e308, 0.0]])

@@ -9,13 +9,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import diag_unitary
+from conftest import diag_unitary, spy
 from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
-                  FreeWord, Presentation,
+                  FreeWord, PerturbationSpec, Presentation,
                   PresentationMismatch, PullbackThrough, QuasiRep,
                   StrategyUndefined, UnboundGenerator, Unitary, WordProduct,
                   WordSyntaxError, Z2NormalForm, abelianize, commutator,
-                  evaluate, mult_defect, op_norm, parse_word, qrep_from_json,
+                  evaluate, mult_defect, op_norm, parse_word, perturb, qrep_from_json,
                   qrep_to_json, random_unitary, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
@@ -287,6 +287,25 @@ def test_mult_defect_commuting_is_machine_zero():
     d = mult_defect(qr, ["a", "b", "a^-1", "b^-1", "a b"])
     assert d.epsilon < 1e-12
     assert d.inverse_defect < 1e-12
+
+
+@pytest.mark.parametrize("elements, norms", [(["a", "b", "a^-1", "b^-1"], 5),
+                                             (["a", "b", "a b"], 6)])
+def test_mult_defect_skips_eigensolves_that_cannot_raise_the_maximum(
+        monkeypatch, elements, norms):
+    # ||m||_F >= ||m||_op: op_norm runs only where the Frobenius norm exceeds
+    # the running maximum, and both maxima keep the bits of the full scan
+    qr = perturb(voiculescu_qrep(48), PerturbationSpec(radius=0.19, seed=1))
+    calls = spy(monkeypatch, op_norm)
+    d = mult_defect(qr, elements)
+    assert len(calls) == norms
+    monkeypatch.undo()
+    words = [parse_word(e) for e in elements]
+    pi = [qr.apply(s).m for s in words]
+    assert d.epsilon == max(op_norm(qr.apply(s * t).m - pi[i] @ pi[j])
+                            for i, s in enumerate(words) for j, t in enumerate(words))
+    assert d.inverse_defect == max(op_norm(qr.apply(s.inverse()).m - pi[i].conj().T)
+                                   for i, s in enumerate(words))
 
 
 # -- JSON codec -----------------------------------------------------------------
