@@ -24,6 +24,7 @@ variables and per-invocation --tol-<name> flags (flags win).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -241,14 +242,20 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
+# floats per joined slice of a matrix's re or im list: about 30 KB of text,
+# under glibc's 128 KiB mmap threshold, so each slice reuses freed heap
+_FLOAT_SLICE = 1024
+
+
 def _json_chunks(value, pad: str = ""):
     """Yield, in pieces, the text ``json.dumps`` writes for ``value`` with a
     two-space indent and sorted keys, with numpy scalars as Python values,
     tuples as lists and non-finite floats as ``null``.
 
-    A list of plain finite floats (a matrix's ``re`` or ``im``) is joined in
-    C through ``float.__repr__``, the text ``json`` writes for a finite
-    float; every other scalar goes through ``json.dumps``.
+    A list of plain floats (a matrix's ``re`` or ``im``) is joined in C
+    through ``float.__repr__``, the text ``json`` writes for a finite float,
+    ``_FLOAT_SLICE`` entries at a time, so no piece holds a whole matrix;
+    every other scalar goes through ``json.dumps``.
     """
     if isinstance(value, dict):
         if not value:
@@ -269,14 +276,21 @@ def _json_chunks(value, pad: str = ""):
         inner = pad + "  "
         sep = ",\n" + inner
         yield "[\n" + inner
-        # a float sum overflowing to inf only sends the list the slow way
-        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
-            yield sep.join(map(float.__repr__, value))
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    yield sep
-                yield from _json_chunks(item, inner)
+        floats = set(map(type, value)) == {float}
+        step = _FLOAT_SLICE if floats else len(value)
+        for start in range(0, len(value), step):
+            piece = value[start:start + step]
+            if start:
+                yield sep
+            # a NaN, an inf or a sum overflowing to inf sends only its slice
+            # the slow way
+            if floats and math.isfinite(sum(piece)):
+                yield sep.join(map(float.__repr__, piece))
+            else:
+                for i, item in enumerate(piece):
+                    if i:
+                        yield sep
+                    yield from _json_chunks(item, inner)
         yield "\n" + pad + "]"
     elif isinstance(value, (float, np.floating)):
         yield float.__repr__(float(value)) if math.isfinite(value) else "null"
@@ -287,6 +301,14 @@ def _json_chunks(value, pad: str = ""):
 
 
 def _emit(args, tol: config.Tolerances, command: str, result) -> None:
+    """Write the report envelope to ``-o`` or to ``sys.stdout`` as
+    ``_json_chunks`` yields it, so no string holds the whole document.
+
+    Every refusal is raised before this is called, so a refused command
+    writes no ``-o`` file.  An exception inside the writer itself (an
+    ``OSError``, or a value ``_json_chunks`` cannot write) can leave a
+    truncated one.
+    """
     cfg = {k: v for k, v in vars(args).items()
            if k != "func" and not k.startswith("tol_") and v is not None}
     report = {
@@ -297,12 +319,10 @@ def _emit(args, tol: config.Tolerances, command: str, result) -> None:
     }
     if not args.deterministic:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = "".join(_json_chunks(report))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # sys.stdout is looked up here, so redirect_stdout and capsys see the output
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_json_chunks(report))
+        fh.write("\n")
 
 
 def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:

@@ -337,4 +337,9 @@ def matrix_from_json(obj) -> np.ndarray:
     if n < 1 or re.shape != (n * n,) or im.shape != (n * n,):
         raise FormatError("matrix entry count does not match dim",
                           dim=n, re_len=int(re.size), im_len=int(im.size))
-    return as_cmatrix((re + 1j * im).reshape(n, n))
+    # assigned part by part: re + 1j * im would read an imaginary -0.0 as
+    # +0.0, and -0.0 + 0j as 0j
+    m = np.empty(n * n, dtype=np.complex128)
+    m.real = re
+    m.imag = im
+    return as_cmatrix(m.reshape(n, n))

@@ -11,9 +11,11 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
                   kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
-from qrep.cli import CSV_COLUMNS, _json_chunks, main
+from qrep.cli import _FLOAT_SLICE, CSV_COLUMNS, _json_chunks, main
 from qrep.matcore import commutator_product
 
 
@@ -606,6 +608,16 @@ def _dumps(value) -> str:
     return json.dumps(_plain(value), indent=2, sort_keys=True, allow_nan=False)
 
 
+def _sliced_floats() -> list[float]:
+    # three slices of the writer's joined float path: the first is joined,
+    # the second's sum overflows and the third holds a NaN, so each of those
+    # two alone takes the entry-by-entry path
+    value = [i / 7 - 200.0 for i in range(3 * _FLOAT_SLICE - 70)]
+    value[_FLOAT_SLICE + 5] = value[_FLOAT_SLICE + 6] = 1e308
+    value[2 * _FLOAT_SLICE + 9] = float("nan")
+    return value
+
+
 WRITER_VALUES = {
     "float-list": [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1 / 3, 2.0 ** 53, 1.0, -2.0, 1e308,
                    123456789.0, 0.1],
@@ -613,6 +625,7 @@ WRITER_VALUES = {
     "integer-valued-floats": [3.0, -1.0, 1e22, 1e15],
     "mixed-list": [1, 2.5, True, None, "x", [0.5], {}],
     "overflowing-sum": [1e308, 1e308, -1e308],
+    "sliced-floats": _sliced_floats(),
     "empty": {"dict": {}, "list": [], "tuple": ()},
     "nested": {"b": [[1.0, 2.0], [], [[-0.0]]], "a": {"z": {"y": [{"x": 1}]}}},
     "tuple": (1.5, (2, 3.0), ["a"]),
@@ -651,6 +664,36 @@ def test_json_writer_nulls_non_finite_and_unwraps_numpy():
                            "np": [0.1, float(np.float32(0.5)), -3, True],
                            "np_nan": None, "tuple": [2.0]}, indent=2, sort_keys=True)
     assert _write(value) == _dumps(value) == expected
+
+
+def test_gen_perturbed_holds_little_beyond_its_output(tmp_path, capsys):
+    # the writer streams the envelope to -o in slices; joining the whole
+    # document first held about 4.2 times the file's size at once
+    pair, out = str(tmp_path / "pair128.json"), str(tmp_path / "pert.json")
+    assert main(["gen", "voiculescu", "--n", "128", "-o", pair]) == 0
+    argv = ["gen", "perturbed", "-i", pair, "--radius", "0.02", "-o", out, "--deterministic"]
+    # a first run also pays for lazy imports, which are not the writer's
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.0 * os.path.getsize(out), (peak, os.path.getsize(out))
+
+
+def test_stdout_and_file_outputs_agree(tmp_path, capsys):
+    # n = 48 spreads each re and im list over three of the writer's slices
+    pair = str(tmp_path / "pair48.json")
+    assert main(["gen", "voiculescu", "--n", "48", "-o", pair]) == 0
+    argv = ["gen", "perturbed", "-i", pair, "--radius", "0.05", "--deterministic"]
+    printed = run_json(capsys, *argv)
+    out = tmp_path / "pert.json"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed["result"] == json.loads(out.read_text())["result"]
 
 
 def test_cli_result_with_non_finite_value_is_null(capsys, matrix_file, monkeypatch):

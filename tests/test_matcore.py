@@ -381,11 +381,24 @@ def test_matrix_json_round_trip_is_bit_exact():
     # plain Python floats, which the CLI's JSON writer joins in one pass
     assert {type(x) for x in obj["re"] + obj["im"]} == {float}
     back = matrix_from_json(obj)
-    assert np.array_equal(back, m.astype(np.complex128))
+    assert back.tobytes() == m.astype(np.complex128).tobytes()
     # through an actual json text cycle as well
     import json
     back2 = matrix_from_json(json.loads(json.dumps(obj)))
-    assert np.array_equal(back2, m.astype(np.complex128))
+    assert back2.tobytes() == m.astype(np.complex128).tobytes()
+
+
+def test_matrix_json_round_trip_keeps_signed_zeros_and_extremes():
+    # np.array_equal reads -0.0 == 0.0, so compare bytes: every pairing of
+    # +-0.0, the smallest subnormal and the largest double in the two parts
+    import itertools
+    import json
+    big = np.finfo(np.float64).max
+    parts = [0.0, -0.0, 5e-324, -5e-324, big, -big]
+    entries = [complex(x, y) for x, y in itertools.product(parts, parts)]
+    m = np.array(entries, dtype=np.complex128).reshape(6, 6)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+    assert back.tobytes() == m.tobytes()
 
 
 def test_matrix_json_rejects_malformed():
