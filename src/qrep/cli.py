@@ -17,8 +17,10 @@ truncating the sweep.  Exit codes: 0 success; 1 violated precondition or
 hypothesis; 2 numerical failure (branch cut, missing spectral gap,
 singular path); 3 I/O, format, or usage errors.
 
-Tolerance defaults may be overridden by QREP_TOL_<NAME> environment
-variables and per-invocation --tol-<name> flags (flags win).
+The command line is a run's whole configuration: tolerance defaults may be
+overridden by --tol-<name> flags, and nothing else (no QREP_TOL_* variable)
+changes them.  A command takes only the flags it reads: --trace belongs to
+invariant, --seed to gen perturbed and stability.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trace", choices=["standard", "normalized"],
-                        default="standard", help="trace mode for kappa")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("-o", "--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
     common.add_argument("--deterministic", action="store_true",
@@ -118,6 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("-i", "--input", metavar="QREP", help="base quasi-representation")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--targets", help="comma list of generators (default: all)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_gen_perturbed)
 
     p = gen_sub.add_parser("pullback", parents=[common],
@@ -140,6 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("-i", "--input", required=True, metavar="FILE",
                    help="matrix JSON or quasi-representation JSON")
     p.add_argument("--word", help="word to evaluate (quasi-representation inputs)")
+    p.add_argument("--trace", choices=["standard", "normalized"],
+                   default="standard", help="trace mode for kappa")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("defect", parents=[common],
@@ -172,6 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--g", type=int, default=1, help="number of commutator pairs (>= 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first run")
     p.add_argument("--seeds", type=int, default=1, help="number of seeded runs (>= 1)")
     p.add_argument("--csv", metavar="PATH", help="write the rows as CSV")
     p.set_defaults(func=cmd_stability)
@@ -187,13 +190,12 @@ def build_parser() -> _Parser:
 # -- plumbing -----------------------------------------------------------------
 
 def _resolve_tolerances(args) -> config.Tolerances:
-    tol = config.from_env()
     overrides = {}
     for f in dataclasses.fields(config.Tolerances):
-        value = getattr(args, f"tol_{f.name}", None)
+        value = getattr(args, f"tol_{f.name}")
         if value is not None:
             overrides[f.name] = value
-    return dataclasses.replace(tol, **overrides) if overrides else tol
+    return dataclasses.replace(config.DEFAULTS, **overrides)
 
 
 def _load_json(path: str):
@@ -320,7 +322,8 @@ def _emit(args, tol: config.Tolerances, command: str, result) -> None:
     if not args.deterministic:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     # sys.stdout is looked up here, so redirect_stdout and capsys see the output
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    out = open(args.out, "w") if args.out is not None else contextlib.nullcontext(sys.stdout)
+    with out as fh:
         fh.writelines(_json_chunks(report))
         fh.write("\n")
 
@@ -344,7 +347,7 @@ def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
                 line["status"] = "mismatch"
             reports.append(report.to_json())
         rows.append(line)
-    if csv_path:
+    if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, restval="")
             writer.writeheader()
@@ -353,9 +356,9 @@ def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
 
 
 def _base_qrep(args, tol):
-    if args.input and args.n is None:
+    if args.input is not None and args.n is None:
         return _load_qrep(args.input, tol)
-    if args.n and not args.input:
+    if args.n is not None and args.input is None:
         return voiculescu_qrep(args.n)
     raise InputError("give exactly one of -i and --n")
 
@@ -404,15 +407,17 @@ def cmd_gen_direct_sum(args, tol):
 def _input_unitary(args, tol) -> Unitary:
     kind, payload = _load_matrix_or_qrep(args.input, tol)
     if kind == "matrix":
-        if args.word:
+        if args.word is not None:
             raise InputError("--word applies to quasi-representation inputs only")
         return payload
-    if not args.word:
+    if args.word is None:
         raise InputError("quasi-representation inputs need --word")
     return evaluate(parse_word(args.word), payload.images)
 
 
 def cmd_invariant(args, tol):
+    if args.trace != "standard" and args.which != "kappa":
+        raise InputError("--trace applies to invariant kappa only", trace=args.trace)
     if args.which == "kappa":
         report = kappa(_input_unitary(args, tol), args.trace, tolerances=tol)
     elif args.which == "winding":
@@ -421,7 +426,7 @@ def cmd_invariant(args, tol):
         kind, payload = _load_matrix_or_qrep(args.input, tol)
         if kind != "qrep" or len(payload.presentation.generators) != 2:
             raise InputError("the k class needs a two-generator quasi-representation")
-        if args.word:
+        if args.word is not None:
             raise InputError("the k class is computed from the generator pair, not a word")
         g0, g1 = payload.presentation.generators
         report = k_invariant(payload.images[g0], payload.images[g1], tolerances=tol)
@@ -430,7 +435,7 @@ def cmd_invariant(args, tol):
 
 def cmd_defect(args, tol):
     qr = _load_qrep(args.input, tol)
-    if args.element_set:
+    if args.element_set is not None:
         elements = [parse_word(w) for w in _split_top_level(args.element_set)]
     else:
         elements = generators_and_inverses(qr.presentation)
@@ -455,12 +460,12 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_verify_exel_loring(args, tol):
-    if args.csv and not args.n_range:
+    if args.csv is not None and args.n_range is None:
         raise InputError("--csv writes the rows of an --n-range sweep; give --n-range",
                          csv=args.csv)
-    if args.n_range and (args.input or args.n is not None):
+    if args.n_range is not None and (args.input is not None or args.n is not None):
         raise InputError("--n-range sweeps the built-in pair; give neither -i nor --n")
-    if args.n_range:
+    if args.n_range is not None:
         def row(n):
             qr = voiculescu_qrep(n)
             report = verify_index_formula(qr, tolerances=tol)
@@ -559,13 +564,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # only kappa has a trace mode, and only gen perturbed and stability
-        # draw random numbers; any other command would ignore these
-        if args.trace != "standard" and getattr(args, "which", None) != "kappa":
-            raise InputError("--trace applies to invariant kappa only", trace=args.trace)
-        if args.seed != 0 and args.func not in (cmd_gen_perturbed, cmd_stability):
-            raise InputError("--seed applies to gen perturbed and stability only",
-                             seed=args.seed)
         tol = _resolve_tolerances(args)
         args.func(args, tol)
     except QrepError as exc:

@@ -14,8 +14,7 @@ checked again; their defect is bounded by their factors',
 d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
 parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
 1e-8 and ``spectral_projection``'s threshold 0.5 and gap 0.1.  The CLI
-builds its object from ``DEFAULTS``, ``QREP_TOL_*`` variables and
-``--tol-*`` flags.
+builds its object from ``DEFAULTS`` and its ``--tol-*`` flags alone.
 
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
 included: each field must be finite and >= 0, and ``defect_max`` must be
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -76,29 +74,3 @@ class Tolerances:
 
 
 DEFAULTS = Tolerances()
-
-_ENV_PREFIX = "QREP_TOL_"
-
-
-def from_env() -> Tolerances:
-    """Return ``DEFAULTS`` with any ``QREP_TOL_<FIELD>`` overrides from the
-    process environment applied.
-
-    Field names map to upper case, e.g. ``QREP_TOL_BRANCH_MARGIN=1e-9``.
-    Unknown variables with the prefix raise ``ValueError`` so typos do not
-    silently do nothing; a value that is not a number raises ``InputError``
-    naming the variable.
-    """
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
-    updates = {}
-    for key, raw in os.environ.items():
-        if not key.startswith(_ENV_PREFIX):
-            continue
-        name = key[len(_ENV_PREFIX):].lower()
-        if name not in fields:
-            raise ValueError(f"unknown tolerance variable {key}")
-        try:
-            updates[name] = float(raw)
-        except ValueError:
-            raise InputError(f"{key} must be a number", variable=key, value=raw) from None
-    return dataclasses.replace(DEFAULTS, **updates) if updates else DEFAULTS

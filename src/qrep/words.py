@@ -9,7 +9,9 @@ A word is a finite sequence of (generator, ±1) letters.  The text grammar:
 
 Juxtaposition (with optional whitespace) concatenates, ``[x, y]`` expands to
 the commutator x y x^-1 y^-1, exponents repeat (negative exponents invert).
-Parsing is total on this grammar and reports a byte offset on failure.
+Parsing is total: it returns a word or raises ``WordSyntaxError`` with the
+offset of the failure, text past a cap included (an exponent's magnitude,
+the expanded length, or brackets nested more than 200 deep).
 
 Quasi-representations assign a unitary to each presentation generator and
 carry a strategy that extends the assignment to group *elements*:
@@ -68,6 +70,7 @@ __all__ = [
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _MAX_EXPONENT = 10**6
 _MAX_LETTERS = 10**6  # cap on expanded length; keeps ((a^k)^k)... bounded
+_MAX_DEPTH = 200  # cap on bracket nesting; keeps the recursive descent off the stack limit
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str, at: int | None = None):
         raise WordSyntaxError(message, offset=self.pos if at is None else at)
@@ -145,17 +149,28 @@ class _Parser:
             letters = letters * k
         return letters
 
+    def enter(self):
+        # at an opening bracket, which is the offset a too-deep nesting reports
+        if self.depth == _MAX_DEPTH:
+            self.fail("brackets nest deeper than the cap")
+        self.depth += 1
+        self.pos += 1
+
+    def leave(self):
+        self.depth -= 1
+        self.pos += 1
+
     def atom(self) -> list[tuple[str, int]]:
         c = self.peek()
         if c == "(":
-            self.pos += 1
+            self.enter()
             inner = self.word(")")
             if self.peek() != ")":
                 self.fail("expected ')'")
-            self.pos += 1
+            self.leave()
             return inner
         if c == "[":
-            self.pos += 1
+            self.enter()
             left = self.word(",]")
             if self.peek() != ",":
                 self.fail("expected ',' inside commutator brackets")
@@ -163,7 +178,7 @@ class _Parser:
             right = self.word("]")
             if self.peek() != "]":
                 self.fail("expected ']'")
-            self.pos += 1
+            self.leave()
             return list(commutator(FreeWord(tuple(left)), FreeWord(tuple(right))).letters)
         m = _IDENT_RE.match(self.text, self.pos)
         if c and m:
@@ -464,11 +479,13 @@ def _strategy_to_json(strategy) -> dict:
 
 
 def read_json(path: str):
-    """Parse the JSON file at ``path``; malformed text is a FormatError naming it."""
-    with open(path) as fh:
+    """Parse the JSON file at ``path``; malformed text, text that is not UTF-8
+    and nesting deeper than the decoder's recursion limit are a FormatError
+    naming it."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

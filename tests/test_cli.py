@@ -396,7 +396,7 @@ def test_homotopy_gap_rejects_qrep(capsys, pair_file):
     assert code == 3
 
 
-# -- tolerances: env vars and flags ------------------------------------------------------
+# -- tolerances: flags only -------------------------------------------------------------
 
 def test_tol_flag_changes_behavior(capsys, matrix_file):
     # the n = 8 commutator spectrum sits 2 sin(pi/8) - ish from -1;
@@ -406,32 +406,16 @@ def test_tol_flag_changes_behavior(capsys, matrix_file):
     assert code == 2
 
 
-def test_tol_env_override(capsys, matrix_file, monkeypatch):
+def test_tolerance_variables_are_not_read(capsys, matrix_file, monkeypatch):
+    # the command line is the whole configuration: a QREP_TOL_* variable,
+    # valid, unknown or not a number, changes nothing
     monkeypatch.setenv("QREP_TOL_BRANCH_MARGIN", "1.9")
-    code, _ = run_cli(capsys, "invariant", "kappa", "-i", matrix_file)
-    assert code == 2
-    # flags beat the environment
-    monkeypatch.setenv("QREP_TOL_BRANCH_MARGIN", "1.9")
-    obj = run_json(capsys, "invariant", "kappa", "-i", matrix_file,
-                   "--tol-branch-margin", "1e-6", "--deterministic")
-    assert obj["result"]["rounded"] == -1
-    assert obj["tolerances"]["branch_margin"] == 1e-6
-
-
-def test_tol_env_unknown_name_rejected(capsys, matrix_file, monkeypatch):
-    monkeypatch.setenv("QREP_TOL_NO_SUCH_FIELD", "1.0")
-    code, _ = run_cli(capsys, "invariant", "kappa", "-i", matrix_file)
-    assert code == 3
-
-
-def test_tol_env_value_not_a_number_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QREP_TOL_NO_SUCH_FIELD", "x")
     monkeypatch.setenv("QREP_TOL_UNITARITY", "abc")
-    out_json = tmp_path / "pair.json"
-    code = main(["gen", "voiculescu", "--n", "4", "-o", str(out_json)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "InputError" in err and "QREP_TOL_UNITARITY" in err and "'abc'" in err
-    assert not out_json.exists()
+    obj = run_json(capsys, "invariant", "kappa", "-i", matrix_file, "--deterministic")
+    assert obj["result"]["rounded"] == -1
+    assert obj["tolerances"] == dataclasses.asdict(DEFAULTS)
+    assert obj["tolerances"]["branch_margin"] == 1e-6
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -737,10 +721,19 @@ def test_exit_code_missing_file(capsys):
 
 
 def test_exit_code_invalid_json(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run_cli(capsys, "invariant", "kappa", "-i", str(bad))
-    assert code == 3
+    # malformed text, nesting past the decoder's recursion limit and text
+    # that is not UTF-8 are each one FormatError line naming the file
+    out_json = tmp_path / "out.json"
+    for name, content in [("bad.json", b"{not json"), ("deep.json", b"[" * 200000),
+                          ("utf16.json", '{"dim": 1}'.encode("utf-16"))]:
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        code = main(["invariant", "kappa", "-i", str(bad), "-o", str(out_json)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"qrep: FormatError: invalid JSON in {bad}: "), err
+        assert err.count("\n") == 1, err
+        assert not out_json.exists()
 
 
 def test_exit_code_invalid_json_in_a_file_reference(tmp_path, capsys):
@@ -756,9 +749,12 @@ def test_exit_code_invalid_json_in_a_file_reference(tmp_path, capsys):
 
 
 def test_exit_code_word_syntax(capsys, pair_file):
-    code, _ = run_cli(capsys, "invariant", "kappa", "-i", pair_file,
-                      "--word", "a^")
-    assert code == 3
+    # a bracket nesting past the parser's cap is a syntax error too, not a
+    # RecursionError
+    for word in ["a^", "(" * 5000 + "a" + ")" * 5000]:
+        code, _ = run_cli(capsys, "invariant", "kappa", "-i", pair_file,
+                          "--word", word)
+        assert code == 3
 
 
 def test_exit_code_hypothesis_failure(tmp_path, capsys):
@@ -983,18 +979,6 @@ def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
     assert not csv_path.exists()
 
 
-def test_tolerance_variables_are_checked(tmp_path, capsys, pair_file, monkeypatch):
-    out_json = tmp_path / "out.json"
-    for field, value in [("path_floor", "-1"), ("defect_max", "0.25"),
-                         ("defect_max", "0.3")]:
-        with monkeypatch.context() as env:
-            env.setenv(f"QREP_TOL_{field.upper()}", value)
-            assert main(["invariant", "k", "-i", pair_file, "-o", str(out_json)]) == 3
-        err = capsys.readouterr().err
-        assert "InputError" in err and field in err
-        assert not out_json.exists()
-
-
 @pytest.mark.parametrize("field, value", [
     ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
     ("defect_max", 0.25), ("defect_max", 0.3),
@@ -1050,47 +1034,74 @@ def test_verify_csv_needs_n_range(tmp_path, capsys):
     assert not out_csv.exists() and not out_json.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["verify", "exel-loring", "--n", "16"],
-    ["invariant", "winding", "-i", "{matrix}"],
-    ["stability", "--n", "16", "--radius", "0.1", "--csv", "{csv}"],
-], ids=["verify", "winding", "stability"])
-def test_trace_outside_kappa_is_refused(tmp_path, capsys, matrix_file, command):
-    # only invariant kappa reads --trace; elsewhere a non-default mode would
-    # be ignored, so it is an InputError and no file is written
+# one invocation of each command; {matrix}, {pair} and {csv} are filled in
+_COMMANDS = {
+    "voiculescu": ["gen", "voiculescu", "--n", "4"],
+    "perturbed": ["gen", "perturbed", "--n", "4", "--radius", "0.05"],
+    "pullback": ["gen", "pullback", "--n", "4", "--images", "s1=a,t1=b"],
+    "direct-sum": ["gen", "direct-sum", "-i", "{pair}", "-i", "{pair}"],
+    "kappa": ["invariant", "kappa", "-i", "{matrix}"],
+    "winding": ["invariant", "winding", "-i", "{matrix}"],
+    "k": ["invariant", "k", "-i", "{pair}"],
+    "defect": ["defect", "-i", "{pair}"],
+    "verify": ["verify", "exel-loring", "--n", "16"],
+    "verify-sweep": ["verify", "exel-loring", "--n-range", "8:8:8", "--csv", "{csv}"],
+    "remark25": ["verify", "remark25", "--n", "4"],
+    "stability": ["stability", "--n", "16", "--radius", "0.1", "--csv", "{csv}"],
+    "homotopy-gap": ["homotopy-gap", "-i", "{matrix}"],
+}
+
+
+def _run_refused(tmp_path, capsys, matrix_file, pair_file, name, flags):
+    """Run _COMMANDS[name] with ``flags`` and -o; return the exit code, usage
+    errors included, and stderr, asserting that no report or CSV was written."""
     out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
-    argv = [a.replace("{matrix}", matrix_file).replace("{csv}", str(out_csv))
-            for a in command]
-    code = main(argv + ["--trace", "normalized", "-o", str(out_json)])
-    assert code == 3
-    assert "--trace" in capsys.readouterr().err
+    argv = [a.format(matrix=matrix_file, pair=pair_file, csv=out_csv)
+            for a in _COMMANDS[name]]
+    try:
+        code = main(argv + flags + ["-o", str(out_json)])
+    except SystemExit as exc:
+        code = exc.code
     assert not out_json.exists() and not out_csv.exists()
-    # the default mode is accepted everywhere, and normalized by kappa
-    assert main(argv + ["--trace", "standard", "-o", str(out_json)]) == 0
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c not in ("kappa", "winding", "k")])
+def test_trace_outside_invariant_is_a_usage_error(tmp_path, capsys, matrix_file, pair_file,
+                                                  command):
+    # only invariant has --trace; any other command refuses it at any value,
+    # as it refuses --csv, before any work
+    for mode in ["standard", "normalized"]:
+        code, err = _run_refused(tmp_path, capsys, matrix_file, pair_file, command,
+                                 ["--trace", mode])
+        assert code == 3
+        assert "unrecognized arguments: --trace" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "winding", "stability", "k"])
+def test_trace_outside_kappa_is_refused(tmp_path, capsys, matrix_file, pair_file, command):
+    # invariant winding and k take --trace but have no trace mode, so a
+    # normalized one is an InputError; elsewhere the flag is a usage error
+    code, err = _run_refused(tmp_path, capsys, matrix_file, pair_file, command,
+                             ["--trace", "normalized"])
+    assert code == 3
+    assert "--trace" in err
+    # invariant accepts the standard mode, and kappa the normalized one
+    assert main(["invariant", "winding", "-i", matrix_file, "--trace", "standard"]) == 0
     assert main(["invariant", "kappa", "-i", matrix_file, "--trace", "normalized"]) == 0
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", [
-    ["verify", "exel-loring", "--n", "16"],
-    ["verify", "exel-loring", "--n-range", "8:8:8", "--csv", "{csv}"],
-    ["gen", "voiculescu", "--n", "4"],
-    ["invariant", "kappa", "-i", "{matrix}"],
-], ids=["verify", "verify-sweep", "voiculescu", "kappa"])
-def test_seed_outside_random_commands_is_refused(tmp_path, capsys, matrix_file, command):
-    # only gen perturbed and stability draw random numbers; elsewhere a
-    # non-default seed would be ignored, so it is an InputError and no file
-    # is written
-    out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
-    argv = [a.replace("{matrix}", matrix_file).replace("{csv}", str(out_csv))
-            for a in command]
-    code = main(argv + ["--seed", "5", "-o", str(out_json)])
-    assert code == 3
-    assert "--seed" in capsys.readouterr().err
-    assert not out_json.exists() and not out_csv.exists()
-    # the default seed is accepted everywhere, and echoed
-    assert main(argv + ["--seed", "0", "-o", str(out_json)]) == 0
-    assert json.loads(out_json.read_text())["config"]["seed"] == 0
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c not in ("perturbed", "stability")])
+def test_seed_outside_random_commands_is_refused(tmp_path, capsys, matrix_file, pair_file,
+                                                 command):
+    # only gen perturbed and stability draw random numbers and have --seed;
+    # any other command refuses it at any value, the default 0 included
+    for seed in ["0", "5"]:
+        code, err = _run_refused(tmp_path, capsys, matrix_file, pair_file, command,
+                                 ["--seed", seed])
+        assert code == 3
+        assert "unrecognized arguments: --seed" in err
 
 
 def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
@@ -1124,21 +1135,6 @@ def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
     assert not out_json.exists()
 
 
-@pytest.mark.parametrize("variable", ["QREP_TOL_HERMITICITY", "QREP_TOL_HOMOTOPY_GRID",
-                                      "QREP_TOL_PROJECTION_THRESHOLD",
-                                      "QREP_TOL_WINDING_MAX_DEPTH",
-                                      "QREP_TOL_STABILITY_SAMPLES",
-                                      "QREP_TOL_PROJECTION_GAP",
-                                      "QREP_TOL_WINDING_SAMPLES"])
-def test_removed_tolerance_variables_are_refused(tmp_path, capsys, monkeypatch,
-                                                 variable):
-    out_json = tmp_path / "x.json"
-    monkeypatch.setenv(variable, "1")
-    assert main(["gen", "voiculescu", "--n", "4", "-o", str(out_json)]) == 3
-    assert f"unknown tolerance variable {variable}" in capsys.readouterr().err
-    assert not out_json.exists()
-
-
 def test_exit_code_gen_requires_source(capsys):
     code, _ = run_cli(capsys, "gen", "perturbed", "--radius", "0.1")
     assert code == 3
@@ -1163,3 +1159,58 @@ def test_ignored_inputs_are_refused(tmp_path, capsys, pair_file, command):
     assert code == 3
     assert "InputError" in capsys.readouterr().err
     assert not out_json.exists() and not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "perturbed", "--n", "0", "--radius", "0.1"],
+    ["gen", "pullback", "--n", "0", "--images", "s1=a,t1=b"],
+    ["verify", "exel-loring", "--n", "0"],
+], ids=["perturbed", "pullback", "verify"])
+def test_n_zero_is_a_given_dimension(capsys, command):
+    # --n 0 is given, not absent: the pair refuses it as on gen voiculescu
+    assert main(["gen", "voiculescu", "--n", "0"]) == 1
+    refusal = capsys.readouterr().err
+    assert refusal.startswith("qrep: DimensionMismatch: ")
+    assert main(command) == 1
+    assert capsys.readouterr().err == refusal
+
+
+@pytest.mark.parametrize("command, message", [
+    (["invariant", "k", "-i", "{pair}", "--word", ""], "not a word"),
+    (["invariant", "kappa", "-i", "{matrix}", "--word", ""], "--word applies"),
+    (["gen", "perturbed", "-i", "", "--n", "4", "--radius", "0.1"], "exactly one"),
+    (["verify", "exel-loring", "--n", "8", "--csv", ""], "give --n-range"),
+    (["verify", "exel-loring", "--n-range", ""], "A:B:STEP"),
+], ids=["k-word", "matrix-word", "perturbed-i", "verify-csv", "n-range"])
+def test_empty_values_are_given(tmp_path, capsys, matrix_file, pair_file, command, message):
+    # an empty value is given, not absent, so it meets the same checks as
+    # any other value: each of these is refused before any work
+    out_json = tmp_path / "x.json"
+    argv = [a.format(matrix=matrix_file, pair=pair_file) for a in command]
+    assert main(argv + ["-o", str(out_json)]) == 3
+    err = capsys.readouterr().err
+    assert "InputError" in err and message in err
+    assert not out_json.exists()
+
+
+def test_empty_output_paths_are_given(tmp_path, capsys):
+    # -o "" and --csv "" name no file, so the write fails (exit 3); neither
+    # falls back to stdout or to no CSV
+    assert main(["gen", "voiculescu", "--n", "4", "-o", ""]) == 3
+    assert main(["stability", "--n", "8", "--radius", "0.1", "--csv", "",
+                 "-o", str(tmp_path / "x.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("No such file or directory: ''") == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_empty_word_is_the_identity(capsys, pair_file):
+    # --word "" is the empty word, the identity, as in --images s2=
+    for which in ["kappa", "winding"]:
+        obj = run_json(capsys, "invariant", which, "-i", pair_file, "--word", "",
+                       "--deterministic")
+        assert obj["result"]["rounded"] == 0
+    obj = run_json(capsys, "defect", "-i", pair_file, "--set", "", "--deterministic")
+    assert obj["result"]["mult_defect"] == {"epsilon": 0.0, "inverse_defect": 0.0,
+                                            "set_size": 1}

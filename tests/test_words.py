@@ -60,7 +60,11 @@ def test_parse_iterated_exponents():
 def test_syntax_errors_carry_offsets():
     for text, off in [("a^", 2), ("(a", 2), ("[a b]", 4), ("^2", 0),
                       ("a)", 1), ("[a,b", 4), ("a^x", 2), ("1a", 0),
-                      ("a^0", 2)]:
+                      ("a^0", 2),
+                      # the bracket past the nesting cap, however deep the text
+                      ("(" * 201 + "a" + ")" * 201, 200),
+                      ("(" * 5000 + "a" + ")" * 5000, 200),
+                      (" ( [a, " + "(" * 300 + "b" + ")" * 300 + "]", 205)]:
         with pytest.raises(WordSyntaxError) as err:
             w(text)
         assert err.value.offset == off, (text, err.value.offset)
@@ -72,6 +76,9 @@ def test_parser_resource_caps():
         w("a^2000000")
     with pytest.raises(WordSyntaxError):
         w("(a^1000)^1000000")  # expands past the total-length cap
+    # brackets nest up to 200 deep
+    assert w("(" * 200 + "a" + ")" * 200) == w("a")
+    assert w("(" * 199 + "[a, b]" + ")" * 199) == w("a b a^-1 b^-1")
 
 
 def test_render_round_trip_fixed_cases():
@@ -367,9 +374,11 @@ def test_qrep_json_file_reference(tmp_path):
 
 
 def test_qrep_json_malformed_file_reference_is_a_format_error(tmp_path):
-    bad = tmp_path / "u.json"
-    bad.write_text('{"dim": 2, ')
+    # truncated text, nesting past the decoder's recursion limit, and text
+    # that is not UTF-8
     obj = qrep_to_json(voiculescu_qrep(2))
     obj["images"]["a"] = {"$file": "u.json"}
-    with pytest.raises(FormatError, match="invalid JSON in .*u.json"):
-        qrep_from_json(obj, base_dir=str(tmp_path))
+    for content in [b'{"dim": 2, ', b"[" * 200000, '{"dim": 1}'.encode("utf-16")]:
+        (tmp_path / "u.json").write_bytes(content)
+        with pytest.raises(FormatError, match="invalid JSON in .*u.json"):
+            qrep_from_json(obj, base_dir=str(tmp_path))
