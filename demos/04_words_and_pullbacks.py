@@ -2,8 +2,8 @@
 
 The word layer is deliberately small: multi-character symbols, integer
 exponents, nested commutator brackets, and free reduction.  On top of it
-sit two evaluation strategies — the two-generator abelian normal form
-(sort the word into u^j v^k, which *forgets* commutators) and raw product
+sit two evaluation strategies — the abelian normal form (sort the word
+into u^j v^k on a pair, which *forgets* commutators) and raw product
 evaluation (which keeps them).  The gap between the two is exactly the
 multiplicativity defect that the invariants feed on.
 """

@@ -227,7 +227,7 @@ class IndexFormulaReport:
 
 def _default_datum(pres: Presentation) -> CommutatorDatum:
     gens = [FreeWord(((g, 1),)) for g in pres.generators]
-    return CommutatorDatum(tuple(zip(gens[::2], gens[1::2])), pres)
+    return CommutatorDatum(tuple(zip(gens[::2], gens[1::2])))
 
 
 def verify_index_formula(qr: QuasiRep,
@@ -236,10 +236,13 @@ def verify_index_formula(qr: QuasiRep,
                          tolerances: Tolerances = DEFAULTS) -> IndexFormulaReport:
     """Check the index identity wn = kappa = d * k on a datum of class d.
 
-    The base pair (u, v) is read off ``qr``: the two generator images of a
-    ``Z2`` presentation, or the two base images of a surface pullback, as
-    ``pullback`` and ``qrep gen pullback`` build it.  Anything else, including
-    a perturbed pullback, which no longer factors through its base, raises
+    The base pair (u, v) is read off ``qr`` by one rule: a pullback strategy
+    supplies its two base images and its substitution, whatever the
+    presentation; any other strategy supplies the presentation's own two
+    generator images.  ``qr`` must be a ``Z2`` presentation, or a surface
+    pullback as ``pullback`` and ``qrep gen pullback`` build it.  Anything
+    else, including a perturbed pullback, which no longer factors through
+    its base, or a base of other than two generators, raises
     :class:`PresentationMismatch`.
 
     Left side: k(u, v), the pushforward of the rank obstruction class.  The
@@ -252,19 +255,19 @@ def verify_index_formula(qr: QuasiRep,
     naturality the loop's integer is d * k(u, v), which ``equal`` checks.
     """
     pres, strategy = qr.presentation, qr.strategy
-    if pres.kind == "Z2":
-        base_generators, base_images = pres.generators, qr.images
-        substitute = lambda word: word
-        label = "z2-bott"
-    elif (pres.kind == "surface" and isinstance(strategy, PullbackThrough)
-          and len(strategy.base_generators) == 2):
+    pulled = isinstance(strategy, PullbackThrough)
+    if pulled:
         base_generators, base_images = strategy.base_generators, strategy.base_images
         substitute = strategy.substitute
-        label = f"surface-pullback-g{pres.genus}"
     else:
+        base_generators, base_images = pres.generators, qr.images
+        substitute = lambda word: word
+    if len(base_generators) != 2 or not (pres.kind == "Z2"
+                                         or pres.kind == "surface" and pulled):
         raise PresentationMismatch(
             "verification needs a two-generator abelian quasi-representation or "
             "a surface pullback of one", kind=pres.kind, strategy=strategy.kind)
+    label = "z2-bott" if pres.kind == "Z2" else f"surface-pullback-g{pres.genus}"
     a_sym, b_sym = base_generators
     u, v = base_images[a_sym], base_images[b_sym]
     used = datum if datum is not None else _default_datum(pres)
@@ -289,11 +292,12 @@ def verify_index_formula(qr: QuasiRep,
              and datum_class * lhs_k == rhs_wn.rounded == rhs_kappa.rounded)
     trace_close = abs(normalized - rhs_tau.value) <= TRACE_TOL
 
-    # ||pi(word) - 1|| over qr.images, once per distinct word; on a Z2
-    # presentation, [a, b] is the product k_invariant measured, bit for bit:
-    # both are matcore.product of the factors u, v, u*, v*
+    # ||pi(word) - 1|| over qr.images, once per distinct word; where the base
+    # pair is the Z2 presentation's own images, [a, b] is the product
+    # k_invariant measured, bit for bit: both are matcore.product of the
+    # factors u, v, u*, v*
     norms = {}
-    if pres.kind == "Z2":
+    if not pulled:
         norms[_default_datum(pres).commutator_product()] = \
             lhs.defect_data["commutator_defect"]
 

@@ -198,6 +198,15 @@ def _resolve_tolerances(args) -> config.Tolerances:
     return dataclasses.replace(config.DEFAULTS, **overrides)
 
 
+def _check_out_paths(args) -> None:
+    # refuse, before any work, an -o or --csv path that open() cannot create:
+    # an empty one, a directory, or one in a directory that does not exist
+    for flag, path in (("-o", args.out), ("--csv", getattr(args, "csv", None))):
+        if path is not None and (not path or os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise InputError(f"{flag} is not a path a file can be written to", path=path)
+
+
 def _load_json(path: str):
     obj = read_json(path)
     # reports written by this tool wrap the payload in an envelope; accept
@@ -490,15 +499,14 @@ def cmd_verify_exel_loring(args, tol):
 
 def cmd_verify_remark25(args, tol):
     qr = voiculescu_qrep(args.n)
-    pres = qr.presentation
-    a, b = map(parse_word, pres.generators)
+    a, b = map(parse_word, qr.presentation.generators)
     conj = parse_word("a b")
     empty = FreeWord()
     cases = {
-        "plain": CommutatorDatum(((a, b),), pres),
+        "plain": CommutatorDatum(((a, b),)),
         "conjugated": CommutatorDatum(
-            ((conj * a * conj.inverse(), conj * b * conj.inverse()),), pres),
-        "padded": CommutatorDatum(((a, b), (empty, empty)), pres),
+            ((conj * a * conj.inverse(), conj * b * conj.inverse()),)),
+        "padded": CommutatorDatum(((a, b), (empty, empty))),
     }
     reports = {label: verify_index_formula(qr, datum=datum, tolerances=tol).to_json()
                for label, datum in cases.items()}
@@ -565,6 +573,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _resolve_tolerances(args)
+        _check_out_paths(args)
         args.func(args, tol)
     except QrepError as exc:
         print(f"qrep: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,7 +11,10 @@ report under their field names.  ``unitarity`` is checked once, where a
 matrix enters qrep: every matrix read from a file (``qrep_from_json`` takes
 the object too).  Products, adjoints and powers of checked unitaries are not
 checked again; their defect is bounded by their factors',
-d_ab <= d_a (1 + d_b) + d_b.  The ``matcore`` primitives keep scalar
+d_ab <= d_a (1 + d_b) + d_b.  ``det_one`` is the one test of det(w) = 1:
+``kappa`` rounds, and ``winding_number_det_segment`` takes w's determinant
+path for a loop, only where |det(w) - 1| <= ``det_one``, so the two never
+disagree on it.  The ``matcore`` primitives keep scalar
 parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
 1e-8 and ``spectral_projection``'s threshold 0.5 and gap 0.1.  The CLI
 builds its object from ``DEFAULTS`` and its ``--tol-*`` flags alone.
@@ -52,9 +55,8 @@ class Tolerances:
     defect_max: float = 0.125       # ||e^2 - e|| bound for a usable rank, < 1/4
     # integrality
     integer_residual: float = 1e-6  # |value - round(value)| for integer claims
-    det_one: float = 1e-8           # |det(w) - 1| for integrality to apply
+    det_one: float = 1e-6           # |det(w) - 1| for kappa to round, and for a loop
     # determinant path tracking
-    loop_closure: float = 1e-6      # |det(w) - 1| for the path to be a loop
     path_floor: float = 1e-12       # floor on the grid's sigma_min bound and on a step
 
     def __post_init__(self):

@@ -132,14 +132,14 @@ def perturb(qr: QuasiRep, spec: PerturbationSpec) -> QuasiRep:
     """
     if not 0.0 <= spec.radius < 2.0:
         raise RadiusTooLarge("radius must lie in [0, 2)", radius=spec.radius)
-    if spec.radius == 0.0:
-        return qr
     gens = qr.presentation.generators
     targets = set(gens) if spec.targets is None else set(spec.targets)
     stray = targets - set(gens)
     if stray:
         raise UnboundGenerator("perturbation target is not a generator",
                                symbols=sorted(stray))
+    if spec.radius == 0.0:
+        return qr
     gen = np.random.default_rng(spec.seed)
     images = dict(qr.images)
     for sym in gens:

@@ -186,8 +186,9 @@ def winding_number_det_segment(w: Unitary,
                                tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """Winding number of t -> det((1-t) 1 + t w) around 0, by determinants only.
 
-    The loop starts and ends at 1 (hence the |det(w) - 1| <= loop_closure
-    gate).  With p(t) = 1 + t(w - 1), the phase rate is Im Tr(p(t)^-1 (w - 1)).
+    The loop starts and ends at 1 (hence the |det(w) - 1| <= ``det_one``
+    gate, the bound under which :func:`kappa` rounds).  With
+    p(t) = 1 + t(w - 1), the phase rate is Im Tr(p(t)^-1 (w - 1)).
     Both routes certify their integer; ``defect_data["route"]`` names the one
     that ran.
 
@@ -218,9 +219,9 @@ def winding_number_det_segment(w: Unitary,
     """
     tol = tolerances
     det_dev = abs(w.det - 1.0)
-    if det_dev > tol.loop_closure:
+    if det_dev > tol.det_one:
         raise NotALoop("det(w) is not 1; the determinant path is not a loop",
-                       deviation=det_dev, tol=tol.loop_closure)
+                       deviation=det_dev, tol=tol.det_one)
     m, n = w.m, w.dim
     d = m - np.eye(n)
     root_n_fro = math.sqrt(n) * float(np.linalg.norm(d))
@@ -254,7 +255,7 @@ def winding_number_det_segment(w: Unitary,
         rounded=rounded,
         is_integer=is_integer,
         defect_data={"det_deviation": det_dev, **data},
-        tolerances=tol.subset("loop_closure", "path_floor", "integer_residual"),
+        tolerances=tol.subset("det_one", "path_floor", "integer_residual"),
     )
 
 

@@ -16,10 +16,11 @@ the expanded length, or brackets nested more than 200 deep).
 Quasi-representations assign a unitary to each presentation generator and
 carry a strategy that extends the assignment to group *elements*:
 
-* ``Z2NormalForm``: a word over a two-generator abelian presentation is read
-  off by exponent sums (j, k) and evaluated as u^j v^k (a-powers first).
-* ``PullbackThrough``: substitute each generator by a word over a
-  two-generator base and evaluate in the base normal form.
+* ``Z2NormalForm``: a word over an abelian presentation with generators
+  u_1, ..., u_m is read off by its exponent sums (j_1, ..., j_m) and
+  evaluated as u_1^{j_1} ... u_m^{j_m}, in generator order (u^j v^k on Z2).
+* ``PullbackThrough``: substitute each generator by a word over an abelian
+  base and evaluate in the base normal form.
 * ``WordProduct``: evaluate the word letter by letter; exact for free and
   custom presentations where the caller supplies representative words.
 """
@@ -258,11 +259,15 @@ class Presentation:
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]
     kind: str  # "Z2" | "surface" | "custom"
-    genus: int | None = None
+
+    @property
+    def genus(self) -> int | None:
+        """1 for Z2, half the generator count for a surface, None for custom."""
+        return {"Z2": 1, "surface": len(self.generators) // 2}.get(self.kind)
 
     @classmethod
     def z2(cls) -> "Presentation":
-        return cls(("a", "b"), (commutator(_gen("a"), _gen("b")),), "Z2", genus=1)
+        return cls(("a", "b"), (commutator(_gen("a"), _gen("b")),), "Z2")
 
     @classmethod
     def surface(cls, genus: int) -> "Presentation":
@@ -270,7 +275,7 @@ class Presentation:
             raise PresentationMismatch("surface genus must be >= 1", genus=genus)
         gens = tuple(f"{x}{i}" for i in range(1, genus + 1) for x in "st")
         relator = commutator_word(zip(map(_gen, gens[::2]), map(_gen, gens[1::2])))
-        return cls(gens, (relator,), "surface", genus=genus)
+        return cls(gens, (relator,), "surface")
 
     @classmethod
     def custom(cls, generators, relators=()) -> "Presentation":
@@ -278,7 +283,7 @@ class Presentation:
         for g in gens:
             if not _IDENT_RE.fullmatch(g):
                 raise FormatError("generator is not a valid identifier", symbol=g)
-        return cls(gens, tuple(relators), "custom", genus=None)
+        return cls(gens, tuple(relators), "custom")
 
 
 def _gen(sym: str) -> FreeWord:
@@ -293,14 +298,14 @@ def generators_and_inverses(pres: Presentation) -> list[FreeWord]:
 
 @dataclass(frozen=True)
 class CommutatorDatum:
-    """A product of commutators prod [a_i, b_i] inside an ambient presentation.
+    """A product of commutators prod [a_i, b_i] of words.
 
-    The invariant that the product is trivial in the ambient group is
-    *recorded* numerically by whoever evaluates it, never assumed.
+    Whoever evaluates it does so in a quasi-representation's presentation,
+    and records numerically, never assumes, that the product is trivial
+    there.
     """
 
     pairs: tuple[tuple[FreeWord, FreeWord], ...]
-    ambient: Presentation
 
     def commutator_product(self) -> FreeWord:
         return commutator_word(self.pairs)
@@ -308,22 +313,19 @@ class CommutatorDatum:
 
 # -- evaluation strategies -----------------------------------------------------
 
-def _z2_apply(generators: tuple[str, ...], images: Mapping[str, Unitary],
-              word: FreeWord) -> Unitary:
-    if len(generators) != 2:
-        raise StrategyUndefined("normal form needs exactly two generators",
-                                generators=generators)
+def _normal_form(generators: tuple[str, ...], images: Mapping[str, Unitary],
+                 word: FreeWord) -> Unitary:
     try:
-        j, k = abelianize(word, generators)
+        exponents = abelianize(word, generators)
     except UnboundGenerator as exc:
         raise StrategyUndefined("word outside the normal-form domain",
                                 **exc.details) from None
-    u, v = images.get(generators[0]), images.get(generators[1])
-    if u is None or v is None:
-        raise UnboundGenerator("normal form is missing a generator image",
+    us = [images.get(g) for g in generators]
+    if not us or any(u is None for u in us):
+        raise UnboundGenerator("normal form needs an image of each of its generators",
                                generators=generators)
-    # u^j v^k; a zero exponent contributes no factor
-    return Unitary(product([_power(x, e) for x, e in ((u, j), (v, k)) if e], u.dim))
+    # u_1^j_1 ... u_m^j_m; a zero exponent contributes no factor
+    return Unitary(product([_power(u, j) for u, j in zip(us, exponents) if j], us[0].dim))
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ class Z2NormalForm:
     kind: str = field(default="z2-normal-form", init=False)
 
     def apply(self, qr: "QuasiRep", word: FreeWord) -> Unitary:
-        return _z2_apply(qr.presentation.generators, qr.images, word)
+        return _normal_form(qr.presentation.generators, qr.images, word)
 
 
 @dataclass(frozen=True)
@@ -359,8 +361,8 @@ class PullbackThrough:
         return FreeWord(tuple(out))
 
     def apply(self, qr: "QuasiRep", word: FreeWord) -> Unitary:
-        return _z2_apply(self.base_generators, self.base_images,
-                         self.substitute(word))
+        return _normal_form(self.base_generators, self.base_images,
+                            self.substitute(word))
 
 
 @dataclass(frozen=True)
@@ -537,12 +539,12 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
                               generators=generators)
         if not relators:
             relators = (commutator(_gen(generators[0]), _gen(generators[1])),)
-        pres = Presentation(generators, relators, "Z2", genus=1)
+        pres = Presentation(generators, relators, "Z2")
     elif kind == "surface":
         if len(generators) % 2:
             raise FormatError("surface presentation needs an even number of generators",
                               generators=generators)
-        pres = Presentation(generators, relators, "surface", genus=len(generators) // 2)
+        pres = Presentation(generators, relators, "surface")
     elif kind == "custom":
         pres = Presentation.custom(generators, relators)
     else:
@@ -553,11 +555,11 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
         raise FormatError("presentation genus disagrees with its generators",
                           genus=genus, expected=pres.genus)
     images = {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images_obj.items()}
-    strategy = _strategy_from_json(strat_obj, base_dir, tolerances.unitarity)
+    strategy = _strategy_from_json(strat_obj, generators, base_dir, tolerances.unitarity)
     return QuasiRep(pres, images, strategy)
 
 
-def _strategy_from_json(obj, base_dir, unitarity: float):
+def _strategy_from_json(obj, generators, base_dir, unitarity: float):
     kind = obj.get("kind", "z2-normal-form")
     if kind == "z2-normal-form":
         return Z2NormalForm()
@@ -571,6 +573,14 @@ def _strategy_from_json(obj, base_dir, unitarity: float):
                            for g, v in _typed(obj["base_images"], dict, "base_images").items()}
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None
+        # as examples.pullback checks them: a word for each generator, over the base
+        if set(words) != set(generators):
+            raise FormatError("pullback words must cover exactly the generators",
+                              generators=list(generators), words=sorted(words))
+        stray = set().union(*(w.symbols() for w in words.values())) - set(base_gens)
+        if stray:
+            raise FormatError("a pullback word uses a symbol outside base_generators",
+                              symbols=sorted(stray))
         if set(base_images) != set(base_gens):
             raise FormatError("base_images must cover exactly the base_generators",
                               base_generators=list(base_gens), base_images=sorted(base_images))

@@ -193,14 +193,12 @@ def test_criterion_5_trace_identity():
 
 def criterion_6():
     qr = voiculescu_qrep(64)
-    pres = qr.presentation
     a, b = FreeWord((("a", 1),)), FreeWord((("b", 1),))
     g = parse_word("a b")
     data = {
-        "plain": CommutatorDatum(((a, b),), pres),
-        "conjugated": CommutatorDatum(
-            ((g * a * g.inverse(), g * b * g.inverse()),), pres),
-        "padded": CommutatorDatum(((a, b), (FreeWord(), FreeWord())), pres),
+        "plain": CommutatorDatum(((a, b),)),
+        "conjugated": CommutatorDatum(((g * a * g.inverse(), g * b * g.inverse()),)),
+        "padded": CommutatorDatum(((a, b), (FreeWord(), FreeWord()))),
     }
     values = {label: verify_index_formula(qr, datum=datum).rhs_kappa.rounded
               for label, datum in data.items()}

@@ -298,7 +298,7 @@ def test_verify_takes_the_loop_determinant_once(monkeypatch):
 
 def test_verify_evaluates_a_datum_other_than_the_relator(monkeypatch):
     qr = perturb(voiculescu_qrep(16), PerturbationSpec(radius=0.02, seed=4))
-    datum = CommutatorDatum(((parse_word("a b"), parse_word("b")),), qr.presentation)
+    datum = CommutatorDatum(((parse_word("a b"), parse_word("b")),))
     calls = spy(monkeypatch, op_norm)
     rep = verify_index_formula(qr, datum=datum)
     assert len(calls) == 3
@@ -313,7 +313,7 @@ def test_verify_empty_datum_is_the_empty_product():
     # a datum of no pairs: the loop is the empty product, the identity, whose
     # invariants are 0, unlike k of the base pair
     qr = voiculescu_qrep(16)
-    rep = verify_index_formula(qr, datum=CommutatorDatum((), qr.presentation))
+    rep = verify_index_formula(qr, datum=CommutatorDatum(()))
     assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == 0
     assert rep.defects["datum_product_defect"] == rep.defects["loop_defect"] == 0.0
     assert rep.datum_class == 0
@@ -353,8 +353,7 @@ def test_verify_genus_mismatch_and_non_z2():
 def test_verify_datum_of_class_d_gives_d_times_k(pairs, d):
     # naturality: a datum of class d on the base pair has wn = kappa = d * k
     qr = voiculescu_qrep(64)
-    datum = CommutatorDatum(tuple((parse_word(x), parse_word(y)) for x, y in pairs),
-                            qr.presentation)
+    datum = CommutatorDatum(tuple((parse_word(x), parse_word(y)) for x, y in pairs))
     rep = verify_index_formula(qr, datum=datum)
     assert rep.datum_class == d and rep.lhs_k == 1
     assert rep.rhs_wn.rounded == rep.rhs_kappa.rounded == d

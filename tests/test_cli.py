@@ -25,6 +25,7 @@ from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
                   kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
+from qrep import cli
 from qrep.cli import _FLOAT_SLICE, CSV_COLUMNS, _json_chunks, main
 from qrep.matcore import commutator_product
 
@@ -170,6 +171,16 @@ def test_gen_perturbed_refuses_targets_naming_no_generator(tmp_path, capsys, pai
     assert not out_json.exists()
 
 
+def test_gen_perturbed_radius_zero_refuses_an_unknown_target(tmp_path, capsys, pair_file):
+    # the targets are checked before radius 0 returns the base unchanged
+    out_json = tmp_path / "refused.json"
+    code = main(["gen", "perturbed", "--n", "8", "--radius", "0", "--targets", "zz",
+                 "-o", str(out_json)])
+    assert code == 1
+    assert "UnboundGenerator" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 # -- invariants ------------------------------------------------------------------------
 
 def test_invariant_kappa_word_on_qrep(capsys, pair_file):
@@ -289,6 +300,26 @@ def test_verify_exel_loring_refuses_a_three_generator_base(tmp_path, capsys):
     code = main(["verify", "exel-loring", "-i", pb])
     assert code == 1
     assert "PresentationMismatch" in capsys.readouterr().err
+
+
+def test_verify_exel_loring_reads_the_base_off_a_z2_pullback(tmp_path, capsys):
+    # a pullback strategy supplies the base pair on a Z2 file too: a <-> b
+    # swaps the pair, so the default datum [a, b] has class -1 and its loop
+    # integer -1 = -1 * k(u, v)
+    pair = tmp_path / "pair16.json"
+    assert main(["gen", "voiculescu", "--n", "16", "-o", str(pair)]) == 0
+    obj = json.loads(pair.read_text())["result"]
+    obj["strategy"] = {"kind": "pullback", "words": {"a": "b", "b": "a"},
+                       "base_generators": ["a", "b"], "base_images": obj["images"]}
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    result = run_json(capsys, "verify", "exel-loring", "-i", str(path),
+                      "--deterministic")["result"]
+    assert result["case"] == "z2-bott"
+    assert result["datum_class"] == -1 and result["lhs_k"] == 1
+    assert result["rhs_wn"] == result["rhs_kappa"] == -1
+    assert result["equal"] is True and result["trace_close"] is True
 
 
 def test_pullback_base_images_must_match_base_generators(tmp_path, capsys):
@@ -448,9 +479,9 @@ def test_lapack_failure_exits_2_and_names_itself(tmp_path, capsys, monkeypatch, 
 
 def test_tol_reported_in_envelope(capsys, matrix_file):
     obj = run_json(capsys, "invariant", "winding", "-i", matrix_file,
-                   "--tol-loop-closure", "2e-6", "--deterministic")
-    assert obj["tolerances"]["loop_closure"] == 2e-6
-    assert obj["result"]["tolerances"]["loop_closure"] == 2e-6
+                   "--tol-det-one", "2e-6", "--deterministic")
+    assert obj["tolerances"]["det_one"] == 2e-6
+    assert obj["result"]["tolerances"]["det_one"] == 2e-6
 
 
 # every Tolerances field moved off its default, but not far enough to turn
@@ -459,7 +490,7 @@ TOL_FLAGS = {
     "unitarity": "2e-8", "branch_margin": "2e-6",
     "cluster_width": "2e-7",
     "defect_max": "0.13", "integer_residual": "2e-6",
-    "det_one": "2e-8", "loop_closure": "2e-6", "path_floor": "1e-13",
+    "det_one": "2e-6", "path_floor": "1e-13",
 }
 
 
@@ -870,16 +901,33 @@ def _edit_base_duplicate(obj):
     del obj["strategy"]["base_images"]["b"]
 
 
+def _edit_words_extra(obj):
+    obj["strategy"]["words"]["x9"] = "a"
+
+
+def _edit_words_missing(obj):
+    del obj["strategy"]["words"]["t1"]
+
+
+def _edit_words_off_base(obj):
+    obj["strategy"]["words"]["t1"] = "c"
+
+
 @pytest.mark.parametrize("edit, command", [
     (_edit_z2_duplicate, ["invariant", "k"]),
     (_edit_surface_odd, ["verify", "exel-loring"]),
     (_edit_base_duplicate, ["verify", "exel-loring"]),
-], ids=["z2-generators", "surface-odd", "base-generators"])
+    (_edit_words_extra, ["defect"]),
+    (_edit_words_missing, ["defect"]),
+    (_edit_words_off_base, ["defect"]),
+], ids=["z2-generators", "surface-odd", "base-generators", "words-extra",
+        "words-missing", "words-off-base"])
 def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
         tmp_path, capsys, edit, command):
     # each edited file is otherwise consistent (n = 16 leaves the k class a
-    # usable gap), so only the generator list can refuse it; images s1=a,
-    # t1=a^2 leave b unused by the pullback
+    # usable gap), so only the edited generator list or substitution words
+    # can refuse it, when the file is read; images s1=a, t1=a^2 leave b
+    # unused by the pullback
     source = str(tmp_path / "pair16.json")
     assert main(["gen", "voiculescu", "--n", "16", "-o", source]) == 0
     if edit is not _edit_z2_duplicate:
@@ -998,8 +1046,28 @@ def test_tolerances_accept_their_least_values():
 
 def test_tolerances_are_float_thresholds_only():
     fields = dataclasses.fields(DEFAULTS)
-    assert len(fields) == 8
+    assert len(fields) == 7
     assert all(f.type == "float" for f in fields)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "exel-loring", "--n", "64", "-o", "{dir}"],
+    ["verify", "exel-loring", "--n", "64", "-o", "{dir}/no/such/dir/x.json"],
+    ["stability", "--n", "24", "--radius", "0.19", "--seeds", "4", "--csv", ""],
+], ids=["out-directory", "out-missing-directory", "csv-empty"])
+def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the work ran before the path was refused")
+
+    monkeypatch.setattr(cli, "verify_index_formula", not_reached)
+    monkeypatch.setattr(cli, "kazhdan_stability", not_reached)
+    monkeypatch.chdir(tmp_path)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "InputError" in err and ("--csv" if "--csv" in argv else "-o") in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_usage_error(capsys):
@@ -1179,7 +1247,7 @@ def test_n_zero_is_a_given_dimension(capsys, command):
     (["invariant", "k", "-i", "{pair}", "--word", ""], "not a word"),
     (["invariant", "kappa", "-i", "{matrix}", "--word", ""], "--word applies"),
     (["gen", "perturbed", "-i", "", "--n", "4", "--radius", "0.1"], "exactly one"),
-    (["verify", "exel-loring", "--n", "8", "--csv", ""], "give --n-range"),
+    (["verify", "exel-loring", "--n", "8", "--csv", ""], "--csv is not a path"),
     (["verify", "exel-loring", "--n-range", ""], "A:B:STEP"),
 ], ids=["k-word", "matrix-word", "perturbed-i", "verify-csv", "n-range"])
 def test_empty_values_are_given(tmp_path, capsys, matrix_file, pair_file, command, message):
@@ -1194,14 +1262,14 @@ def test_empty_values_are_given(tmp_path, capsys, matrix_file, pair_file, comman
 
 
 def test_empty_output_paths_are_given(tmp_path, capsys):
-    # -o "" and --csv "" name no file, so the write fails (exit 3); neither
-    # falls back to stdout or to no CSV
+    # -o "" and --csv "" name no file, so the run is refused before any work
+    # (exit 3); neither falls back to stdout or to no CSV
     assert main(["gen", "voiculescu", "--n", "4", "-o", ""]) == 3
     assert main(["stability", "--n", "8", "--radius", "0.1", "--csv", "",
                  "-o", str(tmp_path / "x.json")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("No such file or directory: ''") == 2
+    assert captured.err.count("is not a path a file can be written to (path='')") == 2
     assert not (tmp_path / "x.json").exists()
 
 

@@ -121,6 +121,15 @@ def test_perturb_validates():
         perturb(qr, PerturbationSpec(radius=2.0, seed=1))
 
 
+def test_perturb_checks_targets_at_radius_zero():
+    # radius 0 returns the base unchanged only once the targets are generators
+    qr = voiculescu_qrep(4)
+    assert perturb(qr, PerturbationSpec(radius=0.0, seed=1, targets=("a",))) is qr
+    with pytest.raises(UnboundGenerator) as err:
+        perturb(qr, PerturbationSpec(radius=0.0, seed=1, targets=("zz",)))
+    assert err.value.details["symbols"] == ["zz"]
+
+
 def test_perturb_degrades_pullback_strategy():
     base = voiculescu_qrep(8)
     pb = pullback(base, {"s1": "a", "t1": "b"})

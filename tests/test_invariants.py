@@ -180,6 +180,21 @@ def test_winding_not_a_loop_for_det_away_from_one():
     assert err.value.exit_code == 1
 
 
+def test_kappa_and_winding_share_the_det_one_gate():
+    # the loop [b, a] at n = 16 with its first column turned by 1e-7: both
+    # read |det(w) - 1| ~ 1e-7 <= det_one as det(w) = 1 and give the integer 1
+    m = evaluate(parse_word("[b,a]"), voiculescu_qrep(16).images).m.copy()
+    m[:, 0] *= np.exp(1e-7j)
+    k, wn = kappa(Unitary.of(m)), winding_number_det_segment(Unitary.of(m))
+    assert 0.9e-7 < k.defect_data["det_deviation"] <= DEFAULTS.det_one
+    assert k.rounded == wn.rounded == 1 and k.is_integer and wn.is_integer
+    # turned by 2e-6, past det_one: kappa claims no integer, the winding no loop
+    m[:, 0] *= np.exp(1.9e-6j)
+    assert kappa(Unitary.of(m)).rounded is None
+    with pytest.raises(NotALoop):
+        winding_number_det_segment(Unitary.of(m))
+
+
 def test_winding_singular_path():
     # for w = -1 the path det((1-t)1+tw) = (1-2t)^2 hits 0 at t = 1/2
     with pytest.raises(PathSingular) as err:

@@ -121,7 +121,7 @@ def test_commutator_word_is_the_one_product_of_commutators():
     want = w("[a, b] [c d, e]")
     assert commutator_word(pairs) == want
     assert commutator_word(()) == EMPTY_WORD
-    assert CommutatorDatum(pairs, Presentation.custom("abcde")).commutator_product() == want
+    assert CommutatorDatum(pairs).commutator_product() == want
     assert Presentation.surface(2).relators == (w("[s1, t1] [s2, t2]"),)
     assert Presentation.surface(2).generators == ("s1", "t1", "s2", "t2")
 
@@ -246,13 +246,26 @@ def test_z2_normal_form_strategy():
     assert err.value.details["symbol"] == "z"
 
 
-def test_z2_strategy_needs_two_generators():
+def test_normal_form_of_any_rank():
+    # u_1^j_1 u_2^j_2 u_3^j_3 over the generators in order, whatever the order
+    # of the letters; a pullback through a rank-3 base evaluates there
     rng = np.random.default_rng(105)
-    pres = Presentation.custom(("x", "y", "z"), ())
-    images = {s: random_unitary(2, rng) for s in "xyz"}
-    qr = QuasiRep(pres, images, Z2NormalForm())
-    with pytest.raises(StrategyUndefined):
-        qr.apply("x y z")
+    images = {s: random_unitary(3, rng) for s in "xyz"}
+    x, y, z = (images[s].m for s in "xyz")
+    want = x @ x @ y.conj().T @ z
+    qr = QuasiRep(Presentation.custom(("x", "y", "z"), ()), images, Z2NormalForm())
+    assert op_norm(qr.apply("z y^-1 x^2").m - want) < 1e-12
+    assert op_norm(qr.apply("[x, z]").m - np.eye(3)) < 1e-15
+    pulled = PullbackThrough({"s1": w("z x^2"), "t1": w("y^-1")}, ("x", "y", "z"), images)
+    assert op_norm(pulled.apply(qr, w("t1 s1")).m - want) < 1e-12
+
+
+def test_genus_is_read_off_the_generators():
+    assert Presentation.z2().genus == 1
+    assert Presentation.surface(3).genus == 3
+    assert Presentation.custom("xyz").genus is None
+    with pytest.raises(TypeError):
+        Presentation(("a", "b"), (), "Z2", genus=7)
 
 
 def test_word_product_strategy_is_raw_evaluation():
