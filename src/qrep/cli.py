@@ -14,13 +14,15 @@ configuration and tolerances; the two sweeps (``verify exel-loring --n-range``,
 
 one row per case, errors appearing in the status column rather than
 truncating the sweep.  Exit codes: 0 success; 1 violated precondition or
-hypothesis; 2 numerical failure (branch cut, missing spectral gap,
-singular path); 3 I/O, format, or usage errors.
+hypothesis; 2 numerical failure (branch cut, singular path, LAPACK);
+3 I/O, format, or usage errors.
 
 The command line is a run's whole configuration: tolerance defaults may be
 overridden by --tol-<name> flags, and nothing else (no QREP_TOL_* variable)
-changes them.  A command takes only the flags it reads: --trace belongs to
-invariant, --seed to gen perturbed and stability.
+changes them.  A command takes only the flags it reads: the --tol-<name>
+flags of the tolerances its work reads (``build_parser`` holds the table),
+--trace invariant kappa, --word kappa and winding, --seed gen perturbed and
+stability.  An -i file of a kind a command does not take is refused unread.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -42,6 +45,7 @@ from .bott import k_invariant, verify_index_formula
 from .errors import FormatError, InputError, QrepError
 from .examples import (
     PerturbationSpec,
+    check_radius,
     direct_sum,
     perturb,
     perturbed_copy,
@@ -84,105 +88,117 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-o", "--out", metavar="PATH",
+@functools.cache
+def _shared_flags() -> dict[str, argparse.Action]:
+    # -o, --deterministic and each --tol-<field> flag, by dest, made once
+    holder = argparse.ArgumentParser(add_help=False)
+    holder.add_argument("-o", "--out", metavar="PATH",
                         help="write the JSON report here instead of stdout")
-    common.add_argument("--deterministic", action="store_true",
+    holder.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp so identical runs are byte-identical")
     for f in dataclasses.fields(config.Tolerances):
-        common.add_argument(f"--tol-{f.name.replace('_', '-')}",
-                            dest=f"tol_{f.name}", type=float, default=None,
+        holder.add_argument(f"--tol-{f.name.replace('_', '-')}", dest=f"tol_{f.name}", type=float,
                             metavar="X", help=f"override {f.name} (default {f.default})")
-    return common
+    return {action.dest: action for action in holder._actions}
+
+
+_PIPELINE = "branch_margin cluster_width defect_max integer_residual det_one path_floor"
+
+
+def _leaf(sub, name: str, func, tolerances: str, **kwargs) -> argparse.ArgumentParser:
+    # with -o, --deterministic and the --tol-* flags its work reads, as parents= adds them
+    p = sub.add_parser(name, **kwargs)
+    for dest in ["out", "deterministic", *("tol_" + f for f in tolerances.split())]:
+        p._add_action(_shared_flags()[dest])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qrep",
                      description="invariants of almost-commuting unitaries")
-    common = _common_flags()
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog= as argparse derives it (no positional precedes a command), unformatted
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     gen = sub.add_parser("gen", help="generate quasi-representations")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
+    gen_sub = gen.add_subparsers(dest="family", required=True, prog=gen.prog)
 
-    p = gen_sub.add_parser("voiculescu", parents=[common],
-                           help="shift/phase pair over the two-generator abelian group")
+    p = _leaf(gen_sub, "voiculescu", cmd_gen_voiculescu, "",
+              help="shift/phase pair over the two-generator abelian group")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gen_voiculescu)
 
-    p = gen_sub.add_parser("perturbed", parents=[common],
-                           help="random perturbation of a quasi-representation")
+    p = _leaf(gen_sub, "perturbed", cmd_gen_perturbed, "unitarity",
+              help="random perturbation of a quasi-representation")
     p.add_argument("--n", type=int, help="dimension of the built-in base pair")
     p.add_argument("-i", "--input", metavar="QREP", help="base quasi-representation")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--targets", help="comma list of generators (default: all)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=cmd_gen_perturbed)
 
-    p = gen_sub.add_parser("pullback", parents=[common],
-                           help="surface-group pullback of a two-generator base")
+    p = _leaf(gen_sub, "pullback", cmd_gen_pullback, "unitarity",
+              help="surface-group pullback of a two-generator base")
     p.add_argument("--n", type=int, help="dimension of the built-in base pair")
     p.add_argument("-i", "--input", metavar="QREP", help="base quasi-representation")
     p.add_argument("--images", required=True,
                    help='substitution like "s1=a,t1=b,s2=,t2=" (empty = identity word)')
-    p.set_defaults(func=cmd_gen_pullback)
 
-    p = gen_sub.add_parser("direct-sum", parents=[common],
-                           help="block-diagonal sum of two quasi-representations")
+    p = _leaf(gen_sub, "direct-sum", cmd_gen_direct_sum, "unitarity",
+              help="block-diagonal sum of two quasi-representations")
     p.add_argument("-i", "--input", action="append", required=True, metavar="QREP",
                    help="give twice: the two summands")
-    p.set_defaults(func=cmd_gen_direct_sum)
 
-    p = sub.add_parser("invariant", parents=[common],
-                       help="compute kappa, the winding number, or the k class")
-    p.add_argument("which", choices=["kappa", "winding", "k"])
-    p.add_argument("-i", "--input", required=True, metavar="FILE",
-                   help="matrix JSON or quasi-representation JSON")
-    p.add_argument("--word", help="word to evaluate (quasi-representation inputs)")
-    p.add_argument("--trace", choices=["standard", "normalized"],
-                   default="standard", help="trace mode for kappa")
-    p.set_defaults(func=cmd_invariant)
+    inv = sub.add_parser("invariant", help="compute kappa, the winding number, or the k class")
+    inv_sub = inv.add_subparsers(dest="which", required=True, prog=inv.prog)
+    kappa_p = _leaf(inv_sub, "kappa", cmd_invariant,
+                    "unitarity branch_margin cluster_width integer_residual det_one",
+                    help="trace-log invariant of a unitary")
+    winding_p = _leaf(inv_sub, "winding", cmd_invariant,
+                      "unitarity integer_residual det_one path_floor",
+                      help="winding number of det((1 - t) 1 + t w)")
+    for p in kappa_p, winding_p:
+        p.add_argument("-i", "--input", required=True, metavar="FILE",
+                       help="matrix JSON or quasi-representation JSON")
+        p.add_argument("--word", help="word to evaluate (quasi-representation inputs)")
+    kappa_p.add_argument("--trace", choices=["standard", "normalized"],
+                         default="standard", help="trace mode")
+    p = _leaf(inv_sub, "k", cmd_invariant, "unitarity cluster_width defect_max",
+              help="Bott class of a two-generator quasi-representation")
+    p.add_argument("-i", "--input", required=True, metavar="QREP")
 
-    p = sub.add_parser("defect", parents=[common],
-                       help="relator and multiplicativity defects")
+    p = _leaf(sub, "defect", cmd_defect, "unitarity",
+              help="relator and multiplicativity defects")
     p.add_argument("-i", "--input", required=True, metavar="QREP")
     p.add_argument("--set", dest="element_set",
                    help="comma list of words (default: generators and inverses)")
-    p.set_defaults(func=cmd_defect)
 
     verify = sub.add_parser("verify", help="index-identity verifications")
-    verify_sub = verify.add_subparsers(dest="check", required=True)
+    verify_sub = verify.add_subparsers(dest="check", required=True, prog=verify.prog)
 
-    p = verify_sub.add_parser("exel-loring", parents=[common],
-                              help="k class vs winding number vs kappa")
+    p = _leaf(verify_sub, "exel-loring", cmd_verify_exel_loring, "unitarity " + _PIPELINE,
+              help="k class vs winding number vs kappa")
     p.add_argument("--n", type=int, help="single dimension")
     p.add_argument("--n-range", metavar="A:B:STEP",
                    help="sweep dimensions A..B inclusive in steps")
     p.add_argument("-i", "--input", metavar="QREP",
                    help="verify this quasi-representation instead of the built-in pair")
     p.add_argument("--csv", metavar="PATH", help="write the --n-range rows as CSV")
-    p.set_defaults(func=cmd_verify_exel_loring)
 
-    p = verify_sub.add_parser("remark25", parents=[common],
-                              help="invariance across commutator representatives of one class")
+    p = _leaf(verify_sub, "remark25", cmd_verify_remark25, _PIPELINE,
+              help="invariance across commutator representatives of one class")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify_remark25)
 
-    p = sub.add_parser("stability", parents=[common],
-                       help="perturbation stability sweep for commutator products")
+    p = _leaf(sub, "stability", cmd_stability, _PIPELINE,
+              help="perturbation stability sweep for commutator products")
     p.add_argument("--g", type=int, default=1, help="number of commutator pairs (>= 1)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--seed", type=int, default=0, help="seed of the first run")
     p.add_argument("--seeds", type=int, default=1, help="number of seeded runs (>= 1)")
     p.add_argument("--csv", metavar="PATH", help="write the rows as CSV")
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("homotopy-gap", parents=[common],
-                       help="max deviation between the linear segment and exp(t log w)")
+    p = _leaf(sub, "homotopy-gap", cmd_homotopy_gap, "unitarity branch_margin cluster_width",
+              help="max deviation between the linear segment and exp(t log w)")
     p.add_argument("-i", "--input", required=True, metavar="MATRIX")
-    p.set_defaults(func=cmd_homotopy_gap)
 
     return parser
 
@@ -190,50 +206,59 @@ def build_parser() -> _Parser:
 # -- plumbing -----------------------------------------------------------------
 
 def _resolve_tolerances(args) -> config.Tolerances:
-    overrides = {}
-    for f in dataclasses.fields(config.Tolerances):
-        value = getattr(args, f"tol_{f.name}")
-        if value is not None:
-            overrides[f.name] = value
+    overrides = {key[len("tol_"):]: value for key, value in vars(args).items()
+                 if key.startswith("tol_") and value is not None}
     return dataclasses.replace(config.DEFAULTS, **overrides)
 
 
 def _check_out_paths(args) -> None:
     # refuse, before any work, an -o or --csv path that open() cannot create:
-    # an empty one, a directory, or one in a directory that does not exist
-    for flag, path in (("-o", args.out), ("--csv", getattr(args, "csv", None))):
+    # an empty one, a directory, or one in a directory that does not exist;
+    # and one file named by both, which the report would overwrite
+    out, csv_path = args.out, getattr(args, "csv", None)
+    for flag, path in (("-o", out), ("--csv", csv_path)):
         if path is not None and (not path or os.path.isdir(path)
                                  or not os.path.isdir(os.path.dirname(path) or ".")):
             raise InputError(f"{flag} is not a path a file can be written to", path=path)
+    if out is not None and csv_path is not None and (
+            os.path.realpath(out) == os.path.realpath(csv_path)):
+        raise InputError("-o and --csv name the same file", path=out)
 
 
-def _load_json(path: str):
+def _read_input(path: str, tol: config.Tolerances, takes: str, word=None):
+    """The -i file at ``path`` as what the command ``takes``: a QuasiRep ("qrep",
+    or "pair" of two generators), a matrix, or "either", a quasi-representation
+    giving the Unitary of ``word``.  A kind it does not take is refused first."""
     obj = read_json(path)
-    # reports written by this tool wrap the payload in an envelope; accept
-    # those transparently so gen output feeds straight back into -i
+    # unwrap a report's envelope, so gen output feeds straight back into -i
     if isinstance(obj, dict) and "result" in obj and "command" in obj:
         inner = obj["result"]
         if isinstance(inner, dict) and ("presentation" in inner or "dim" in inner):
-            return inner
-    return obj
-
-
-def _load_qrep(path: str, tol: config.Tolerances):
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "presentation" not in obj:
+            obj = inner
+    kind = None
+    if isinstance(obj, dict):
+        kind = "matrix" if "dim" in obj else "qrep" if "presentation" in obj else None
+    if takes == "qrep" and kind != "qrep":
         raise FormatError("expected a quasi-representation object", path=path)
-    return qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
-
-
-def _load_matrix_or_qrep(path: str, tol: config.Tolerances):
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "dim" in obj:
-        return "matrix", Unitary.of(matrix_from_json(obj), tol.unitarity)
-    if isinstance(obj, dict) and "presentation" in obj:
-        return "qrep", qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)),
-                                      tolerances=tol)
-    raise FormatError("input is neither a matrix nor a quasi-representation",
-                      path=path)
+    if kind is None:
+        raise FormatError("input is neither a matrix nor a quasi-representation", path=path)
+    if takes == "matrix" and kind != "matrix":
+        raise InputError("homotopy-gap takes a matrix JSON input")
+    if takes == "pair":
+        try:
+            pair = len(obj["presentation"]["generators"]) == 2
+        except (KeyError, TypeError):
+            pair = kind == "qrep"  # a malformed presentation, which qrep_from_json names
+        if not pair:
+            raise InputError("the k class needs a two-generator quasi-representation")
+    if takes == "either" and (kind == "matrix") == (word is not None):
+        raise InputError("quasi-representation inputs need --word" if word is None
+                         else "--word applies to quasi-representation inputs only")
+    word = None if word is None else parse_word(word)
+    if kind == "matrix":
+        return Unitary.of(matrix_from_json(obj), tol.unitarity)
+    qr = qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
+    return qr if word is None else evaluate(word, qr.images)
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -366,7 +391,7 @@ def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
 
 def _base_qrep(args, tol):
     if args.input is not None and args.n is None:
-        return _load_qrep(args.input, tol)
+        return _read_input(args.input, tol, "qrep")
     if args.n is not None and args.input is None:
         return voiculescu_qrep(args.n)
     raise InputError("give exactly one of -i and --n")
@@ -409,41 +434,23 @@ def cmd_gen_direct_sum(args, tol):
     if len(args.input) != 2:
         raise InputError("direct-sum needs exactly two -i inputs",
                          given=len(args.input))
-    qr = direct_sum(_load_qrep(args.input[0], tol), _load_qrep(args.input[1], tol))
+    qr = direct_sum(*(_read_input(path, tol, "qrep") for path in args.input))
     _emit(args, tol, "gen direct-sum", qrep_to_json(qr))
 
 
-def _input_unitary(args, tol) -> Unitary:
-    kind, payload = _load_matrix_or_qrep(args.input, tol)
-    if kind == "matrix":
-        if args.word is not None:
-            raise InputError("--word applies to quasi-representation inputs only")
-        return payload
-    if args.word is None:
-        raise InputError("quasi-representation inputs need --word")
-    return evaluate(parse_word(args.word), payload.images)
-
-
 def cmd_invariant(args, tol):
-    if args.trace != "standard" and args.which != "kappa":
-        raise InputError("--trace applies to invariant kappa only", trace=args.trace)
-    if args.which == "kappa":
-        report = kappa(_input_unitary(args, tol), args.trace, tolerances=tol)
-    elif args.which == "winding":
-        report = winding_number_det_segment(_input_unitary(args, tol), tolerances=tol)
+    if args.which == "k":
+        qr = _read_input(args.input, tol, "pair")
+        report = k_invariant(*(qr.images[g] for g in qr.presentation.generators), tolerances=tol)
     else:
-        kind, payload = _load_matrix_or_qrep(args.input, tol)
-        if kind != "qrep" or len(payload.presentation.generators) != 2:
-            raise InputError("the k class needs a two-generator quasi-representation")
-        if args.word is not None:
-            raise InputError("the k class is computed from the generator pair, not a word")
-        g0, g1 = payload.presentation.generators
-        report = k_invariant(payload.images[g0], payload.images[g1], tolerances=tol)
+        w = _read_input(args.input, tol, "either", args.word)
+        report = (kappa(w, args.trace, tolerances=tol) if args.which == "kappa"
+                  else winding_number_det_segment(w, tolerances=tol))
     _emit(args, tol, f"invariant {args.which}", report.to_json())
 
 
 def cmd_defect(args, tol):
-    qr = _load_qrep(args.input, tol)
+    qr = _read_input(args.input, tol, "qrep")
     if args.element_set is not None:
         elements = [parse_word(w) for w in _split_top_level(args.element_set)]
     else:
@@ -524,6 +531,7 @@ def cmd_stability(args, tol):
     if g < 1 or args.seeds < 1:
         raise InputError("stability needs --g >= 1 and --seeds >= 1",
                          g=g, seeds=args.seeds)
+    check_radius(args.radius)
     u, v = voiculescu_pair(n)
     eye = Unitary(np.eye(n, dtype=np.complex128))
     base_pairs = [(u, v)] + [(eye, eye)] * (g - 1)
@@ -561,10 +569,7 @@ def cmd_stability(args, tol):
 
 
 def cmd_homotopy_gap(args, tol):
-    kind, payload = _load_matrix_or_qrep(args.input, tol)
-    if kind != "matrix":
-        raise InputError("homotopy-gap takes a matrix JSON input")
-    value = exel_homotopy_gap(payload, tolerances=tol)
+    value = exel_homotopy_gap(_read_input(args.input, tol, "matrix"), tolerances=tol)
     _emit(args, tol, "homotopy-gap", {"homotopy_gap": value})
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "voiculescu_qrep",
     "random_unitary",
     "PerturbationSpec",
+    "check_radius",
     "perturb",
     "perturbed_copy",
     "pullback",
@@ -102,11 +103,16 @@ def _random_skew(gen: np.random.Generator, n: int) -> np.ndarray:
     return (z - adjoint(z)) / 2
 
 
+def check_radius(radius: float) -> None:
+    """Refuse a perturbation radius outside [0, 2), NaN included."""
+    if not 0.0 <= radius < 2.0:
+        raise RadiusTooLarge("radius must lie in [0, 2)", radius=radius)
+
+
 def perturbed_copy(u: Unitary, radius: float, gen: np.random.Generator) -> Unitary:
     """u times exp(K) for a random skew-Hermitian K scaled so that the
     operator-norm distance to u is exactly ``radius`` (see :func:`perturb`)."""
-    if not 0.0 <= radius < 2.0:
-        raise RadiusTooLarge("radius must lie in [0, 2)", radius=radius)
+    check_radius(radius)
     if radius == 0.0:
         return u
     k = _random_skew(gen, u.dim)
@@ -130,8 +136,7 @@ def perturb(qr: QuasiRep, spec: PerturbationSpec) -> QuasiRep:
     for exactly the targeted generators.  A perturbed pullback no longer
     factors through its base, so its strategy degrades to word products.
     """
-    if not 0.0 <= spec.radius < 2.0:
-        raise RadiusTooLarge("radius must lie in [0, 2)", radius=spec.radius)
+    check_radius(spec.radius)
     gens = qr.presentation.generators
     targets = set(gens) if spec.targets is None else set(spec.targets)
     stray = targets - set(gens)

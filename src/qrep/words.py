@@ -260,6 +260,13 @@ class Presentation:
     relators: tuple[FreeWord, ...]
     kind: str  # "Z2" | "surface" | "custom"
 
+    def __post_init__(self):
+        # a name the word grammar cannot read back would change a relator's
+        # letters on a round trip through its rendered text
+        for g in self.generators:
+            if not _IDENT_RE.fullmatch(g):
+                raise FormatError("generator is not a valid identifier", symbol=g)
+
     @property
     def genus(self) -> int | None:
         """1 for Z2, half the generator count for a surface, None for custom."""
@@ -279,11 +286,7 @@ class Presentation:
 
     @classmethod
     def custom(cls, generators, relators=()) -> "Presentation":
-        gens = tuple(generators)
-        for g in gens:
-            if not _IDENT_RE.fullmatch(g):
-                raise FormatError("generator is not a valid identifier", symbol=g)
-        return cls(gens, tuple(relators), "custom")
+        return cls(tuple(generators), tuple(relators), "custom")
 
 
 def _gen(sym: str) -> FreeWord:
@@ -494,6 +497,8 @@ def read_json(path: str):
 def _load_image(value, base_dir, unitarity: float) -> Unitary:
     if isinstance(value, dict) and "$file" in value:
         path = value["$file"]
+        if not isinstance(path, str):
+            raise FormatError("$file must be a path string", got=type(path).__name__)
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         value = read_json(path)
@@ -522,7 +527,8 @@ def _names(value, name: str) -> tuple[str, ...]:
 
 
 def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
-    """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``."""
+    """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``
+    and is read only once the presentation and the strategy have been checked."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
@@ -554,23 +560,27 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
     if genus is not None and not (type(genus) is int and genus == pres.genus):
         raise FormatError("presentation genus disagrees with its generators",
                           genus=genus, expected=pres.genus)
-    images = {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images_obj.items()}
-    strategy = _strategy_from_json(strat_obj, generators, base_dir, tolerances.unitarity)
-    return QuasiRep(pres, images, strategy)
+
+    def load(images: dict) -> dict:
+        return {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images.items()}
+
+    make_strategy = _strategy_from_json(strat_obj, generators, load)
+    return QuasiRep(pres, load(images_obj), make_strategy())
 
 
-def _strategy_from_json(obj, generators, base_dir, unitarity: float):
+def _strategy_from_json(obj, generators, load):
+    """Check a strategy object, and return the function that makes the
+    strategy, reading its matrices (if any) through ``load``."""
     kind = obj.get("kind", "z2-normal-form")
     if kind == "z2-normal-form":
-        return Z2NormalForm()
+        return Z2NormalForm
     if kind == "word-product":
-        return WordProduct()
+        return WordProduct
     if kind == "pullback":
         try:
             words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
             base_gens = _names(obj["base_generators"], "base_generators")
-            base_images = {g: _load_image(v, base_dir, unitarity)
-                           for g, v in _typed(obj["base_images"], dict, "base_images").items()}
+            base_images = _typed(obj["base_images"], dict, "base_images")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None
         # as examples.pullback checks them: a word for each generator, over the base
@@ -584,5 +594,5 @@ def _strategy_from_json(obj, generators, base_dir, unitarity: float):
         if set(base_images) != set(base_gens):
             raise FormatError("base_images must cover exactly the base_generators",
                               base_generators=list(base_gens), base_images=sorted(base_images))
-        return PullbackThrough(words, base_gens, base_images)
+        return lambda: PullbackThrough(words, base_gens, load(base_images))
     raise FormatError("unknown strategy kind", kind=kind)

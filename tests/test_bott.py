@@ -396,3 +396,15 @@ def test_verify_report_json_schema():
     assert obj["rhs_wn"] == obj["rhs_kappa"] == obj["lhs_k"] == 1
     assert isinstance(obj["defects"], dict)
     assert set(obj["reports"]) == {"lhs_k", "rhs_wn", "rhs_kappa", "rhs_kappa_tau"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_at_the_benchmark_size(seed):
+    # the size and radius the benchmark's exel-loring-large case runs: the
+    # three routes agree on the perturbed n = 256 pair, and the winding takes
+    # the certified grid
+    qr = perturb(voiculescu_qrep(256), PerturbationSpec(0.02, seed))
+    report = verify_index_formula(qr)
+    assert report.lhs_k == report.rhs_wn.rounded == report.rhs_kappa.rounded == 1
+    assert report.equal and report.trace_close
+    assert report.rhs_wn.defect_data["route"] == "grid"

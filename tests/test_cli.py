@@ -25,15 +25,23 @@ from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
                   kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
-from qrep import cli
+from qrep import cli, config
 from qrep.cli import _FLOAT_SLICE, CSV_COLUMNS, _json_chunks, main
-from qrep.matcore import commutator_product
+from qrep.matcore import commutator_product, matrix_from_json
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv) -> int:
+    """main's exit code, a usage error's (argparse's SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_json(capsys, *argv):
@@ -217,9 +225,11 @@ def test_invariant_k_needs_qrep(tmp_path, capsys, pair_file, matrix_file):
     assert code == 1
     code, _ = run_cli(capsys, "invariant", "k", "-i", matrix_file)
     assert code == 3
-    code, _ = run_cli(capsys, "invariant", "k", "-i", str(big),
-                      "--word", "[a,b]")
-    assert code == 3
+    # k is taken on the generator pair, so invariant k has no --word
+    with pytest.raises(SystemExit) as exc:
+        main(["invariant", "k", "-i", str(big), "--word", "[a,b]"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --word" in capsys.readouterr().err
 
 
 def test_invariant_word_flag_usage_errors(capsys, pair_file, matrix_file):
@@ -394,6 +404,17 @@ def test_stability_csv_and_all_ok(tmp_path, capsys):
     assert all(r["kappa"] == "-1" for r in rows)
 
 
+def test_stability_row_at_the_benchmark_size(capsys):
+    # the size and radius the benchmark's stability-sweep case runs: one row
+    # at n = 48 holds, and its three routes agree (k of the pair is the
+    # opposite of kappa and the winding of its commutator)
+    obj = run_json(capsys, "stability", "--g", "1", "--n", "48", "--radius", "0.19",
+                   "--deterministic")
+    row, = obj["result"]["rows"]
+    assert row["status"] == "ok"
+    assert row["kappa"] == row["wn"] == -1 and row["k"] == 1
+
+
 def test_stability_hypothesis_violation_recorded_not_fatal(capsys):
     obj = run_json(capsys, "stability", "--g", "1", "--n", "32",
                    "--radius", "0.3", "--seeds", "1", "--deterministic")
@@ -506,6 +527,13 @@ def _nested_tolerances(obj):
             yield from _nested_tolerances(value)
 
 
+def _tol_fields(argv) -> list[str]:
+    """The Tolerances fields whose --tol-<field> flags the command ``argv``
+    takes, read off the namespace its parse gives."""
+    return [key[len("tol_"):] for key in vars(cli.build_parser().parse_args(argv))
+            if key.startswith("tol_")]
+
+
 @pytest.mark.parametrize("command", [
     ["stability", "--g", "1", "--n", "32", "--radius", "0.19", "--seeds", "2"],
     ["verify", "exel-loring", "--n", "16"],
@@ -518,11 +546,15 @@ def test_tol_flags_reach_every_report(tmp_path, capsys, command):
     assert main(["gen", "voiculescu", "--n", "16", "-o", pair]) == 0
     if command[0] == "invariant":
         command = command + ["-i", pair]
-    flags = [a for name, value in TOL_FLAGS.items()
-             for a in (f"--tol-{name.replace('_', '-')}", value)]
+    # each command is given the flags it takes, and only those
+    taken = _tol_fields(command)
+    flags = [a for name in taken
+             for a in (f"--tol-{name.replace('_', '-')}", TOL_FLAGS[name])]
     obj = run_json(capsys, *command, *flags, "--deterministic")
     envelope = obj["tolerances"]
-    assert all(envelope[name] == float(value) for name, value in TOL_FLAGS.items())
+    assert all(envelope[name] == float(TOL_FLAGS[name]) for name in taken)
+    assert all(envelope[name] == getattr(DEFAULTS, name)
+               for name in TOL_FLAGS if name not in taken)
     nested = list(_nested_tolerances(obj["result"]))
     assert nested
     for tolerances in nested:
@@ -530,6 +562,90 @@ def test_tol_flags_reach_every_report(tmp_path, capsys, command):
             assert value == envelope[key], key
     if command[0] == "stability":
         assert obj["result"]["all_ok"] is True
+
+
+# valid runs of each command that between them take every route on which it
+# reads a tolerance: gen perturbed, gen pullback and verify exel-loring read
+# unitarity only through -i, and stability reads defect_max only at g = 1
+_TOLERANCE_RUNS = {
+    ("gen", "voiculescu"): [["--n", "4"]],
+    ("gen", "perturbed"): [["--n", "4", "--radius", "0.05"],
+                           ["-i", "{pair}", "--radius", "0.05"]],
+    ("gen", "pullback"): [["-i", "{pair}", "--images", "s1=a,t1=b"]],
+    ("gen", "direct-sum"): [["-i", "{pair}", "-i", "{pair}"]],
+    ("invariant", "kappa"): [["-i", "{matrix}"], ["-i", "{pair}", "--word", "[a, b]"]],
+    ("invariant", "winding"): [["-i", "{matrix}"], ["-i", "{pair}", "--word", "[a, b]"]],
+    ("invariant", "k"): [["-i", "{pair16}"]],
+    ("defect",): [["-i", "{pair}"]],
+    ("verify", "exel-loring"): [["--n", "16"], ["-i", "{pair16}"],
+                                ["--n-range", "16:32:16"]],
+    ("verify", "remark25"): [["--n", "16"]],
+    ("stability",): [["--n", "32", "--radius", "0.19", "--seeds", "2"],
+                     ["--g", "2", "--n", "64", "--radius", "0.05"]],
+    ("homotopy-gap",): [["-i", "{matrix}"]],
+}
+
+
+def test_each_command_takes_the_tolerance_flags_it_reads(tmp_path, capsys, monkeypatch,
+                                                         matrix_file, pair_file):
+    # a Tolerances that records each field read while a command works, from
+    # the resolved object's making to the report's writing (which echoes all
+    # seven); the fields a command reads are the flags it takes
+    files = {"matrix": matrix_file, "pair": pair_file, "pair16": str(tmp_path / "p16.json")}
+    assert main(["gen", "voiculescu", "--n", "16", "-o", files["pair16"]]) == 0
+    window = {"reads": None}
+
+    class Recording(config.Tolerances):
+        def __getattribute__(self, name):
+            if window["reads"] is not None and name in TOL_FLAGS:
+                window["reads"].add(name)
+            return super().__getattribute__(name)
+
+    resolve, emit = cli._resolve_tolerances, cli._emit
+
+    def resolving(args):
+        tol = resolve(args)
+        window["reads"] = reads
+        return tol
+
+    def emitting(*args):
+        window["reads"] = None
+        emit(*args)
+
+    monkeypatch.setattr(config, "DEFAULTS", Recording())
+    monkeypatch.setattr(cli, "_resolve_tolerances", resolving)
+    monkeypatch.setattr(cli, "_emit", emitting)
+    taken = {}
+    for command, runs in _TOLERANCE_RUNS.items():
+        reads = set()
+        for run in runs:
+            argv = [*command, *(a.format(**files) for a in run), "--deterministic"]
+            assert main(argv) == 0, argv
+        taken[command] = set(_tol_fields(argv))
+        assert reads == taken[command], command
+    capsys.readouterr()
+    assert len(taken) == 12
+    assert sum(map(len, taken.values())) == 38
+
+
+def test_tolerance_flags_a_command_does_not_read_are_refused(tmp_path, capsys, matrix_file,
+                                                             pair_file):
+    # any other --tol-<field> flag is a usage error, at any value, before
+    # any work and with no -o file: 84 - 38 = 46 of them
+    files = {"matrix": matrix_file, "pair": pair_file, "pair16": pair_file}
+    out_json = tmp_path / "x.json"
+    refused = 0
+    for command, runs in _TOLERANCE_RUNS.items():
+        argv = [*command, *(a.format(**files) for a in runs[0])]
+        for name in set(TOL_FLAGS) - set(_tol_fields(argv)):
+            flag = f"--tol-{name.replace('_', '-')}"
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, TOL_FLAGS[name], "-o", str(out_json)])
+            assert exc.value.code == 3
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not out_json.exists()
+            refused += 1
+    assert refused == 46
 
 
 def test_stability_honours_path_floor(capsys):
@@ -556,6 +672,25 @@ def test_stability_failed_rows_have_one_error_entry_each(capsys, flags, error):
         assert entry["seed"] == row["seed"]
         assert entry["error"] == error
     assert [r["seed"] for r in rows] == [5, 6]
+
+
+@pytest.mark.parametrize("radius", ["2.5", "2", "-0.1", "nan"])
+def test_stability_refuses_a_radius_outside_0_2_before_any_row(tmp_path, capsys,
+                                                                 monkeypatch, radius):
+    # refused once, as gen perturbed refuses it (RadiusTooLarge, exit 1), not
+    # once per row; no row runs and neither the report nor the CSV is written
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a row ran before the radius was refused")
+
+    monkeypatch.setattr(cli, "kazhdan_stability", not_reached)
+    monkeypatch.chdir(tmp_path)
+    for command in [["stability", "--n", "24", "--seeds", "3", "--csv", "rows.csv"],
+                    ["gen", "perturbed", "--n", "4"]]:
+        assert main([*command, "--radius", radius, "-o", "out.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qrep: RadiusTooLarge: radius must lie in [0, 2)")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stability_mismatch_row_keeps_its_report(capsys, monkeypatch):
@@ -923,7 +1058,7 @@ def _edit_words_off_base(obj):
 ], ids=["z2-generators", "surface-odd", "base-generators", "words-extra",
         "words-missing", "words-off-base"])
 def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
-        tmp_path, capsys, edit, command):
+        tmp_path, capsys, monkeypatch, edit, command):
     # each edited file is otherwise consistent (n = 16 leaves the k class a
     # usable gap), so only the edited generator list or substitution words
     # can refuse it, when the file is read; images s1=a, t1=a^2 leave b
@@ -939,9 +1074,13 @@ def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
     path, out_json = tmp_path / "bad.json", tmp_path / "out.json"
     path.write_text(json.dumps(obj))
     capsys.readouterr()
+    # the generator lists and the substitution words are checked before
+    # any matrix of the file is read
+    reads = spy(monkeypatch, matrix_from_json)
     assert main([*command, "-i", str(path), "-o", str(out_json)]) == 3
     assert "FormatError" in capsys.readouterr().err
     assert not out_json.exists()
+    assert reads == []
 
 
 @pytest.mark.parametrize("source, genus, command", [
@@ -1054,7 +1193,12 @@ def test_tolerances_are_float_thresholds_only():
     ["verify", "exel-loring", "--n", "64", "-o", "{dir}"],
     ["verify", "exel-loring", "--n", "64", "-o", "{dir}/no/such/dir/x.json"],
     ["stability", "--n", "24", "--radius", "0.19", "--seeds", "4", "--csv", ""],
-], ids=["out-directory", "out-missing-directory", "csv-empty"])
+    ["stability", "--n", "24", "--radius", "0.19", "--seeds", "2",
+     "--csv", "same.json", "-o", "same.json"],
+    ["verify", "exel-loring", "--n-range", "16:32:16",
+     "--csv", "same.json", "-o", "{dir}/./same.json"],
+], ids=["out-directory", "out-missing-directory", "csv-empty", "csv-is-out",
+        "csv-is-out-spelt-apart"])
 def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys,
                                                            monkeypatch, argv):
     def not_reached(*args, **kwargs):
@@ -1126,10 +1270,7 @@ def _run_refused(tmp_path, capsys, matrix_file, pair_file, name, flags):
     out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
     argv = [a.format(matrix=matrix_file, pair=pair_file, csv=out_csv)
             for a in _COMMANDS[name]]
-    try:
-        code = main(argv + flags + ["-o", str(out_json)])
-    except SystemExit as exc:
-        code = exc.code
+    code = exit_code(argv + flags + ["-o", str(out_json)])
     assert not out_json.exists() and not out_csv.exists()
     return code, capsys.readouterr().err
 
@@ -1148,14 +1289,13 @@ def test_trace_outside_invariant_is_a_usage_error(tmp_path, capsys, matrix_file,
 
 @pytest.mark.parametrize("command", ["verify", "winding", "stability", "k"])
 def test_trace_outside_kappa_is_refused(tmp_path, capsys, matrix_file, pair_file, command):
-    # invariant winding and k take --trace but have no trace mode, so a
-    # normalized one is an InputError; elsewhere the flag is a usage error
-    code, err = _run_refused(tmp_path, capsys, matrix_file, pair_file, command,
-                             ["--trace", "normalized"])
-    assert code == 3
-    assert "--trace" in err
-    # invariant accepts the standard mode, and kappa the normalized one
-    assert main(["invariant", "winding", "-i", matrix_file, "--trace", "standard"]) == 0
+    # only invariant kappa has a trace mode, so only it takes --trace; the
+    # winding and k, which have none, refuse it at any value as a usage error
+    for mode in ["standard", "normalized"]:
+        code, err = _run_refused(tmp_path, capsys, matrix_file, pair_file, command,
+                                 ["--trace", mode])
+        assert code == 3
+        assert "unrecognized arguments: --trace" in err
     assert main(["invariant", "kappa", "-i", matrix_file, "--trace", "normalized"]) == 0
     capsys.readouterr()
 
@@ -1244,21 +1384,76 @@ def test_n_zero_is_a_given_dimension(capsys, command):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["invariant", "k", "-i", "{pair}", "--word", ""], "not a word"),
-    (["invariant", "kappa", "-i", "{matrix}", "--word", ""], "--word applies"),
-    (["gen", "perturbed", "-i", "", "--n", "4", "--radius", "0.1"], "exactly one"),
-    (["verify", "exel-loring", "--n", "8", "--csv", ""], "--csv is not a path"),
-    (["verify", "exel-loring", "--n-range", ""], "A:B:STEP"),
+    (["invariant", "k", "-i", "{pair}", "--word", ""], "unrecognized arguments: --word"),
+    (["invariant", "kappa", "-i", "{matrix}", "--word", ""], "InputError: --word applies"),
+    (["gen", "perturbed", "-i", "", "--n", "4", "--radius", "0.1"],
+     "InputError: give exactly one"),
+    (["verify", "exel-loring", "--n", "8", "--csv", ""], "InputError: --csv is not a path"),
+    (["verify", "exel-loring", "--n-range", ""], "InputError: range must look like A:B:STEP"),
 ], ids=["k-word", "matrix-word", "perturbed-i", "verify-csv", "n-range"])
 def test_empty_values_are_given(tmp_path, capsys, matrix_file, pair_file, command, message):
     # an empty value is given, not absent, so it meets the same checks as
-    # any other value: each of these is refused before any work
+    # any other value: each of these is refused before any work, invariant
+    # k's --word by argparse, since k takes no word
     out_json = tmp_path / "x.json"
     argv = [a.format(matrix=matrix_file, pair=pair_file) for a in command]
-    assert main(argv + ["-o", str(out_json)]) == 3
-    err = capsys.readouterr().err
-    assert "InputError" in err and message in err
+    assert exit_code(argv + ["-o", str(out_json)]) == 3
+    assert message in capsys.readouterr().err
     assert not out_json.exists()
+
+
+def _bad_image_inputs(tmp_path, pair_file) -> dict:
+    """Input files, each of which a command that reads it refuses for a matrix
+    (2 I, NotUnitary, exit 1): a matrix, the n = 8 pair, its genus-1 and
+    genus-2 pullbacks with a bad generator image, and a file of neither kind."""
+    bad = matrix_to_json(2 * np.eye(8))
+    files = {"matrix": tmp_path / "bad-matrix.json", "neither": tmp_path / "neither.json"}
+    files["matrix"].write_text(json.dumps(bad))
+    files["neither"].write_text(json.dumps({"generators": ["a", "b"]}))
+    for name, images in [("pair", None), ("pullback", "s1=a,t1=b"),
+                         ("genus2", "s1=a,t1=b,s2=,t2=")]:
+        source = pair_file
+        if images is not None:
+            source = str(tmp_path / f"{name}-good.json")
+            assert main(["gen", "pullback", "-i", pair_file, "--images", images,
+                         "-o", source]) == 0
+        obj = json.loads(Path(source).read_text())["result"]
+        obj["images"][sorted(obj["images"])[-1]] = bad
+        files[name] = tmp_path / f"bad-{name}.json"
+        files[name].write_text(json.dumps(obj))
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("command, message", [
+    (["homotopy-gap", "-i", "{pair}"], "InputError: homotopy-gap takes a matrix JSON input"),
+    (["invariant", "k", "-i", "{matrix}"],
+     "InputError: the k class needs a two-generator quasi-representation"),
+    (["invariant", "k", "-i", "{genus2}"],
+     "InputError: the k class needs a two-generator quasi-representation"),
+    (["invariant", "kappa", "-i", "{pair}"],
+     "InputError: quasi-representation inputs need --word"),
+    (["invariant", "winding", "-i", "{matrix}", "--word", "a"],
+     "InputError: --word applies to quasi-representation inputs only"),
+    (["defect", "-i", "{matrix}"], "FormatError: expected a quasi-representation object"),
+    (["invariant", "kappa", "-i", "{neither}"],
+     "FormatError: input is neither a matrix nor a quasi-representation"),
+    (["invariant", "k", "-i", "{pullback}", "--word", "a"], "unrecognized arguments: --word"),
+], ids=["gap-of-qrep", "k-of-matrix", "k-of-genus2", "kappa-no-word", "winding-matrix-word",
+        "defect-of-matrix", "neither", "k-word"])
+def test_wrong_kind_of_input_is_refused_before_any_matrix_is_read(
+        tmp_path, capsys, monkeypatch, pair_file, command, message):
+    # each file holds a 2 I image, so a read of its matrices would exit 1;
+    # the kind of the file, and a --word it cannot use, are refused first
+    files = _bad_image_inputs(tmp_path, pair_file)
+    out_json = tmp_path / "out.json"
+    reads = spy(monkeypatch, matrix_from_json)
+    capsys.readouterr()
+    assert exit_code([a.format(**files) for a in command] + ["-o", str(out_json)]) == 3
+    assert message in capsys.readouterr().err
+    assert reads == [] and not out_json.exists()
+    # a command that takes the file reads it, and refuses its matrix
+    assert main(["defect", "-i", files["pair"]]) == 1
+    assert reads and "NotUnitary" in capsys.readouterr().err
 
 
 def test_empty_output_paths_are_given(tmp_path, capsys):

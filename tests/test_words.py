@@ -375,6 +375,30 @@ def test_qrep_json_word_product_and_custom_round_trip():
     assert custom.presentation.kind == "custom"
 
 
+@pytest.mark.parametrize("kind", ["Z2", "surface"])
+def test_generator_names_are_identifiers_for_every_kind(kind):
+    # a file of either kind reads back to the same JSON; a generator name the
+    # word grammar cannot read back, such as "x y", is refused as in custom
+    # presentations: its rendered relator would read back as another word
+    qr = voiculescu_qrep(4)
+    if kind == "surface":
+        from qrep import pullback
+        qr = pullback(qr, {"s1": "a", "t1": "b"})
+    obj = json.loads(json.dumps(qrep_to_json(qr)))
+    assert qrep_to_json(qrep_from_json(obj)) == obj
+    first, second = obj["presentation"]["generators"]
+    obj["presentation"]["generators"] = ["x y", second]
+    obj["presentation"]["relators"] = []
+    obj["images"]["x y"] = obj["images"].pop(first)
+    if kind == "surface":
+        obj["strategy"]["words"]["x y"] = obj["strategy"]["words"].pop(first)
+    with pytest.raises(FormatError, match="not a valid identifier") as exc:
+        qrep_from_json(obj)
+    assert exc.value.details == {"symbol": "x y"}
+    with pytest.raises(FormatError, match="not a valid identifier"):
+        Presentation(("x y", "z"), (), kind)
+
+
 def test_qrep_json_file_reference(tmp_path):
     from qrep import matrix_to_json
     qr = voiculescu_qrep(4)
