@@ -225,40 +225,47 @@ def _check_out_paths(args) -> None:
         raise InputError("-o and --csv name the same file", path=out)
 
 
-def _read_input(path: str, tol: config.Tolerances, takes: str, word=None):
-    """The -i file at ``path`` as what the command ``takes``: a QuasiRep ("qrep",
+def _read_input(paths: list[str], tol: config.Tolerances, takes: str, word=None) -> list:
+    """Each -i file of ``paths`` as what the command ``takes``: a QuasiRep ("qrep",
     or "pair" of two generators), a matrix, or "either", a quasi-representation
-    giving the Unitary of ``word``.  A kind it does not take is refused first."""
-    obj = read_json(path)
-    # unwrap a report's envelope, so gen output feeds straight back into -i
-    if isinstance(obj, dict) and "result" in obj and "command" in obj:
-        inner = obj["result"]
-        if isinstance(inner, dict) and ("presentation" in inner or "dim" in inner):
-            obj = inner
-    kind = None
-    if isinstance(obj, dict):
-        kind = "matrix" if "dim" in obj else "qrep" if "presentation" in obj else None
-    if takes == "qrep" and kind != "qrep":
-        raise FormatError("expected a quasi-representation object", path=path)
-    if kind is None:
-        raise FormatError("input is neither a matrix nor a quasi-representation", path=path)
-    if takes == "matrix" and kind != "matrix":
-        raise InputError("homotopy-gap takes a matrix JSON input")
-    if takes == "pair":
-        try:
-            pair = len(obj["presentation"]["generators"]) == 2
-        except (KeyError, TypeError):
-            pair = kind == "qrep"  # a malformed presentation, which qrep_from_json names
-        if not pair:
-            raise InputError("the k class needs a two-generator quasi-representation")
-    if takes == "either" and (kind == "matrix") == (word is not None):
-        raise InputError("quasi-representation inputs need --word" if word is None
-                         else "--word applies to quasi-representation inputs only")
+    giving the Unitary of ``word``.  A kind it does not take is refused first, in
+    every file before any matrix of any file is read."""
+    checked = []
+    for path in paths:
+        obj = read_json(path)
+        # unwrap a report's envelope, so gen output feeds straight back into -i
+        if isinstance(obj, dict) and "result" in obj and "command" in obj:
+            inner = obj["result"]
+            if isinstance(inner, dict) and ("presentation" in inner or "dim" in inner):
+                obj = inner
+        kind = None
+        if isinstance(obj, dict):
+            kind = "matrix" if "dim" in obj else "qrep" if "presentation" in obj else None
+        if takes == "qrep" and kind != "qrep":
+            raise FormatError("expected a quasi-representation object", path=path)
+        if kind is None:
+            raise FormatError("input is neither a matrix nor a quasi-representation", path=path)
+        if takes == "matrix" and kind != "matrix":
+            raise InputError("homotopy-gap takes a matrix JSON input")
+        if takes == "pair":
+            try:
+                pair = len(obj["presentation"]["generators"]) == 2
+            except (KeyError, TypeError):
+                pair = kind == "qrep"  # a malformed presentation, which qrep_from_json names
+            if not pair:
+                raise InputError("the k class needs a two-generator quasi-representation")
+        if takes == "either" and (kind == "matrix") == (word is not None):
+            raise InputError("quasi-representation inputs need --word" if word is None
+                             else "--word applies to quasi-representation inputs only")
+        checked.append((path, obj, kind))
     word = None if word is None else parse_word(word)
-    if kind == "matrix":
-        return Unitary.of(matrix_from_json(obj), tol.unitarity)
-    qr = qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
-    return qr if word is None else evaluate(word, qr.images)
+
+    def value(path, obj, kind):
+        if kind == "matrix":
+            return Unitary.of(matrix_from_json(obj), tol.unitarity)
+        qr = qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
+        return qr if word is None else evaluate(word, qr.images)
+    return [value(*c) for c in checked]
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -391,7 +398,7 @@ def _sweep(csv_path, cases, row) -> tuple[list[dict], list[dict]]:
 
 def _base_qrep(args, tol):
     if args.input is not None and args.n is None:
-        return _read_input(args.input, tol, "qrep")
+        return _read_input([args.input], tol, "qrep")[0]
     if args.n is not None and args.input is None:
         return voiculescu_qrep(args.n)
     raise InputError("give exactly one of -i and --n")
@@ -434,23 +441,23 @@ def cmd_gen_direct_sum(args, tol):
     if len(args.input) != 2:
         raise InputError("direct-sum needs exactly two -i inputs",
                          given=len(args.input))
-    qr = direct_sum(*(_read_input(path, tol, "qrep") for path in args.input))
+    qr = direct_sum(*_read_input(args.input, tol, "qrep"))
     _emit(args, tol, "gen direct-sum", qrep_to_json(qr))
 
 
 def cmd_invariant(args, tol):
     if args.which == "k":
-        qr = _read_input(args.input, tol, "pair")
+        qr, = _read_input([args.input], tol, "pair")
         report = k_invariant(*(qr.images[g] for g in qr.presentation.generators), tolerances=tol)
     else:
-        w = _read_input(args.input, tol, "either", args.word)
+        w, = _read_input([args.input], tol, "either", args.word)
         report = (kappa(w, args.trace, tolerances=tol) if args.which == "kappa"
                   else winding_number_det_segment(w, tolerances=tol))
     _emit(args, tol, f"invariant {args.which}", report.to_json())
 
 
 def cmd_defect(args, tol):
-    qr = _read_input(args.input, tol, "qrep")
+    qr, = _read_input([args.input], tol, "qrep")
     if args.element_set is not None:
         elements = [parse_word(w) for w in _split_top_level(args.element_set)]
     else:
@@ -569,7 +576,7 @@ def cmd_stability(args, tol):
 
 
 def cmd_homotopy_gap(args, tol):
-    value = exel_homotopy_gap(_read_input(args.input, tol, "matrix"), tolerances=tol)
+    value = exel_homotopy_gap(*_read_input([args.input], tol, "matrix"), tolerances=tol)
     _emit(args, tol, "homotopy-gap", {"homotopy_gap": value})
 
 

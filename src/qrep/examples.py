@@ -187,16 +187,14 @@ def pullback(base: QuasiRep, images) -> QuasiRep:
             raise UnboundGenerator("substitution word leaves the base generators",
                                    generator=g, symbols=sorted(stray))
     strategy = PullbackThrough(words, base.presentation.generators, base.images)
-    gen_images = {g: base.apply(w) for g, w in words.items()}
-    return QuasiRep(pres, gen_images, strategy)
+    return QuasiRep(pres, strategy.images(), strategy)
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
+def _block_sum(a, b, generators) -> dict[str, Unitary]:
+    # generator-wise block-diagonal sum of two image maps
+    return {g: Unitary(np.block([[a[g].m, np.zeros((a[g].dim, b[g].dim))],
+                                 [np.zeros((b[g].dim, a[g].dim)), b[g].m]]))
+            for g in generators}
 
 
 def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
@@ -204,7 +202,7 @@ def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
 
     Requires identical presentations and structurally compatible strategies
     (same kind; pullbacks must share the substitution words, in which case
-    the base images are summed too).
+    only the base images are summed, and the sum's images derive from them).
     """
     if qr1.presentation != qr2.presentation:
         raise PresentationMismatch("presentations differ",
@@ -217,12 +215,8 @@ def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
     if isinstance(s1, PullbackThrough):
         if s1.words != s2.words or s1.base_generators != s2.base_generators:
             raise PresentationMismatch("pullback substitutions differ")
-        strategy = PullbackThrough(
-            s1.words, s1.base_generators,
-            {g: Unitary(_block_diag(s1.base_images[g].m, s2.base_images[g].m))
-             for g in s1.base_generators})
-    else:
-        strategy = s1
-    images = {g: Unitary(_block_diag(qr1.images[g].m, qr2.images[g].m))
-              for g in qr1.presentation.generators}
-    return QuasiRep(qr1.presentation, images, strategy)
+        strategy = PullbackThrough(s1.words, s1.base_generators, _block_sum(
+            s1.base_images, s2.base_images, s1.base_generators))
+        return QuasiRep(qr1.presentation, strategy.images(), strategy)
+    return QuasiRep(qr1.presentation,
+                    _block_sum(qr1.images, qr2.images, qr1.presentation.generators), s1)

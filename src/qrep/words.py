@@ -13,6 +13,11 @@ Parsing is total: it returns a word or raises ``WordSyntaxError`` with the
 offset of the failure, text past a cap included (an exponent's magnitude,
 the expanded length, or brackets nested more than 200 deep).
 
+A presentation's kind fixes what it can: ``Z2`` has two generators and
+``surface`` a nonzero even number, and each has the one relator
+[g_1, g_2] [g_3, g_4] ... over its generators in order; ``custom`` keeps the
+relators it is given.
+
 Quasi-representations assign a unitary to each presentation generator and
 carry a strategy that extends the assignment to group *elements*:
 
@@ -20,7 +25,8 @@ carry a strategy that extends the assignment to group *elements*:
   u_1, ..., u_m is read off by its exponent sums (j_1, ..., j_m) and
   evaluated as u_1^{j_1} ... u_m^{j_m}, in generator order (u^j v^k on Z2).
 * ``PullbackThrough``: substitute each generator by a word over an abelian
-  base and evaluate in the base normal form.
+  base and evaluate in the base normal form; the generator images are those
+  of the words (``PullbackThrough.images``), derived, never stored.
 * ``WordProduct``: evaluate the word letter by letter; exact for free and
   custom presentations where the caller supplies representative words.
 """
@@ -261,11 +267,28 @@ class Presentation:
     kind: str  # "Z2" | "surface" | "custom"
 
     def __post_init__(self):
+        if self.kind not in ("Z2", "surface", "custom"):
+            raise FormatError("unknown presentation kind", kind=self.kind)
+        if self.kind == "Z2" and len(self.generators) != 2:
+            raise FormatError("Z2 presentation needs exactly two generators",
+                              generators=self.generators)
+        if self.kind == "surface" and (len(self.generators) % 2 or not self.generators):
+            raise FormatError("surface presentation needs an even number of generators",
+                              generators=self.generators)
         # a name the word grammar cannot read back would change a relator's
         # letters on a round trip through its rendered text
         for g in self.generators:
             if not _IDENT_RE.fullmatch(g):
                 raise FormatError("generator is not a valid identifier", symbol=g)
+        if self.kind != "custom":
+            # the kind fixes its one relator [g_1, g_2] [g_3, g_4] ...; () means that one
+            gens = [_gen(g) for g in self.generators]
+            fixed = (commutator_word(zip(gens[::2], gens[1::2])),)
+            if tuple(self.relators) not in ((), fixed):
+                raise FormatError(f"a {self.kind} relator must be the one its kind fixes",
+                                  given=[render(r) for r in self.relators],
+                                  expected=render(fixed[0]))
+            object.__setattr__(self, "relators", fixed)
 
     @property
     def genus(self) -> int | None:
@@ -274,15 +297,13 @@ class Presentation:
 
     @classmethod
     def z2(cls) -> "Presentation":
-        return cls(("a", "b"), (commutator(_gen("a"), _gen("b")),), "Z2")
+        return cls(("a", "b"), (), "Z2")
 
     @classmethod
     def surface(cls, genus: int) -> "Presentation":
         if genus < 1:
             raise PresentationMismatch("surface genus must be >= 1", genus=genus)
-        gens = tuple(f"{x}{i}" for i in range(1, genus + 1) for x in "st")
-        relator = commutator_word(zip(map(_gen, gens[::2]), map(_gen, gens[1::2])))
-        return cls(gens, (relator,), "surface")
+        return cls(tuple(f"{x}{i}" for i in range(1, genus + 1) for x in "st"), (), "surface")
 
     @classmethod
     def custom(cls, generators, relators=()) -> "Presentation":
@@ -366,6 +387,11 @@ class PullbackThrough:
     def apply(self, qr: "QuasiRep", word: FreeWord) -> Unitary:
         return _normal_form(self.base_generators, self.base_images,
                             self.substitute(word))
+
+    def images(self) -> dict[str, Unitary]:
+        """Each generator's image: the base normal form of its word."""
+        return {g: _normal_form(self.base_generators, self.base_images, w)
+                for g, w in self.words.items()}
 
 
 @dataclass(frozen=True)
@@ -452,7 +478,9 @@ def mult_defect(qr: QuasiRep, elements) -> MultDefect:
 # -- JSON ----------------------------------------------------------------------
 #
 # {"presentation": {"kind", "genus", "generators", "relators"},
-#  "strategy": {"kind", ...}, "images": {gen: matrix or {"$file": path}}}
+#  "strategy": {"kind", ...}, "images": {gen: matrix or {"$file": path}}};
+# a pullback has no "images" (its strategy's "words" and "base_images" fix
+# them), and [] as Z2 or surface "relators" is the one relator the kind fixes.
 
 def qrep_to_json(qr: QuasiRep) -> dict:
     pres = qr.presentation
@@ -464,8 +492,9 @@ def qrep_to_json(qr: QuasiRep) -> dict:
             "relators": [render(r) for r in pres.relators],
         },
         "strategy": _strategy_to_json(qr.strategy),
-        "images": {g: matrix_to_json(u.m) for g, u in qr.images.items()},
     }
+    if not isinstance(qr.strategy, PullbackThrough):
+        obj["images"] = {g: matrix_to_json(u.m) for g, u in qr.images.items()}
     return obj
 
 
@@ -528,7 +557,8 @@ def _names(value, name: str) -> tuple[str, ...]:
 
 def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
     """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``
-    and is read only once the presentation and the strategy have been checked."""
+    and is read only once the whole file has been checked.  A pullback file has
+    no ``images`` (its ``base_images`` and ``words`` fix them); any other has them."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
@@ -536,46 +566,38 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
         relators = tuple(parse_word(r) for r in
                          _typed(pres_obj.get("relators", []), list, "relators"))
         strat_obj = _typed(obj.get("strategy", {"kind": "z2-normal-form"}), dict, "strategy")
-        images_obj = _typed(obj["images"], dict, "images")
+        pulled = strat_obj.get("kind") == "pullback"
+        if pulled and "images" in obj:
+            raise FormatError("a pullback's images are derived from base_images and words; "
+                              "delete the images key")
+        images_obj = None if pulled else _typed(obj["images"], dict, "images")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed quasi-representation object: {exc}") from None
-    if kind == "Z2":
-        if len(generators) != 2:
-            raise FormatError("Z2 presentation needs exactly two generators",
-                              generators=generators)
-        if not relators:
-            relators = (commutator(_gen(generators[0]), _gen(generators[1])),)
-        pres = Presentation(generators, relators, "Z2")
-    elif kind == "surface":
-        if len(generators) % 2:
-            raise FormatError("surface presentation needs an even number of generators",
-                              generators=generators)
-        pres = Presentation(generators, relators, "surface")
-    elif kind == "custom":
-        pres = Presentation.custom(generators, relators)
-    else:
-        raise FormatError("unknown presentation kind", kind=kind)
+    pres = Presentation(generators, relators, kind)
     # an optional genus must be the JSON integer the kind implies (null for custom)
     genus = pres_obj.get("genus")
     if genus is not None and not (type(genus) is int and genus == pres.genus):
         raise FormatError("presentation genus disagrees with its generators",
                           genus=genus, expected=pres.genus)
+    if not pulled and set(images_obj) != set(generators):
+        raise FormatError("images must cover exactly the generators",
+                          missing=sorted(set(generators) - set(images_obj)),
+                          extra=sorted(set(images_obj) - set(generators)))
 
     def load(images: dict) -> dict:
         return {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images.items()}
 
-    make_strategy = _strategy_from_json(strat_obj, generators, load)
-    return QuasiRep(pres, load(images_obj), make_strategy())
+    strategy = _strategy_from_json(strat_obj, generators, load)
+    return QuasiRep(pres, strategy.images() if pulled else load(images_obj), strategy)
 
 
 def _strategy_from_json(obj, generators, load):
-    """Check a strategy object, and return the function that makes the
-    strategy, reading its matrices (if any) through ``load``."""
+    """Check a strategy object, then make it, reading any matrices through ``load``."""
     kind = obj.get("kind", "z2-normal-form")
     if kind == "z2-normal-form":
-        return Z2NormalForm
+        return Z2NormalForm()
     if kind == "word-product":
-        return WordProduct
+        return WordProduct()
     if kind == "pullback":
         try:
             words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
@@ -594,5 +616,5 @@ def _strategy_from_json(obj, generators, load):
         if set(base_images) != set(base_gens):
             raise FormatError("base_images must cover exactly the base_generators",
                               base_generators=list(base_gens), base_images=sorted(base_images))
-        return lambda: PullbackThrough(words, base_gens, load(base_images))
+        return PullbackThrough(words, base_gens, load(base_images))
     raise FormatError("unknown strategy kind", kind=kind)

@@ -23,8 +23,8 @@ import pytest
 
 from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
-                  kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_to_json,
-                  verify_index_formula, voiculescu_pair, voiculescu_qrep)
+                  kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_from_json,
+                  qrep_to_json, verify_index_formula, voiculescu_pair, voiculescu_qrep)
 from qrep import cli, config
 from qrep.cli import _FLOAT_SLICE, CSV_COLUMNS, _json_chunks, main
 from qrep.matcore import commutator_product, matrix_from_json
@@ -320,7 +320,7 @@ def test_verify_exel_loring_reads_the_base_off_a_z2_pullback(tmp_path, capsys):
     assert main(["gen", "voiculescu", "--n", "16", "-o", str(pair)]) == 0
     obj = json.loads(pair.read_text())["result"]
     obj["strategy"] = {"kind": "pullback", "words": {"a": "b", "b": "a"},
-                       "base_generators": ["a", "b"], "base_images": obj["images"]}
+                       "base_generators": ["a", "b"], "base_images": obj.pop("images")}
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -330,6 +330,102 @@ def test_verify_exel_loring_reads_the_base_off_a_z2_pullback(tmp_path, capsys):
     assert result["datum_class"] == -1 and result["lhs_k"] == 1
     assert result["rhs_wn"] == result["rhs_kappa"] == -1
     assert result["equal"] is True and result["trace_close"] is True
+
+
+def test_gen_pullback_writes_its_base_and_words_only(tmp_path, capsys):
+    # a pullback's generator images are derived from its base, so the file
+    # holds the base pair and the words, and reads back to the same JSON
+    pb = _gen_pullback(tmp_path, capsys, 16, "s1=a,t1=b,s2=b,t2=a")
+    obj = json.loads(Path(pb).read_text())["result"]
+    assert set(obj) == {"presentation", "strategy"}
+    assert set(obj["strategy"]) == {"kind", "words", "base_generators", "base_images"}
+    assert qrep_to_json(qrep_from_json(obj)) == obj
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "exel-loring"], ["defect"], ["invariant", "kappa", "--word", "[t1, s1]"],
+], ids=["verify", "defect", "kappa"])
+@pytest.mark.parametrize("stored", ["derived", "s1-identity"])
+def test_a_pullback_file_that_carries_images_is_refused_unread(
+        tmp_path, capsys, monkeypatch, command, stored):
+    # generator images stored beside the base, as an older gen pullback wrote
+    # them, are a second copy of what base_images and words fix; with s1 -> 1
+    # the stored copy gave kappa 0 and relator_defect 1e-16 while the loop
+    # through the base gave 1, so the file is refused before any matrix is read
+    pb = _gen_pullback(tmp_path, capsys, 16, "s1=a,t1=b")
+    obj = json.loads(Path(pb).read_text())
+    base = obj["result"]["strategy"]["base_images"]
+    obj["result"]["images"] = {"s1": base["a"], "t1": base["b"]}
+    if stored == "s1-identity":
+        obj["result"]["images"]["s1"] = matrix_to_json(np.eye(16))
+    Path(pb).write_text(json.dumps(obj))
+    out_json = tmp_path / "out.json"
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main([*command, "-i", pb, "-o", str(out_json)]) == 3
+    assert ("FormatError: a pullback's images are derived from base_images and words; "
+            "delete the images key") in capsys.readouterr().err
+    assert reads == [] and not out_json.exists()
+
+
+@pytest.mark.parametrize("source, relator", [("pair", "a b"), ("pullback", "s1 t1")])
+@pytest.mark.parametrize("command", [["defect"], ["verify", "exel-loring"]],
+                         ids=["defect", "verify"])
+def test_a_relator_other_than_its_kinds_is_refused(
+        tmp_path, capsys, monkeypatch, pair_file, source, relator, command):
+    # read as given, relator a b would be reported as the Z2 pair's
+    # relator_defect ||ab - 1||, under the z2-bott label
+    path = pair_file if source == "pair" else _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")
+    obj = json.loads(Path(path).read_text())
+    obj["result"]["presentation"]["relators"] = [relator]
+    Path(path).write_text(json.dumps(obj))
+    capsys.readouterr()
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main([*command, "-i", path]) == 3
+    assert "relator must be the one its kind fixes" in capsys.readouterr().err
+    assert reads == []
+
+
+def test_a_surface_file_without_relators_reads_its_kinds_relator(tmp_path, capsys):
+    # [] means the relator the kind fixes, for surface as for Z2
+    pb = _gen_pullback(tmp_path, capsys, 16, "s1=a,t1=b^2")
+    obj = json.loads(Path(pb).read_text())
+    obj["result"]["presentation"]["relators"] = []
+    Path(pb).write_text(json.dumps(obj))
+    res = run_json(capsys, "defect", "-i", pb)["result"]
+    qr = pullback(voiculescu_qrep(16), {"s1": "a", "t1": "b^2"})
+    expected = np.linalg.norm(commutator_product(
+        [(qr.images["s1"].m, qr.images["t1"].m)], 16) - np.eye(16), 2)
+    assert res["relator_defect"] == pytest.approx(expected, rel=1e-12)
+    assert res["relator_defect"] > 0.7
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_images_must_name_exactly_the_generators_before_any_is_read(
+        tmp_path, capsys, monkeypatch, edit):
+    pair = tmp_path / "pair32.json"
+    assert main(["gen", "voiculescu", "--n", "32", "-o", str(pair)]) == 0
+    obj = json.loads(pair.read_text())
+    images = obj["result"]["images"]
+    if edit == "extra":
+        images["c"] = images["a"]
+    else:
+        del images["b"]
+    pair.write_text(json.dumps(obj))
+    capsys.readouterr()
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main(["defect", "-i", str(pair)]) == 3
+    assert "FormatError: images must cover exactly the generators" in capsys.readouterr().err
+    assert reads == []
+
+
+def test_direct_sum_checks_both_kinds_before_any_matrix_is_read(
+        tmp_path, capsys, monkeypatch, pair_file, matrix_file):
+    out_json = tmp_path / "out.json"
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main(["gen", "direct-sum", "-i", pair_file, "-i", matrix_file,
+                 "-o", str(out_json)]) == 3
+    assert "FormatError: expected a quasi-representation object" in capsys.readouterr().err
+    assert reads == [] and not out_json.exists()
 
 
 def test_pullback_base_images_must_match_base_generators(tmp_path, capsys):
@@ -1028,7 +1124,7 @@ def _edit_z2_duplicate(obj):
 
 def _edit_surface_odd(obj):
     obj["presentation"]["generators"] = ["s1", "t1", "s2"]
-    obj["images"]["s2"] = obj["images"]["s1"]
+    obj["strategy"]["words"]["s2"] = obj["strategy"]["words"]["s1"]
 
 
 def _edit_base_duplicate(obj):
@@ -1418,7 +1514,9 @@ def _bad_image_inputs(tmp_path, pair_file) -> dict:
             assert main(["gen", "pullback", "-i", pair_file, "--images", images,
                          "-o", source]) == 0
         obj = json.loads(Path(source).read_text())["result"]
-        obj["images"][sorted(obj["images"])[-1]] = bad
+        # a pullback's generator images are derived from its base images
+        target = obj["images"] if images is None else obj["strategy"]["base_images"]
+        target[sorted(target)[-1]] = bad
         files[name] = tmp_path / f"bad-{name}.json"
         files[name].write_text(json.dumps(obj))
     return {name: str(path) for name, path in files.items()}

@@ -16,7 +16,7 @@ from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
                   StrategyUndefined, UnboundGenerator, Unitary, WordProduct,
                   WordSyntaxError, Z2NormalForm, abelianize, commutator,
                   evaluate, mult_defect, op_norm, parse_word, perturb, qrep_from_json,
-                  qrep_to_json, random_unitary, relator_defect,
+                  pullback, qrep_to_json, random_unitary, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
 from qrep.words import commutator_word, generators_and_inverses
@@ -201,6 +201,43 @@ def test_presentation_constructors():
     assert c.kind == "custom" and c.relators == (w("x^2"),)
 
 
+def test_a_kind_fixes_its_relator():
+    # Z2 and surface presentations hold the one relator their kind fixes:
+    # none given means that one, and any other is refused; custom keeps its own
+    assert Presentation(("x", "y"), (), "Z2").relators == (w("[x, y]"),)
+    gens = ("s1", "t1", "s2", "t2")
+    assert Presentation(gens, [w("[s1, t1] [s2, t2]")], "surface") == Presentation.surface(2)
+    for generators, relator, kind in [(("a", "b"), "a b", "Z2"), (("a", "b"), "[b, a]", "Z2"),
+                                      (("s1", "t1"), "s1 t1", "surface"),
+                                      (gens, "[s1, t1]", "surface")]:
+        with pytest.raises(FormatError, match="relator must be the one its kind fixes"):
+            Presentation(generators, (w(relator),), kind)
+    assert Presentation.custom(("a", "b"), (w("a b"),)).relators == (w("a b"),)
+
+
+@pytest.mark.parametrize("generators, kind, message", [
+    (("a",), "Z2", "Z2 presentation needs exactly two generators"),
+    (("a", "b", "c"), "Z2", "Z2 presentation needs exactly two generators"),
+    (("s1", "t1", "s2"), "surface", "surface presentation needs an even number"),
+    ((), "surface", "surface presentation needs an even number"),
+    (("a", "b"), "Z3", "unknown presentation kind"),
+], ids=["z2-one", "z2-three", "surface-odd", "surface-none", "unknown-kind"])
+def test_presentation_refuses_what_its_kind_rules_out(generators, kind, message):
+    with pytest.raises(FormatError, match=message):
+        Presentation(generators, (), kind)
+
+
+def test_pullback_json_holds_its_base_and_words_only():
+    # a pullback's generator images are derived from its base, never stored
+    pb = pullback(voiculescu_qrep(8), {"s1": "a", "t1": "b^2"})
+    obj = json.loads(json.dumps(qrep_to_json(pb)))
+    assert "images" not in obj
+    assert qrep_to_json(qrep_from_json(obj)) == obj
+    back = qrep_from_json(obj).images
+    assert all(np.array_equal(back[g].m, pb.images[g].m) for g in ("s1", "t1"))
+    assert np.array_equal(back["t1"].m, np.linalg.matrix_power(pb.strategy.base_images["b"].m, 2))
+
+
 def test_relator_defect_voiculescu_closed_form():
     for n in (4, 16, 64):
         qr = voiculescu_qrep(n)
@@ -341,7 +378,6 @@ def test_qrep_json_round_trip_bit_exact():
 
 
 def test_qrep_json_surface_and_pullback_round_trip():
-    from qrep import pullback
     base = voiculescu_qrep(8)
     pb = pullback(base, {"s1": "a", "t1": "b", "s2": "", "t2": ""})
     obj = json.loads(json.dumps(qrep_to_json(pb)))
@@ -382,16 +418,15 @@ def test_generator_names_are_identifiers_for_every_kind(kind):
     # presentations: its rendered relator would read back as another word
     qr = voiculescu_qrep(4)
     if kind == "surface":
-        from qrep import pullback
         qr = pullback(qr, {"s1": "a", "t1": "b"})
     obj = json.loads(json.dumps(qrep_to_json(qr)))
     assert qrep_to_json(qrep_from_json(obj)) == obj
     first, second = obj["presentation"]["generators"]
     obj["presentation"]["generators"] = ["x y", second]
     obj["presentation"]["relators"] = []
-    obj["images"]["x y"] = obj["images"].pop(first)
-    if kind == "surface":
-        obj["strategy"]["words"]["x y"] = obj["strategy"]["words"].pop(first)
+    # a pullback's images are derived from its words, which name the generators
+    names = obj["images"] if kind == "Z2" else obj["strategy"]["words"]
+    names["x y"] = names.pop(first)
     with pytest.raises(FormatError, match="not a valid identifier") as exc:
         qrep_from_json(obj)
     assert exc.value.details == {"symbol": "x y"}
