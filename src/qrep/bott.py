@@ -36,7 +36,6 @@ from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
     FreeWord,
-    Presentation,
     PullbackThrough,
     QuasiRep,
     abelianize,
@@ -225,11 +224,6 @@ class IndexFormulaReport:
         }
 
 
-def _default_datum(pres: Presentation) -> CommutatorDatum:
-    gens = [FreeWord(((g, 1),)) for g in pres.generators]
-    return CommutatorDatum(tuple(zip(gens[::2], gens[1::2])))
-
-
 def verify_index_formula(qr: QuasiRep,
                          datum: CommutatorDatum | None = None,
                          *,
@@ -237,9 +231,9 @@ def verify_index_formula(qr: QuasiRep,
     """Check the index identity wn = kappa = d * k on a datum of class d.
 
     The base pair (u, v) is read off ``qr`` by one rule: a pullback strategy
-    supplies its two base images and its substitution, whatever the
-    presentation; any other strategy supplies the presentation's own two
-    generator images.  ``qr`` must be a ``Z2`` presentation, or a surface
+    supplies its ``base``, whose two generator images are the pair, and its
+    substitution, whatever the presentation; any other strategy makes ``qr``
+    its own base.  ``qr`` must be a ``Z2`` presentation, or a surface
     pullback as ``pullback`` and ``qrep gen pullback`` build it.  Anything
     else, including a perturbed pullback, which no longer factors through
     its base, or a base of other than two generators, raises
@@ -256,21 +250,17 @@ def verify_index_formula(qr: QuasiRep,
     """
     pres, strategy = qr.presentation, qr.strategy
     pulled = isinstance(strategy, PullbackThrough)
-    if pulled:
-        base_generators, base_images = strategy.base_generators, strategy.base_images
-        substitute = strategy.substitute
-    else:
-        base_generators, base_images = pres.generators, qr.images
-        substitute = lambda word: word
+    base = strategy.base if pulled else qr
+    substitute = strategy.substitute if pulled else (lambda word: word)
+    base_generators = base.presentation.generators
     if len(base_generators) != 2 or not (pres.kind == "Z2"
                                          or pres.kind == "surface" and pulled):
         raise PresentationMismatch(
             "verification needs a two-generator abelian quasi-representation or "
             "a surface pullback of one", kind=pres.kind, strategy=strategy.kind)
     label = "z2-bott" if pres.kind == "Z2" else f"surface-pullback-g{pres.genus}"
-    a_sym, b_sym = base_generators
-    u, v = base_images[a_sym], base_images[b_sym]
-    used = datum if datum is not None else _default_datum(pres)
+    u, v = (base.images[g] for g in base_generators)
+    used = datum if datum is not None else CommutatorDatum.of_generators(pres.generators)
 
     datum_class = 0
     for wa, wb in used.pairs:
@@ -298,8 +288,7 @@ def verify_index_formula(qr: QuasiRep,
     # factors u, v, u*, v*
     norms = {}
     if not pulled:
-        norms[_default_datum(pres).commutator_product()] = \
-            lhs.defect_data["commutator_defect"]
+        norms[pres.relators[0]] = lhs.defect_data["commutator_defect"]
 
     def word_defect(word: FreeWord) -> float:
         if word not in norms:

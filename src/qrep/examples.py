@@ -162,9 +162,10 @@ def pullback(base: QuasiRep, images) -> QuasiRep:
 
     ``images`` maps the full generator set {s1, t1, ..., sg, tg} (genus
     inferred from the key count) to words over the base generators; words
-    may be given as text.  The resulting generator images are the base
-    quasi-representation applied to those words, and elements evaluate by
-    substitution followed by the base normal form.
+    may be given as text.  The result holds ``base`` in its
+    :class:`PullbackThrough` strategy: its generator images are the base
+    applied to those words, and elements evaluate by substitution followed
+    by the base normal form.
     """
     if base.presentation.kind != "Z2" or not isinstance(base.strategy, Z2NormalForm):
         raise PresentationMismatch(
@@ -180,21 +181,7 @@ def pullback(base: QuasiRep, images) -> QuasiRep:
     if set(words) != set(pres.generators):
         raise PresentationMismatch("generator names must be s1,t1,...,sg,tg",
                                    given=sorted(words), expected=list(pres.generators))
-    base_syms = set(base.presentation.generators)
-    for g, w in words.items():
-        stray = w.symbols() - base_syms
-        if stray:
-            raise UnboundGenerator("substitution word leaves the base generators",
-                                   generator=g, symbols=sorted(stray))
-    strategy = PullbackThrough(words, base.presentation.generators, base.images)
-    return QuasiRep(pres, strategy.images(), strategy)
-
-
-def _block_sum(a, b, generators) -> dict[str, Unitary]:
-    # generator-wise block-diagonal sum of two image maps
-    return {g: Unitary(np.block([[a[g].m, np.zeros((a[g].dim, b[g].dim))],
-                                 [np.zeros((b[g].dim, a[g].dim)), b[g].m]]))
-            for g in generators}
+    return QuasiRep(pres, None, PullbackThrough(words, base))
 
 
 def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
@@ -202,7 +189,8 @@ def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
 
     Requires identical presentations and structurally compatible strategies
     (same kind; pullbacks must share the substitution words, in which case
-    only the base images are summed, and the sum's images derive from them).
+    the sum is the pullback through the direct sum of the two bases, and its
+    images derive from that).
     """
     if qr1.presentation != qr2.presentation:
         raise PresentationMismatch("presentations differ",
@@ -213,10 +201,12 @@ def direct_sum(qr1: QuasiRep, qr2: QuasiRep) -> QuasiRep:
         raise PresentationMismatch("strategies of different kinds",
                                    left=type(s1).__name__, right=type(s2).__name__)
     if isinstance(s1, PullbackThrough):
-        if s1.words != s2.words or s1.base_generators != s2.base_generators:
+        if s1.words != s2.words:
             raise PresentationMismatch("pullback substitutions differ")
-        strategy = PullbackThrough(s1.words, s1.base_generators, _block_sum(
-            s1.base_images, s2.base_images, s1.base_generators))
-        return QuasiRep(qr1.presentation, strategy.images(), strategy)
-    return QuasiRep(qr1.presentation,
-                    _block_sum(qr1.images, qr2.images, qr1.presentation.generators), s1)
+        return QuasiRep(qr1.presentation, None,
+                        PullbackThrough(s1.words, direct_sum(s1.base, s2.base)))
+    a, b = qr1.images, qr2.images
+    return QuasiRep(qr1.presentation, {
+        g: Unitary(np.block([[a[g].m, np.zeros((a[g].dim, b[g].dim))],
+                             [np.zeros((b[g].dim, a[g].dim)), b[g].m]]))
+        for g in qr1.presentation.generators}, s1)

@@ -16,7 +16,7 @@ the expanded length, or brackets nested more than 200 deep).
 A presentation's kind fixes what it can: ``Z2`` has two generators and
 ``surface`` a nonzero even number, and each has the one relator
 [g_1, g_2] [g_3, g_4] ... over its generators in order; ``custom`` keeps the
-relators it is given.
+relators it is given.  No kind names a generator twice.
 
 Quasi-representations assign a unitary to each presentation generator and
 carry a strategy that extends the assignment to group *elements*:
@@ -24,9 +24,9 @@ carry a strategy that extends the assignment to group *elements*:
 * ``Z2NormalForm``: a word over an abelian presentation with generators
   u_1, ..., u_m is read off by its exponent sums (j_1, ..., j_m) and
   evaluated as u_1^{j_1} ... u_m^{j_m}, in generator order (u^j v^k on Z2).
-* ``PullbackThrough``: substitute each generator by a word over an abelian
-  base and evaluate in the base normal form; the generator images are those
-  of the words (``PullbackThrough.images``), derived, never stored.
+* ``PullbackThrough``: substitute each generator by a word over a base
+  quasi-representation and evaluate there; ``QuasiRep`` derives the
+  generator images as the base's images of the words, never stores them.
 * ``WordProduct``: evaluate the word letter by letter; exact for free and
   custom presentations where the caller supplies representative words.
 """
@@ -275,6 +275,8 @@ class Presentation:
         if self.kind == "surface" and (len(self.generators) % 2 or not self.generators):
             raise FormatError("surface presentation needs an even number of generators",
                               generators=self.generators)
+        if len(set(self.generators)) != len(self.generators):
+            raise FormatError("a generator is named twice", generators=self.generators)
         # a name the word grammar cannot read back would change a relator's
         # letters on a round trip through its rendered text
         for g in self.generators:
@@ -282,8 +284,7 @@ class Presentation:
                 raise FormatError("generator is not a valid identifier", symbol=g)
         if self.kind != "custom":
             # the kind fixes its one relator [g_1, g_2] [g_3, g_4] ...; () means that one
-            gens = [_gen(g) for g in self.generators]
-            fixed = (commutator_word(zip(gens[::2], gens[1::2])),)
+            fixed = (CommutatorDatum.of_generators(self.generators).commutator_product(),)
             if tuple(self.relators) not in ((), fixed):
                 raise FormatError(f"a {self.kind} relator must be the one its kind fixes",
                                   given=[render(r) for r in self.relators],
@@ -331,6 +332,11 @@ class CommutatorDatum:
 
     pairs: tuple[tuple[FreeWord, FreeWord], ...]
 
+    @classmethod
+    def of_generators(cls, generators) -> "CommutatorDatum":
+        """The pairs (g_1, g_2), (g_3, g_4), ... of the generators in order."""
+        return cls(tuple(zip(map(_gen, generators[::2]), map(_gen, generators[1::2]))))
+
     def commutator_product(self) -> FreeWord:
         return commutator_word(self.pairs)
 
@@ -362,17 +368,18 @@ class Z2NormalForm:
 
 @dataclass(frozen=True)
 class PullbackThrough:
-    """Substitute generators by base words, then use the base normal form."""
+    """Substitute generators by words over ``base``, then evaluate in ``base``."""
 
     words: Mapping[str, FreeWord]
-    base_generators: tuple[str, ...]
-    base_images: Mapping[str, Unitary]
+    base: "QuasiRep"
     kind: str = field(default="pullback", init=False)
 
     def __post_init__(self):
-        # accept any mapping or iterable of (symbol, word) pairs
-        object.__setattr__(self, "words", dict(self.words))
-        object.__setattr__(self, "base_generators", tuple(self.base_generators))
+        stray = (set().union(*(w.symbols() for w in self.words.values()))
+                 - set(self.base.presentation.generators))
+        if stray:
+            raise UnboundGenerator("substitution word leaves the base generators",
+                                   symbols=sorted(stray))
 
     def substitute(self, word: FreeWord) -> FreeWord:
         out: list[tuple[str, int]] = []
@@ -385,13 +392,7 @@ class PullbackThrough:
         return FreeWord(tuple(out))
 
     def apply(self, qr: "QuasiRep", word: FreeWord) -> Unitary:
-        return _normal_form(self.base_generators, self.base_images,
-                            self.substitute(word))
-
-    def images(self) -> dict[str, Unitary]:
-        """Each generator's image: the base normal form of its word."""
-        return {g: _normal_form(self.base_generators, self.base_images, w)
-                for g, w in self.words.items()}
+        return self.base.apply(self.substitute(word))
 
 
 @dataclass(frozen=True)
@@ -404,13 +405,21 @@ class WordProduct:
 
 @dataclass(frozen=True)
 class QuasiRep:
-    """Generator images plus a strategy extending them to group elements."""
+    """Generator images plus a strategy extending them to group elements; a
+    pullback is given None and derives them: the base's images of its words."""
 
     presentation: Presentation
-    images: Mapping[str, Unitary]
+    images: Mapping[str, Unitary] | None
     strategy: object
 
     def __post_init__(self):
+        pulled = isinstance(self.strategy, PullbackThrough)
+        if pulled != (self.images is None):
+            raise PresentationMismatch("a pullback's images are derived from its base"
+                                       if pulled else "only a pullback derives its images")
+        if pulled:
+            object.__setattr__(self, "images", {g: self.strategy.base.apply(w)
+                                                for g, w in self.strategy.words.items()})
         missing = set(self.presentation.generators) - set(self.images)
         extra = set(self.images) - set(self.presentation.generators)
         if missing or extra:
@@ -479,8 +488,8 @@ def mult_defect(qr: QuasiRep, elements) -> MultDefect:
 #
 # {"presentation": {"kind", "genus", "generators", "relators"},
 #  "strategy": {"kind", ...}, "images": {gen: matrix or {"$file": path}}};
-# a pullback has no "images" (its strategy's "words" and "base_images" fix
-# them), and [] as Z2 or surface "relators" is the one relator the kind fixes.
+# a pullback has no "images" (its "words" and its base's "base_generators" and
+# "base_images" fix them); [] as Z2 or surface "relators" is its kind's relator.
 
 def qrep_to_json(qr: QuasiRep) -> dict:
     pres = qr.presentation
@@ -505,9 +514,9 @@ def _strategy_to_json(strategy) -> dict:
         return {
             "kind": strategy.kind,
             "words": {g: render(w) for g, w in strategy.words.items()},
-            "base_generators": list(strategy.base_generators),
+            "base_generators": list(strategy.base.presentation.generators),
             "base_images": {g: matrix_to_json(u.m)
-                            for g, u in strategy.base_images.items()},
+                            for g, u in strategy.base.images.items()},
         }
     raise FormatError("unserializable strategy", kind=type(strategy).__name__)
 
@@ -547,14 +556,6 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def _names(value, name: str) -> tuple[str, ...]:
-    # a list of generator names, none given twice
-    names = tuple(_typed(value, list, name))
-    if len(set(names)) != len(names):
-        raise FormatError(f"{name} names a generator twice", **{name: names})
-    return names
-
-
 def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
     """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``
     and is read only once the whole file has been checked.  A pullback file has
@@ -562,7 +563,7 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
-        generators = _names(pres_obj["generators"], "generators")
+        generators = tuple(_typed(pres_obj["generators"], list, "generators"))
         relators = tuple(parse_word(r) for r in
                          _typed(pres_obj.get("relators", []), list, "relators"))
         strat_obj = _typed(obj.get("strategy", {"kind": "z2-normal-form"}), dict, "strategy")
@@ -588,7 +589,7 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
         return {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images.items()}
 
     strategy = _strategy_from_json(strat_obj, generators, load)
-    return QuasiRep(pres, strategy.images() if pulled else load(images_obj), strategy)
+    return QuasiRep(pres, None if pulled else load(images_obj), strategy)
 
 
 def _strategy_from_json(obj, generators, load):
@@ -601,11 +602,13 @@ def _strategy_from_json(obj, generators, load):
     if kind == "pullback":
         try:
             words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
-            base_gens = _names(obj["base_generators"], "base_generators")
+            base_gens = tuple(_typed(obj["base_generators"], list, "base_generators"))
             base_images = _typed(obj["base_images"], dict, "base_images")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed pullback strategy: {exc}") from None
-        # as examples.pullback checks them: a word for each generator, over the base
+        # a two-generator base is the Z2 base examples.pullback requires
+        base_pres = Presentation(base_gens, (), "Z2" if len(base_gens) == 2 else "custom")
+        # as pullback and PullbackThrough check them: a word for each generator, over the base
         if set(words) != set(generators):
             raise FormatError("pullback words must cover exactly the generators",
                               generators=list(generators), words=sorted(words))
@@ -616,5 +619,5 @@ def _strategy_from_json(obj, generators, load):
         if set(base_images) != set(base_gens):
             raise FormatError("base_images must cover exactly the base_generators",
                               base_generators=list(base_gens), base_images=sorted(base_images))
-        return PullbackThrough(words, base_gens, load(base_images))
+        return PullbackThrough(words, QuasiRep(base_pres, load(base_images), Z2NormalForm()))
     raise FormatError("unknown strategy kind", kind=kind)

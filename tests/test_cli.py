@@ -439,6 +439,26 @@ def test_pullback_base_images_must_match_base_generators(tmp_path, capsys):
     assert "FormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("images", ["s1=a,t1=b", "s1=a b,t1=b"])
+def test_a_pullback_base_of_mixed_dimensions_is_refused(tmp_path, capsys, images):
+    # an n = 8 base whose b is the n = 4 pair's is refused by the base
+    # quasi-representation's own check, whatever the words; with s1=a b the
+    # product a b once reached numpy and exited 3 with a bare matmul message
+    pb = _gen_pullback(tmp_path, capsys, 8, images)
+    small = tmp_path / "pair4.json"
+    assert main(["gen", "voiculescu", "--n", "4", "-o", str(small)]) == 0
+    obj = json.loads(Path(pb).read_text())
+    obj["result"]["strategy"]["base_images"]["b"] = \
+        json.loads(small.read_text())["result"]["images"]["b"]
+    Path(pb).write_text(json.dumps(obj))
+    capsys.readouterr()
+    out_json = tmp_path / "out.json"
+    assert main(["defect", "-i", pb, "-o", str(out_json)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qrep: DimensionMismatch: ")
+    assert not out_json.exists()
+
+
 def test_verify_exel_loring_sweep_csv(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     obj = run_json(capsys, "verify", "exel-loring", "--n-range", "16:64:16",
@@ -1132,6 +1152,12 @@ def _edit_base_duplicate(obj):
     del obj["strategy"]["base_images"]["b"]
 
 
+def _edit_base_not_identifier(obj):
+    # b is unused by the words, so only the name can refuse it
+    obj["strategy"]["base_generators"] = ["a", "b c"]
+    obj["strategy"]["base_images"]["b c"] = obj["strategy"]["base_images"].pop("b")
+
+
 def _edit_words_extra(obj):
     obj["strategy"]["words"]["x9"] = "a"
 
@@ -1148,11 +1174,12 @@ def _edit_words_off_base(obj):
     (_edit_z2_duplicate, ["invariant", "k"]),
     (_edit_surface_odd, ["verify", "exel-loring"]),
     (_edit_base_duplicate, ["verify", "exel-loring"]),
+    (_edit_base_not_identifier, ["verify", "exel-loring"]),
     (_edit_words_extra, ["defect"]),
     (_edit_words_missing, ["defect"]),
     (_edit_words_off_base, ["defect"]),
-], ids=["z2-generators", "surface-odd", "base-generators", "words-extra",
-        "words-missing", "words-off-base"])
+], ids=["z2-generators", "surface-odd", "base-generators", "base-not-identifier",
+        "words-extra", "words-missing", "words-off-base"])
 def test_qrep_file_with_repeated_or_unpaired_generators_is_refused(
         tmp_path, capsys, monkeypatch, edit, command):
     # each edited file is otherwise consistent (n = 16 leaves the k class a

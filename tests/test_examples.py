@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import spy
-from qrep import (DimensionMismatch, PerturbationSpec, PresentationMismatch,
+from qrep import (DimensionMismatch, PerturbationSpec, Presentation, PresentationMismatch,
                   PullbackThrough, QuasiRep, RadiusTooLarge, UnboundGenerator,
                   Unitary, WordProduct, Z2NormalForm, direct_sum, evaluate,
                   kappa, kazhdan_stability, mult_defect, op_norm, parse_word,
-                  perturb, perturbed_copy, pullback, random_unitary,
-                  relator_defect, verify_index_formula, voiculescu_pair,
-                  voiculescu_qrep)
+                  perturb, perturbed_copy, pullback, qrep_from_json, qrep_to_json,
+                  random_unitary, relator_defect, verify_index_formula,
+                  voiculescu_pair, voiculescu_qrep)
 
 
 # -- the shift/phase pair -------------------------------------------------------
@@ -207,11 +207,23 @@ def test_direct_sum_of_pullbacks_sums_base():
     p2 = pullback(voiculescu_qrep(6), {"s1": "a", "t1": "b"})
     s = direct_sum(p1, p2)
     assert isinstance(s.strategy, PullbackThrough)
-    assert s.strategy.base_images["a"].dim == 10
+    assert s.strategy.base.images["a"].dim == 10
     got = s.apply("s1 t1")
     want1, want2 = p1.apply("s1 t1"), p2.apply("s1 t1")
     assert op_norm(got.m[:4, :4] - want1.m) < 1e-12
     assert op_norm(got.m[4:, 4:] - want2.m) < 1e-12
+
+
+def test_direct_sum_of_a_pullback_and_its_json_round_trip():
+    # the reader builds a two-generator base as the Z2 presentation pullback
+    # requires, so a pullback read back sums with the one it was written from
+    pb = pullback(voiculescu_qrep(4), {"s1": "a b", "t1": "b"})
+    back = qrep_from_json(qrep_to_json(pb))
+    s = direct_sum(pb, back)
+    assert s.strategy.base.presentation == Presentation.z2()
+    got, want = s.apply("s1 t1^2").m, pb.apply("s1 t1^2").m
+    assert op_norm(got[:4, :4] - want) < 1e-12
+    assert op_norm(got[4:, 4:] - want) < 1e-12
 
 
 # -- unitarity is checked where a matrix enters, not on what qrep builds ----------

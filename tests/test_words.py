@@ -221,7 +221,10 @@ def test_a_kind_fixes_its_relator():
     (("s1", "t1", "s2"), "surface", "surface presentation needs an even number"),
     ((), "surface", "surface presentation needs an even number"),
     (("a", "b"), "Z3", "unknown presentation kind"),
-], ids=["z2-one", "z2-three", "surface-odd", "surface-none", "unknown-kind"])
+    (("a", "a"), "Z2", "a generator is named twice"),
+    (("x", "y", "x"), "custom", "a generator is named twice"),
+], ids=["z2-one", "z2-three", "surface-odd", "surface-none", "unknown-kind", "z2-twice",
+        "custom-twice"])
 def test_presentation_refuses_what_its_kind_rules_out(generators, kind, message):
     with pytest.raises(FormatError, match=message):
         Presentation(generators, (), kind)
@@ -235,7 +238,7 @@ def test_pullback_json_holds_its_base_and_words_only():
     assert qrep_to_json(qrep_from_json(obj)) == obj
     back = qrep_from_json(obj).images
     assert all(np.array_equal(back[g].m, pb.images[g].m) for g in ("s1", "t1"))
-    assert np.array_equal(back["t1"].m, np.linalg.matrix_power(pb.strategy.base_images["b"].m, 2))
+    assert np.array_equal(back["t1"].m, np.linalg.matrix_power(pb.strategy.base.images["b"].m, 2))
 
 
 def test_relator_defect_voiculescu_closed_form():
@@ -293,7 +296,7 @@ def test_normal_form_of_any_rank():
     qr = QuasiRep(Presentation.custom(("x", "y", "z"), ()), images, Z2NormalForm())
     assert op_norm(qr.apply("z y^-1 x^2").m - want) < 1e-12
     assert op_norm(qr.apply("[x, z]").m - np.eye(3)) < 1e-15
-    pulled = PullbackThrough({"s1": w("z x^2"), "t1": w("y^-1")}, ("x", "y", "z"), images)
+    pulled = PullbackThrough({"s1": w("z x^2"), "t1": w("y^-1")}, qr)
     assert op_norm(pulled.apply(qr, w("t1 s1")).m - want) < 1e-12
 
 
@@ -315,15 +318,49 @@ def test_word_product_strategy_is_raw_evaluation():
 def test_pullback_through_strategy_substitutes():
     base = voiculescu_qrep(8)
     words = {"s1": w("a"), "t1": w("b"), "s2": EMPTY_WORD, "t2": EMPTY_WORD}
-    strat = PullbackThrough(tuple(sorted(words.items())),
-                            base.presentation.generators, base.images)
+    strat = PullbackThrough(words, base)
     assert strat.substitute(w("s1 t1 s2^-1")) == w("a b")
     pres = Presentation.surface(2)
-    images = {g: base.apply(word) for g, word in words.items()}
-    qr = QuasiRep(pres, images, strat)
+    qr = QuasiRep(pres, None, strat)
     got = qr.apply("s1^2 t1")
     want = base.apply("a^2 b")
     assert op_norm(got.m - want.m) < 1e-12
+
+
+def test_a_pullback_derives_its_images_from_its_base():
+    # the images are the base's images of the words, bit for bit as pullback
+    # makes them; images given beside the base would be a second copy, as
+    # s1 -> pi(t1) was, with relator_defect 4e-16 where the pullback has 0.765
+    base = voiculescu_qrep(8)
+    words = {"s1": w("a b"), "t1": w("b^2")}
+    qr = QuasiRep(Presentation.surface(1), None, PullbackThrough(words, base))
+    pb = pullback(base, words)
+    assert all(np.array_equal(qr.images[g].m, pb.images[g].m) for g in words)
+    with pytest.raises(PresentationMismatch, match="derived from its base"):
+        QuasiRep(pb.presentation, {"s1": pb.images["t1"], "t1": pb.images["t1"]},
+                 pb.strategy)
+    with pytest.raises(PresentationMismatch):
+        QuasiRep(Presentation.z2(), None, Z2NormalForm())
+
+
+def test_a_pullback_word_outside_its_base_is_refused_when_made():
+    with pytest.raises(UnboundGenerator, match="leaves the base generators") as err:
+        PullbackThrough({"s1": w("a"), "t1": w("c")}, voiculescu_qrep(8))
+    assert err.value.details["symbols"] == ["c"]
+
+
+def test_a_pullback_through_a_rank_three_base_round_trips():
+    # a base of other than two generators reads back as the custom one it was
+    rng = np.random.default_rng(106)
+    base = QuasiRep(Presentation.custom(("x", "y", "z"), ()),
+                    {s: random_unitary(3, rng) for s in "xyz"}, Z2NormalForm())
+    pb = QuasiRep(Presentation.surface(1), None,
+                  PullbackThrough({"s1": w("z x^2"), "t1": w("y^-1")}, base))
+    obj = json.loads(json.dumps(qrep_to_json(pb)))
+    back = qrep_from_json(obj)
+    assert back.strategy.base.presentation == base.presentation
+    assert qrep_to_json(back) == obj
+    assert all(np.array_equal(back.images[g].m, pb.images[g].m) for g in ("s1", "t1"))
 
 
 def test_mult_defect_voiculescu_closed_form():
