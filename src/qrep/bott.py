@@ -173,7 +173,7 @@ def k_invariant(u: Unitary, v: Unitary,
             "spectral_gap": gap_width,
             "orientation": float(ORIENTATION),
         },
-        tolerances=tol.subset("defect_max"),
+        tolerances=tol.subset("cluster_width", "defect_max"),
     )
 
 

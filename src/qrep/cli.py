@@ -66,6 +66,7 @@ from .words import (
     Presentation,
     QuasiRep,
     Z2NormalForm,
+    check_qrep_json,
     evaluate,
     generators_and_inverses,
     mult_defect,
@@ -228,8 +229,8 @@ def _check_out_paths(args) -> None:
 def _read_input(paths: list[str], tol: config.Tolerances, takes: str, word=None) -> list:
     """Each -i file of ``paths`` as what the command ``takes``: a QuasiRep ("qrep",
     or "pair" of two generators), a matrix, or "either", a quasi-representation
-    giving the Unitary of ``word``.  A kind it does not take is refused first, in
-    every file before any matrix of any file is read."""
+    giving the Unitary of ``word``.  A kind it does not take, or a file that
+    ``check_qrep_json`` refuses, is refused before any matrix of any file is read."""
     checked = []
     for path in paths:
         obj = read_json(path)
@@ -247,16 +248,12 @@ def _read_input(paths: list[str], tol: config.Tolerances, takes: str, word=None)
             raise FormatError("input is neither a matrix nor a quasi-representation", path=path)
         if takes == "matrix" and kind != "matrix":
             raise InputError("homotopy-gap takes a matrix JSON input")
-        if takes == "pair":
-            try:
-                pair = len(obj["presentation"]["generators"]) == 2
-            except (KeyError, TypeError):
-                pair = kind == "qrep"  # a malformed presentation, which qrep_from_json names
-            if not pair:
-                raise InputError("the k class needs a two-generator quasi-representation")
         if takes == "either" and (kind == "matrix") == (word is not None):
             raise InputError("quasi-representation inputs need --word" if word is None
                              else "--word applies to quasi-representation inputs only")
+        pres = check_qrep_json(obj) if kind == "qrep" else None
+        if takes == "pair" and not (pres is not None and len(pres.generators) == 2):
+            raise InputError("the k class needs a two-generator quasi-representation")
         checked.append((path, obj, kind))
     word = None if word is None else parse_word(word)
 

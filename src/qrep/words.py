@@ -29,6 +29,10 @@ carry a strategy that extends the assignment to group *elements*:
   generator images as the base's images of the words, never stores them.
 * ``WordProduct``: evaluate the word letter by letter; exact for free and
   custom presentations where the caller supplies representative words.
+
+A quasi-representation object is read from JSON in two steps: ``check_qrep_json``
+applies every rule that needs no file opened, a pullback's base included, and
+``qrep_from_json`` runs it and only then reads the matrices.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ __all__ = [
     "generators_and_inverses",
     "qrep_to_json",
     "qrep_from_json",
+    "check_qrep_json",
     "read_json",
 ]
 
@@ -350,10 +355,7 @@ def _normal_form(generators: tuple[str, ...], images: Mapping[str, Unitary],
     except UnboundGenerator as exc:
         raise StrategyUndefined("word outside the normal-form domain",
                                 **exc.details) from None
-    us = [images.get(g) for g in generators]
-    if not us or any(u is None for u in us):
-        raise UnboundGenerator("normal form needs an image of each of its generators",
-                               generators=generators)
+    us = [images[g] for g in generators]
     # u_1^j_1 ... u_m^j_m; a zero exponent contributes no factor
     return Unitary(product([_power(u, j) for u, j in zip(us, exponents) if j], us[0].dim))
 
@@ -425,8 +427,10 @@ class QuasiRep:
         if missing or extra:
             raise PresentationMismatch("images must cover exactly the generators",
                                        missing=sorted(missing), extra=sorted(extra))
-        if len({u.dim for u in self.images.values()}) > 1:
-            raise DimensionMismatch("generator images of mixed dimensions")
+        dims = {u.dim for u in self.images.values()}
+        if len(dims) != 1:
+            raise DimensionMismatch("generator images of mixed dimensions" if dims
+                                    else "a quasi-representation needs a generator")
 
     @property
     def dim(self) -> int:
@@ -489,7 +493,9 @@ def mult_defect(qr: QuasiRep, elements) -> MultDefect:
 # {"presentation": {"kind", "genus", "generators", "relators"},
 #  "strategy": {"kind", ...}, "images": {gen: matrix or {"$file": path}}};
 # a pullback has no "images" (its "words" and its base's "base_generators" and
-# "base_images" fix them); [] as Z2 or surface "relators" is its kind's relator.
+# "base_images" fix them), and its base is the object {"presentation": {"kind":
+# "Z2" or "custom", "generators": base_generators}, "images": base_images}; [] as
+# Z2 or surface "relators" is its kind's relator.
 
 def qrep_to_json(qr: QuasiRep) -> dict:
     pres = qr.presentation
@@ -534,12 +540,8 @@ def read_json(path: str):
 
 def _load_image(value, base_dir, unitarity: float) -> Unitary:
     if isinstance(value, dict) and "$file" in value:
-        path = value["$file"]
-        if not isinstance(path, str):
-            raise FormatError("$file must be a path string", got=type(path).__name__)
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        value = read_json(path)
+        # join keeps an absolute path as it is
+        value = read_json(os.path.join(base_dir or "", value["$file"]))
     return Unitary.of(matrix_from_json(value), unitarity)
 
 
@@ -556,22 +558,32 @@ def _typed(value, kind: type, name: str):
     return value
 
 
-def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
-    """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``
-    and is read only once the whole file has been checked.  A pullback file has
-    no ``images`` (its ``base_images`` and ``words`` fix them); any other has them."""
+def _pullback_base(strategy: dict) -> dict:
+    # a pullback strategy's base as a quasi-representation object; a
+    # two-generator base is the Z2 base examples.pullback requires
+    gens = strategy["base_generators"]
+    return {"presentation": {"kind": "Z2" if len(gens) == 2 else "custom", "generators": gens},
+            "images": strategy["base_images"]}
+
+
+def check_qrep_json(obj) -> Presentation:
+    """Apply every rule of a quasi-representation object that needs no file
+    opened, to a pullback's base as to the object itself, and return its
+    presentation.  A ``$file`` image's ``dim`` is known only once it is read."""
     try:
         pres_obj = obj["presentation"]
         kind = pres_obj["kind"]
         generators = tuple(_typed(pres_obj["generators"], list, "generators"))
         relators = tuple(parse_word(r) for r in
                          _typed(pres_obj.get("relators", []), list, "relators"))
-        strat_obj = _typed(obj.get("strategy", {"kind": "z2-normal-form"}), dict, "strategy")
+        strat_obj = _typed(obj.get("strategy", {}), dict, "strategy")
         pulled = strat_obj.get("kind") == "pullback"
         if pulled and "images" in obj:
             raise FormatError("a pullback's images are derived from base_images and words; "
                               "delete the images key")
-        images_obj = None if pulled else _typed(obj["images"], dict, "images")
+        names = ({g: parse_word(w) for g, w in _typed(strat_obj["words"], dict, "words").items()}
+                 if pulled else _typed(obj["images"], dict, "images"))
+        base = _pullback_base(strat_obj) if pulled else None
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed quasi-representation object: {exc}") from None
     pres = Presentation(generators, relators, kind)
@@ -580,44 +592,40 @@ def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> 
     if genus is not None and not (type(genus) is int and genus == pres.genus):
         raise FormatError("presentation genus disagrees with its generators",
                           genus=genus, expected=pres.genus)
-    if not pulled and set(images_obj) != set(generators):
-        raise FormatError("images must cover exactly the generators",
-                          missing=sorted(set(generators) - set(images_obj)),
-                          extra=sorted(set(images_obj) - set(generators)))
-
-    def load(images: dict) -> dict:
-        return {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in images.items()}
-
-    strategy = _strategy_from_json(strat_obj, generators, load)
-    return QuasiRep(pres, None if pulled else load(images_obj), strategy)
-
-
-def _strategy_from_json(obj, generators, load):
-    """Check a strategy object, then make it, reading any matrices through ``load``."""
-    kind = obj.get("kind", "z2-normal-form")
-    if kind == "z2-normal-form":
-        return Z2NormalForm()
-    if kind == "word-product":
-        return WordProduct()
-    if kind == "pullback":
+    if set(names) != set(generators):
+        raise FormatError(f"{'words' if pulled else 'images'} must cover exactly the generators",
+                          missing=sorted(set(generators) - set(names)),
+                          extra=sorted(set(names) - set(generators)))
+    if strat_obj.get("kind", "z2-normal-form") not in ("z2-normal-form", "word-product",
+                                                       "pullback"):
+        raise FormatError("unknown strategy kind", kind=strat_obj["kind"])
+    if pulled:
         try:
-            words = {g: parse_word(w) for g, w in _typed(obj["words"], dict, "words").items()}
-            base_gens = tuple(_typed(obj["base_generators"], list, "base_generators"))
-            base_images = _typed(obj["base_images"], dict, "base_images")
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed pullback strategy: {exc}") from None
-        # a two-generator base is the Z2 base examples.pullback requires
-        base_pres = Presentation(base_gens, (), "Z2" if len(base_gens) == 2 else "custom")
-        # as pullback and PullbackThrough check them: a word for each generator, over the base
-        if set(words) != set(generators):
-            raise FormatError("pullback words must cover exactly the generators",
-                              generators=list(generators), words=sorted(words))
-        stray = set().union(*(w.symbols() for w in words.values())) - set(base_gens)
+            base_pres = check_qrep_json(base)
+        except FormatError as exc:
+            exc.args = (f"pullback base: {exc}",)
+            raise
+        # as pullback and PullbackThrough check them: words over the base
+        stray = set().union(*(w.symbols() for w in names.values())) - set(base_pres.generators)
         if stray:
             raise FormatError("a pullback word uses a symbol outside base_generators",
                               symbols=sorted(stray))
-        if set(base_images) != set(base_gens):
-            raise FormatError("base_images must cover exactly the base_generators",
-                              base_generators=list(base_gens), base_images=sorted(base_images))
-        return PullbackThrough(words, QuasiRep(base_pres, load(base_images), Z2NormalForm()))
-    raise FormatError("unknown strategy kind", kind=kind)
+    for value in names.values():
+        if isinstance(value, dict) and not isinstance(value.get("$file", ""), str):
+            raise FormatError("$file must be a path string", got=type(value["$file"]).__name__)
+    return pres
+
+
+def qrep_from_json(obj, base_dir=None, *, tolerances: Tolerances = DEFAULTS) -> QuasiRep:
+    """Read a quasi-representation; each matrix must pass ``tolerances.unitarity``
+    and is read only once :func:`check_qrep_json` has passed the whole object.
+    A pullback object has no ``images`` (its base and ``words`` fix them); any
+    other has them."""
+    pres = check_qrep_json(obj)
+    strategy = obj.get("strategy", {}).get("kind", "z2-normal-form")
+    if strategy == "pullback":
+        words = {g: parse_word(w) for g, w in obj["strategy"]["words"].items()}
+        base = qrep_from_json(_pullback_base(obj["strategy"]), base_dir, tolerances=tolerances)
+        return QuasiRep(pres, None, PullbackThrough(words, base))
+    images = {g: _load_image(v, base_dir, tolerances.unitarity) for g, v in obj["images"].items()}
+    return QuasiRep(pres, images, WordProduct() if strategy == "word-product" else Z2NormalForm())

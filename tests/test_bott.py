@@ -18,8 +18,10 @@ from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
                   QuasiRep, Unitary, WordProduct, bott_almost_projection, evaluate,
                   k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
                   perturbed_copy, pullback, push_k_class, relator_defect,
-                  verify_index_formula, voiculescu_pair, voiculescu_qrep)
+                  verify_index_formula, voiculescu_pair, voiculescu_qrep,
+                  winding_number_det_segment)
 from qrep.bott import _circle_functions
+from qrep.config import Tolerances
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
 
@@ -189,12 +191,34 @@ def test_defect_gate_keeps_the_spectrum_off_one_half(n):
         assert d["spectral_gap"] >= 2 * np.sqrt(0.25 - d["e_defect"]) - 1e-12, (n, seed)
 
 
-def test_k_invariant_echoes_only_defect_max():
-    # k is an integer by construction, so no residual applies to it
+def test_k_invariant_echoes_cluster_width_and_defect_max():
+    # k is an integer by construction, so no residual applies to it; e is
+    # built at cluster_width and its rank is taken under defect_max
     u, v = voiculescu_pair(16)
     rep = k_invariant(u, v)
     assert rep.is_integer
-    assert rep.to_json()["tolerances"] == {"defect_max": DEFAULTS.defect_max}
+    assert rep.to_json()["tolerances"] == {"cluster_width": DEFAULTS.cluster_width,
+                                           "defect_max": DEFAULTS.defect_max}
+
+
+def test_each_report_echoes_exactly_the_tolerances_its_call_reads():
+    read = set()
+
+    class Recording(Tolerances):
+        def __getattribute__(self, name):
+            if name in Tolerances.__dataclass_fields__:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    u, v = voiculescu_pair(16)
+    w = Unitary(u.m @ v.m @ u.m.conj().T @ v.m.conj().T)
+    for call in (lambda tol: kappa(w, tolerances=tol),
+                 lambda tol: winding_number_det_segment(w, tolerances=tol),
+                 lambda tol: k_invariant(u, v, tolerances=tol)):
+        tol = Recording()
+        read.clear()
+        echoed = call(tol).to_json()["tolerances"]
+        assert set(echoed) == read
 
 
 def test_k_stable_under_small_perturbations():

@@ -428,6 +428,75 @@ def test_direct_sum_checks_both_kinds_before_any_matrix_is_read(
     assert reads == [] and not out_json.exists()
 
 
+def _edit_result(src, dst, edit) -> str:
+    # a copy of the report at ``src``, with ``edit`` applied to its result
+    obj = json.loads(Path(src).read_text())
+    edit(obj["result"])
+    Path(dst).write_text(json.dumps(obj))
+    return str(dst)
+
+
+@pytest.mark.parametrize("source, edit, message", [
+    ("pair", lambda r: r["presentation"].update(genus=5),
+     "FormatError: presentation genus disagrees with its generators"),
+    ("pair", lambda r: r.update(strategy={"kind": "nope"}), "FormatError: unknown strategy kind"),
+    ("pullback", lambda r: r["strategy"].update(base_generators=["a", "a"]),
+     "FormatError: pullback base: a generator is named twice"),
+], ids=["genus-5", "unknown-strategy", "base-generator-twice"])
+def test_direct_sum_checks_every_rule_of_both_inputs_before_any_matrix_is_read(
+        tmp_path, capsys, monkeypatch, pair_file, source, edit, message):
+    # the first input is valid; the second breaks one rule of a file, which
+    # once was found only after every matrix of the first had been read
+    second = pair_file if source == "pair" else _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")
+    second = _edit_result(second, tmp_path / "second.json", edit)
+    out_json = tmp_path / "out.json"
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main(["gen", "direct-sum", "-i", pair_file, "-i", second,
+                 "-o", str(out_json)]) == 3
+    assert message in capsys.readouterr().err
+    assert reads == [] and not out_json.exists()
+
+
+def test_direct_sum_names_a_rule_broken_before_a_missing_file_of_the_first_input(
+        tmp_path, capsys, pair_file):
+    # the first input's $file is never opened: the second's genus is refused first
+    first = _edit_result(pair_file, tmp_path / "first.json",
+                         lambda r: r["images"].update(a={"$file": "missing.json"}))
+    second = _edit_result(pair_file, tmp_path / "second.json",
+                          lambda r: r["presentation"].update(genus=5))
+    out_json = tmp_path / "out.json"
+    assert main(["gen", "direct-sum", "-i", first, "-i", second, "-o", str(out_json)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "qrep: FormatError: presentation genus disagrees with its generators")
+    assert not out_json.exists()
+
+
+def test_a_file_reference_that_is_not_a_string_is_refused_before_any_image_is_read(
+        tmp_path, capsys, monkeypatch, pair_file):
+    path = _edit_result(pair_file, tmp_path / "file5.json",
+                        lambda r: r["images"].update(b={"$file": 5}))
+    reads = spy(monkeypatch, matrix_from_json)
+    assert main(["defect", "-i", path]) == 3
+    assert "FormatError: $file must be a path string" in capsys.readouterr().err
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", [["gen", "perturbed", "--radius", "0.1"],
+                                     ["gen", "direct-sum", "-i", "{empty}"]],
+                         ids=["perturbed", "direct-sum"])
+def test_a_quasi_representation_with_no_generators_is_refused(tmp_path, capsys, command):
+    # it has no dimension; gen once wrote it back out, with none either
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"presentation": {"kind": "custom", "generators": []},
+                                 "images": {}}))
+    out_json = tmp_path / "out.json"
+    argv = [a.format(empty=empty) for a in command]
+    assert main([*argv, "-i", str(empty), "-o", str(out_json)]) == 1
+    assert "DimensionMismatch: a quasi-representation needs a generator" in (
+        capsys.readouterr().err)
+    assert not out_json.exists()
+
+
 def test_pullback_base_images_must_match_base_generators(tmp_path, capsys):
     # a base generator without an image is refused when the file is read
     pb = _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")

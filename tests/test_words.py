@@ -19,7 +19,8 @@ from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
                   pullback, qrep_to_json, random_unitary, relator_defect,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
-from qrep.words import commutator_word, generators_and_inverses
+from qrep.words import (check_qrep_json, commutator_word, generators_and_inverses,
+                        read_json)
 
 
 def w(text):
@@ -469,6 +470,38 @@ def test_generator_names_are_identifiers_for_every_kind(kind):
     assert exc.value.details == {"symbol": "x y"}
     with pytest.raises(FormatError, match="not a valid identifier"):
         Presentation(("x y", "z"), (), kind)
+
+
+def test_the_check_of_a_pullback_opens_no_file(monkeypatch):
+    # it returns the surface presentation; the missing files are the read's
+    obj = qrep_to_json(pullback(voiculescu_qrep(4), {"s1": "a", "t1": "b"}))
+    obj["strategy"]["base_images"] = {"a": {"$file": "no-a.json"}, "b": {"$file": "no-b.json"}}
+    opened = spy(monkeypatch, read_json)
+    assert check_qrep_json(obj) == Presentation.surface(1)
+    assert opened == []
+    with pytest.raises(FileNotFoundError):
+        qrep_from_json(obj)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["base_images"].pop("b"), "images must cover exactly the generators"),
+    (lambda s: s.update(base_generators=["a", "a"]), "a generator is named twice"),
+    (lambda s: s["base_images"].update(a={"$file": 5}), r"\$file must be a path string"),
+    (lambda s: s.update(base_images=[]), "images must be an object"),
+], ids=["cover", "twice", "file", "not-an-object"])
+def test_a_refusal_inside_a_pullback_base_names_the_base(edit, message):
+    obj = qrep_to_json(pullback(voiculescu_qrep(4), {"s1": "a", "t1": "b"}))
+    edit(obj["strategy"])
+    with pytest.raises(FormatError, match="^pullback base: " + message):
+        check_qrep_json(obj)
+
+
+def test_a_quasi_representation_needs_a_generator():
+    # with none it has no dimension, and dim was a bare StopIteration
+    with pytest.raises(DimensionMismatch, match="needs a generator"):
+        QuasiRep(Presentation.custom(()), {}, Z2NormalForm())
+    with pytest.raises(DimensionMismatch, match="needs a generator"):
+        qrep_from_json({"presentation": {"kind": "custom", "generators": []}, "images": {}})
 
 
 def test_qrep_json_file_reference(tmp_path):
