@@ -13,6 +13,10 @@ the spectrum of e clusters near {0, 1}.  The class
     k(u, v) = rank(spectral projection of e above 1/2) - n
 
 is then a well-defined integer as long as the defect stays below 1/8.
+Where the Frobenius defect ||e^2 - e||_F is below 1/8 as well, k is read
+off the trace formula k = round(-tr (2e - 1)^3 / 4) in v's eigenbasis (the
+"trace" route, whose e-defect is that Frobenius norm and whose gap is its
+lower bound); elsewhere e's spectrum is counted (the "spectrum" route).
 Its sign is a property of the construction: k(u, v) equals the winding
 number of the determinant loop of [v, u], so reports carry the constant
 orientation +1.
@@ -35,8 +39,9 @@ print()
 for n in (16, 64, 128):
     u, v = voiculescu_pair(n)
     rep = k_invariant(u, v)
-    print(f"n={n:>3}: k = {rep.rounded:+d}, e-defect {rep.defect_data['e_defect']:.6f}, "
-          f"spectral gap {rep.defect_data['spectral_gap']:.4f}")
+    d = rep.defect_data
+    print(f"n={n:>3}: k = {rep.rounded:+d} by the {d['route']} route, "
+          f"e-defect {d['e_defect']:.6f}, spectral gap {d['spectral_gap']:.4f}")
 
 print()
 u4, v4 = voiculescu_pair(4)

@@ -15,6 +15,19 @@ minus n is an integer invariant k(u, v) of the pair: zero for genuinely
 commuting pairs, and equal to the winding number of the commutator
 determinant loop in general.
 
+k is taken by one of two routes, named by the report's ``route``.  With
+X = 2e - 1 and the Newton-Schulz sign step p(x) = (3x - x^3)/2,
+|p(x) - sign(x)| <= (x^2 - 1)^2 for real x, so
+|tr p(X) - 2k| <= ||X^2 - 1||_F^2 = 16 F^2 with F = ||e^2 - e||_F; and
+tr X = 0 since tr e = n.  Hence k = round(-tr X^3 / 4), certified whenever
+F < 1/4.  The ``"trace"`` route computes F and tr X^3 in v's eigenbasis,
+from two complex products of order n, three real ones and no 2n x 2n
+array, and is taken when F < ``defect_max`` (< 1/4).  As F bounds
+||e^2 - e||, every such pair also passes the ``"spectrum"`` route's gate
+with the same k.  Every other pair takes the ``"spectrum"`` route: e is
+assembled and its one ``eigvalsh`` counts the eigenvalues above 1/2.  The
+two routes accept and refuse the same pairs and give the same k.
+
 The sign of k is a property of this construction, not of the input: k(u, v)
 equals the winding number of the determinant loop of the reversed
 commutator v u v* u*, so :data:`ORIENTATION` is the constant +1, recorded
@@ -24,6 +37,7 @@ on the n = 64 shift/phase pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,7 +45,8 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import DefectTooLarge, DimensionMismatch, PresentationMismatch
-from .matcore import Unitary, _hermitize, adjoint, commutator_product, unitary_eig
+from .matcore import (EigenSystem, Unitary, _hermitize, adjoint, commutator_product,
+                      identity_defect, unitary_eig)
 from .invariants import InvariantReport, _kappa_pair, winding_number_det_segment
 from .words import (
     CommutatorDatum,
@@ -90,36 +105,93 @@ def bott_almost_projection(u: Unitary, v: Unitary,
     """Build e(u, v) by functional calculus of v (eigenvalues of v clustered
     at ``cluster_width``); its one eigvalsh gives the rank, defect and gap.
 
-    Only e and LAPACK's copy of it are alive during that eigensolve: every
-    n x n temporary dies with :func:`_bott_matrix`."""
+    Only e and LAPACK's copy of it are alive during that eigensolve: v's
+    eigensystem dies before e is allocated, and every n x n temporary with
+    :func:`_bott_matrix`."""
+    _check_pair(u, v)
+    e = _bott_matrix(*_bott_blocks(u, unitary_eig(v, tolerances.cluster_width)))
+    return _almost_projection(e)
+
+
+def _check_pair(u: Unitary, v: Unitary) -> None:
     if u.dim != v.dim:
         raise DimensionMismatch("pair must share a dimension", u=u.dim, v=v.dim)
-    e = _bott_matrix(u, v, tolerances.cluster_width)
+
+
+def _almost_projection(e: np.ndarray) -> AlmostProjection:
     spectrum = np.linalg.eigvalsh(e)
-    return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()), u.dim)
+    return AlmostProjection(e, spectrum, float(np.abs(spectrum**2 - spectrum).max()),
+                            len(e) // 2)
 
 
-def _bott_matrix(u: Unitary, v: Unitary, cluster_width: float) -> np.ndarray:
-    # [[f, x], [x*, 1 - f]] with x = g + h u*, written block by block into one
-    # 2n x 2n array.  x is formed, and v's eigensystem dropped, before e is
-    # allocated; h u* + g has the bits of g + h u*, as IEEE addition commutes.
-    # e is exactly self-adjoint, so eigvalsh (which reads one triangle) sees
-    # all of it.
-    n = u.dim
-    es = unitary_eig(v, cluster_width)
+def _bott_blocks(u: Unitary, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    # The blocks f and x = g + h u* of e, by functional calculus of v's
+    # eigensystem es, which this frame drops before x is formed; h u* + g has
+    # the bits of g + h u*, as IEEE addition commutes.
     f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
     del es
     x = h @ adjoint(u.m)
     del h
     x += g
-    del g
-    f = _hermitize(f)
+    return _hermitize(f), x
+
+
+def _bott_matrix(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # [[f, x], [x*, 1 - f]], written block by block into one 2n x 2n array.
+    # e is exactly self-adjoint, so eigvalsh (which reads one triangle) sees
+    # all of it.
+    n = len(f)
     e = np.empty((2 * n, 2 * n), dtype=np.complex128)
     e[:n, :n] = f
     np.subtract(np.eye(n), f, out=e[n:, n:])
     e[:n, n:] = x
     e[n:, :n] = adjoint(x)
     return e
+
+
+def _trace_class(u: Unitary, es: EigenSystem) -> tuple[float, float]:
+    # (-tr X^3 / 4, F = ||e^2 - e||_F) for X = 2e - 1, without forming e.  In
+    # v's eigenbasis V, e's blocks are diag(phi) and x = diag(gamma) +
+    # diag(eta) V* u* V, with phi, gamma, eta the circle functions of v's
+    # eigenphases.  With r, c the row and column sums of |x_ij|^2 and
+    # d = phi^2 - phi, e^2 - e has the blocks d + x x*, [diag(phi), x] and
+    # d + x* x, and ||x x*||_F = ||x* x||_F, so
+    #   F^2 = 2 ||d + x x*||_F^2 + 2 d.(c - r) + 2 sum (phi_i - phi_j)^2 |x_ij|^2,
+    #   -tr X^3 / 4 = -3 (2 phi - 1).(r - c).
+    # ||d + x x*||_F is taken whole: expanded into ||d||^2 + 2 d.r +
+    # ||x x*||_F^2 it would be terms of size n cancelling to F^2.  With
+    # x = p + iq, x x* = (p p^T + q q^T) + i(q p^T - (q p^T)^T), two
+    # symmetric products and one general one of real n x n arrays, and no
+    # more than three n x n complex arrays' worth is alive beside es.
+    phi, gamma, eta = _circle_functions(np.angle(es.values))
+    vectors = es.vectors
+    uv = u.m @ vectors
+    np.conjugate(uv, out=uv)
+    x = uv.T @ vectors
+    del uv
+    x *= eta[:, None]
+    diagonal = np.diag_indices(len(x))
+    x[diagonal] += gamma
+    p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+    del x
+    weight = p * p
+    weight += q * q
+    r_minus_c = weight.sum(axis=1) - weight.sum(axis=0)
+    spread = np.subtract.outer(phi, phi)
+    spread *= spread
+    spread *= weight
+    off_diagonal = float(spread.sum())
+    del weight, spread
+    d = phi * phi - phi
+    block = p @ p.T
+    block += q @ q.T
+    block[diagonal] += d
+    square = float(np.vdot(block, block))
+    block = q @ p.T
+    block -= block.T
+    square += float(np.vdot(block, block))
+    square = 2 * square - 2 * float(d @ r_minus_c) + 2 * off_diagonal
+    return float(-3 * (2 * phi - 1) @ r_minus_c), math.sqrt(max(square, 0.0))
 
 
 def push_k_class(ap: AlmostProjection,
@@ -149,19 +221,42 @@ def k_invariant(u: Unitary, v: Unitary,
                 tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """The integer class k(u, v) of the pair, with its full error budget.
 
+    One eigensystem of v serves both routes (see the module docstring).
+    Where F = ||e^2 - e||_F < ``defect_max``, k = round(-tr X^3 / 4) is read
+    off v's eigenbasis: ``route`` is ``"trace"``, ``e_defect`` is F and
+    ``spectral_gap`` is 2 sqrt(1/4 - F), a lower bound on the gap of e's
+    spectrum around 1/2.  Otherwise e is assembled and
+    :func:`push_k_class` counts its spectrum: ``route`` is ``"spectrum"``,
+    and ``e_defect`` and ``spectral_gap`` are those of
+    :func:`bott_almost_projection`, bit for bit.  v's eigensystem and the
+    trace route's temporaries are freed before e is allocated.
+
     ``commutator`` is [u, v] = u v u* v* where the caller has formed it
     already (with ``commutator_product``, so the same bits); its cached
     ||[u, v] - 1|| is then the reported ``commutator_defect``.
     """
     tol = tolerances
-    ap = bott_almost_projection(u, v, tolerances=tol)
-    k = push_k_class(ap, tolerances=tol)
-    below = ap.spectrum[ap.spectrum < PROJECTION_THRESHOLD]
-    above = ap.spectrum[ap.spectrum >= PROJECTION_THRESHOLD]
-    gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
-    if commutator is None:
-        commutator = Unitary(commutator_product([(u.m, v.m)], u.dim))
-    comm_defect = commutator.distance_from_one
+    _check_pair(u, v)
+    es = unitary_eig(v, tol.cluster_width)
+    value, e_defect = _trace_class(u, es)
+    if e_defect < tol.defect_max:
+        del es
+        k, route = round(value), "trace"
+        gap_width = 2 * math.sqrt(0.25 - e_defect)
+    else:
+        f, x = _bott_blocks(u, es)
+        del es
+        e = _bott_matrix(f, x)
+        del f, x
+        ap = _almost_projection(e)
+        k, route = push_k_class(ap, tolerances=tol), "spectrum"
+        e_defect, spectrum = ap.defect, ap.spectrum
+        del e, ap
+        below = spectrum[spectrum < PROJECTION_THRESHOLD]
+        above = spectrum[spectrum >= PROJECTION_THRESHOLD]
+        gap_width = float(above.min() - below.max()) if below.size and above.size else float("inf")
+    comm_defect = (identity_defect(commutator_product([(u.m, v.m)], u.dim))
+                   if commutator is None else commutator.distance_from_one)
     return InvariantReport(
         name="k_invariant",
         value=float(k),
@@ -169,9 +264,10 @@ def k_invariant(u: Unitary, v: Unitary,
         is_integer=True,
         defect_data={
             "commutator_defect": comm_defect,
-            "e_defect": ap.defect,
+            "e_defect": e_defect,
             "spectral_gap": gap_width,
             "orientation": float(ORIENTATION),
+            "route": route,
         },
         tolerances=tol.subset("cluster_width", "defect_max"),
     )

@@ -591,11 +591,8 @@ def main(argv=None) -> int:
         # a ValueError, but a numerical failure inside LAPACK, not an input error
         print(f"qrep: LinAlgError: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"qrep: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"qrep: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"qrep: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0
 

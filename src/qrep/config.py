@@ -22,13 +22,18 @@ builds its object from ``DEFAULTS`` and its ``--tol-*`` flags alone.
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
 included: each field must be finite and >= 0, and ``defect_max`` must be
 below 1/4.  Anything else would make a check vacuous (a ``defect_max`` of
-1/4 lets an eigenvalue of e sit at 1/2) or fail only after the work is
-done, so it raises ``InputError`` (exit 3) naming the field and its value.
+1/4 lets an eigenvalue of e sit at 1/2, and voids the certificate of
+``k_invariant``'s trace route) or fail only after the work is done, so it
+raises ``InputError`` (exit 3) naming the field and its value.
 
 Values the mathematics fixes are constants, not fields: the Bott class is
 the rank of e's spectral projection above ``bott.PROJECTION_THRESHOLD`` =
 1/2, which ||e^2 - e|| < ``defect_max`` keeps every eigenvalue
-sqrt(1/4 - ``defect_max``) from, so no band needs a width;
+sqrt(1/4 - ``defect_max``) from, so no band needs a width.  The same field
+gates ``k_invariant``'s trace route: where the Frobenius defect
+F = ||e^2 - e||_F is below it, k = round(-tr (2e - 1)^3 / 4) with error at
+most 8 F^2 < 1/2, and no spectrum of e is taken.  F bounds ||e^2 - e||, so
+the two routes accept the same pairs and give the same k;
 ``exel_homotopy_gap`` and ``kazhdan_stability``'s homotopy bound are closed
 forms with no grid of t; the winding number's step route turns by at most
 ``invariants.STEP_PHASE`` = 1.5 < pi per step, and a loop whose certified

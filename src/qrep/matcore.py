@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -98,21 +98,41 @@ def op_norm(m) -> float:
 
 
 def identity_defect(m: np.ndarray) -> float:
-    """||m - 1||_op, the distance of a square array from the identity."""
-    return op_norm(m - np.eye(len(m)))
+    """||m - 1||_op, the distance of a square array from the identity.
+
+    m's name is rebound to m - 1, so an array passed as a temporary is
+    freed before op_norm's Gram product is formed."""
+    m = m - np.eye(len(m))
+    return op_norm(m)
 
 
 def product(factors, n: int) -> np.ndarray:
     """Left-to-right product of n x n arrays, folded lazily from the first
-    factor; the identity only when there are no factors."""
+    factor; the identity only when there are no factors.  A plain loop, not
+    ``functools.reduce``, which keeps the last two operands alive while the
+    next factor is formed."""
     factors = iter(factors)
-    first = next(factors, None)
-    return np.eye(n, dtype=np.complex128) if first is None else reduce(np.matmul, factors, first)
+    acc = next(factors, None)
+    if acc is None:
+        return np.eye(n, dtype=np.complex128)
+    for factor in factors:
+        acc = acc @ factor
+    return acc
 
 
 def commutator_product(pairs, n: int) -> np.ndarray:
-    """prod_i u_i v_i u_i* v_i* over n x n arrays (u_i, v_i), left to right."""
-    return product((x for u, v in pairs for x in (u, v, adjoint(u), adjoint(v))), n)
+    """prod_i u_i v_i u_i* v_i* over n x n arrays (u_i, v_i), left to right.
+
+    Each adjoint is formed as the fold reaches it, so at most one is alive."""
+    return product(_commutator_factors(pairs), n)
+
+
+def _commutator_factors(pairs):
+    for u, v in pairs:
+        yield u
+        yield v
+        yield adjoint(u)
+        yield adjoint(v)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -224,8 +244,9 @@ def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> Ei
     returns them: no result reads the phase of a single column.
     """
     a = w.m
-    k = (a - adjoint(a)) / 2j
     h_vals, vectors = np.linalg.eigh(_hermitize(a))
+    k = a - adjoint(a)
+    k /= 2j
     # split at gaps wider than cluster_width; a singleton cluster's vector is
     # already an eigenvector of w
     stops = (np.flatnonzero(np.diff(h_vals) > cluster_width) + 1).tolist()
@@ -234,11 +255,14 @@ def unitary_eig(w: Unitary, cluster_width: float = DEFAULTS.cluster_width) -> Ei
             basis = vectors[:, start:stop]
             _, refine = np.linalg.eigh(_hermitize(adjoint(basis) @ k @ basis))
             vectors[:, start:stop] = basis @ refine
+    del k
     # Rayleigh quotients v* a v, column by column after one BLAS matmul: exact
     # eigenvalues for exact invariant lines, and the right reporting choice
-    # either way.
-    values = np.sum(vectors.conj() * (a @ vectors), axis=0)
-    return EigenSystem(values, vectors)
+    # either way.  k lives only while the clusters are refined, and the
+    # quotients are multiplied in place, to keep the n x n temporaries few.
+    rayleigh = a @ vectors
+    np.multiply(vectors.conj(), rayleigh, out=rayleigh)
+    return EigenSystem(np.sum(rayleigh, axis=0), vectors)
 
 
 def principal_log_unitary(w: Unitary,

@@ -20,7 +20,7 @@ from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
                   perturbed_copy, pullback, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
-from qrep.bott import _circle_functions
+from qrep.bott import _bott_blocks, _bott_matrix, _circle_functions, _trace_class
 from qrep.config import Tolerances
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
@@ -86,6 +86,14 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _shift_phase_pair(n, radius, seed=1):
+    # the shift/phase pair, perturbed as the benchmark's cases are
+    qr = voiculescu_qrep(n)
+    if radius:
+        qr = perturb(qr, PerturbationSpec(radius=radius, seed=seed))
+    return qr.images["a"], qr.images["b"]
+
+
 def test_bott_step_holds_e_and_little_else():
     # no n x n temporary outlives e's assembly, and verify_index_formula takes
     # k before it forms the loop: the peak stays within 2.5 copies of e
@@ -94,6 +102,28 @@ def test_bott_step_holds_e_and_little_else():
     size_e = (2 * n) ** 2 * 16
     assert _traced_peak(bott_almost_projection, qr.images["a"], qr.images["b"]) <= 2.5 * size_e
     assert _traced_peak(verify_index_formula, qr) <= 2.5 * size_e
+
+
+def test_trace_route_builds_no_2n_array():
+    # k from the trace formula forms no 2n x 2n array: v's eigensystem, the
+    # blocks in its eigenbasis and ||[u, v] - 1|| each stay below one e
+    n = 128
+    u, v = _shift_phase_pair(n, 0.02)
+    assert k_invariant(u, v).defect_data["route"] == "trace"
+    assert _traced_peak(k_invariant, u, v) < (2 * n) ** 2 * 16
+
+
+def test_spectrum_route_holds_e_and_little_else():
+    # forced onto the spectrum route, k frees v's eigensystem and the trace
+    # temporaries before e is allocated: within 2.5 copies of e, and no more
+    # than bott_almost_projection alone
+    n = 128
+    u, v = _shift_phase_pair(n, 0.02)
+    tol = dataclasses.replace(DEFAULTS, defect_max=0.08)
+    assert k_invariant(u, v, tolerances=tol).defect_data["route"] == "spectrum"
+    peak = _traced_peak(lambda: k_invariant(u, v, tolerances=tol))
+    assert peak <= 2.5 * (2 * n) ** 2 * 16
+    assert peak <= _traced_peak(bott_almost_projection, u, v) * 1.01
 
 
 def test_defect_family_frozen_and_monotone():
@@ -253,6 +283,87 @@ def test_k_invariant_takes_a_formed_commutator(monkeypatch):
     monkeypatch.undo()
     assert rep == k_invariant(u2, v2)
     assert rep.defect_data["commutator_defect"] == defect
+
+
+# -- the two routes to k -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n, radius, route", [
+    (256, 0.02, "trace"),
+    (128, 0.0, "trace"),
+    (64, 0.0, "spectrum"),
+    (64, 0.02, "spectrum"),
+    (48, 0.19, "spectrum"),
+])
+def test_k_route_follows_the_frobenius_certificate(n, radius, route):
+    # F = ||e^2 - e||_F is about 1.15 / sqrt(n) on the unperturbed pair, 0.09
+    # at n = 256 with radius 0.02 and 0.15 at n = 64: the trace route is
+    # taken exactly where F < defect_max = 1/8
+    rep = k_invariant(*_shift_phase_pair(n, radius))
+    assert rep.defect_data["route"] == route
+    assert rep.rounded == 1
+
+
+@pytest.mark.parametrize("n", [48, 64, 128, 256])
+@pytest.mark.parametrize("radius", [0.0, 0.02])
+def test_both_routes_give_the_same_k(n, radius):
+    # the trace formula rounded, under its certificate F < 1/4, against the
+    # count of e's spectrum above 1/2; k_invariant reports the same integer
+    # on whichever route it takes
+    u, v = _shift_phase_pair(n, radius)
+    value, frobenius = _trace_class(u, unitary_eig(v))
+    assert frobenius < 0.25
+    ap = bott_almost_projection(u, v)
+    counted = int(np.count_nonzero(ap.spectrum > 0.5)) - n
+    assert round(value) == counted == k_invariant(u, v).rounded == 1
+    assert abs(value - counted) <= 8 * frobenius ** 2
+
+
+def test_trace_route_e_defect_is_the_frobenius_norm_of_e2_minus_e():
+    # on the trace route e_defect is ||e^2 - e||_F of the assembled e, and
+    # spectral_gap its lower bound 2 sqrt(1/4 - F) on e's gap around 1/2
+    n = 256
+    u, v = _shift_phase_pair(n, 0.02)
+    rep = k_invariant(u, v)
+    assert rep.defect_data["route"] == "trace"
+    e = _bott_matrix(*_bott_blocks(u, unitary_eig(v)))
+    frobenius = np.linalg.norm(e @ e - e)
+    assert abs(rep.defect_data["e_defect"] - frobenius) < 1e-12
+    assert rep.defect_data["spectral_gap"] == 2 * np.sqrt(0.25 - rep.defect_data["e_defect"])
+    spectrum = np.linalg.eigvalsh(e)
+    true_gap = spectrum[spectrum > 0.5].min() - spectrum[spectrum < 0.5].max()
+    assert rep.defect_data["spectral_gap"] <= true_gap
+    # the certificate: |-tr X^3 / 4 - k| <= 8 F^2 < 1/2
+    x = 2 * e - np.eye(2 * n)
+    trace = -np.trace(x @ x @ x).real / 4
+    assert abs(trace - rep.rounded) <= 8 * frobenius ** 2 < 0.5
+
+
+def test_spectrum_route_under_a_tighter_defect_max_is_bott_almost_projection():
+    # F = 0.091 at n = 256, radius 0.02: defect_max = 0.08 refuses the trace
+    # certificate, and the spectrum route reports what bott_almost_projection
+    # and push_k_class give, bit for bit
+    u, v = _shift_phase_pair(256, 0.02)
+    tol = dataclasses.replace(DEFAULTS, defect_max=0.08)
+    rep = k_invariant(u, v, tolerances=tol)
+    ap = bott_almost_projection(u, v, tolerances=tol)
+    d = rep.defect_data
+    assert d["route"] == "spectrum"
+    assert rep.rounded == push_k_class(ap, tolerances=tol) == 1
+    assert d["e_defect"] == ap.defect
+    above, below = ap.spectrum[ap.spectrum >= 0.5], ap.spectrum[ap.spectrum < 0.5]
+    assert d["spectral_gap"] == float(above.min() - below.max())
+
+
+def test_trace_route_takes_no_eigensolve_of_order_2n(monkeypatch):
+    # the trace route's eigensolves are v's (order n) and ||[u, v] - 1||'s
+    # Gram matrix (order n); none is of e's order 2n
+    n = 128
+    u, v = _shift_phase_pair(n, 0.02)
+    eigvalsh = spy(monkeypatch, np.linalg.eigvalsh, [np.linalg])
+    eigh = spy(monkeypatch, np.linalg.eigh, [np.linalg])
+    assert k_invariant(u, v).defect_data["route"] == "trace"
+    assert eigvalsh and all(args[0].shape[0] == n for args in eigvalsh)
+    assert eigh and all(args[0].shape[0] <= n for args in eigh)
 
 
 def test_k_dimension_mismatch():

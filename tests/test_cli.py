@@ -683,6 +683,23 @@ def test_lapack_failure_exits_2_and_names_itself(tmp_path, capsys, monkeypatch, 
     assert not out_json.exists()
 
 
+def test_an_unreadable_input_names_its_class(tmp_path, capsys):
+    # a missing -i file, and a pullback whose base_images are $file references
+    # to missing paths, each exit 3 with one stderr line that names the
+    # OSError's class, as every other refusal names its own
+    pb = _gen_pullback(tmp_path, capsys, 8, "s1=a,t1=b")
+    obj = json.loads(Path(pb).read_text())
+    base = obj["result"]["strategy"]["base_images"]
+    base["a"], base["b"] = {"$file": "nofile1.json"}, {"$file": "nofile2.json"}
+    Path(pb).write_text(json.dumps(obj))
+    for path in (str(tmp_path / "missing.json"), pb):
+        out_json = tmp_path / "d.json"
+        assert main(["defect", "-i", path, "-o", str(out_json)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qrep: FileNotFoundError: "), err
+        assert not out_json.exists()
+
+
 def test_tol_reported_in_envelope(capsys, matrix_file):
     obj = run_json(capsys, "invariant", "winding", "-i", matrix_file,
                    "--tol-det-one", "2e-6", "--deterministic")
