@@ -12,8 +12,11 @@ the spectrum of e clusters near {0, 1}.  The class
 
     k(u, v) = rank(spectral projection of e above 1/2) - n
 
-is then a well-defined integer as long as the defect stays below 1/8.
-Where the Frobenius defect ||e^2 - e||_F is below 1/8 as well, k is read
+is then a well-defined integer as long as the defect stays below 1/4,
+which keeps the spectrum of e off 1/2.  The library takes it wherever the
+computed defect is below defect_gate(n): 1/4 less a rounding budget of the
+eigensolve, under 1e-12 at these sizes.
+Where the Frobenius defect ||e^2 - e||_F is below 1/8, k is read
 off the trace formula k = round(-tr (2e - 1)^3 / 4) in v's eigenbasis (the
 "trace" route, whose e-defect is that Frobenius norm and whose gap is its
 lower bound); elsewhere e's spectrum is counted (the "spectrum" route).
@@ -24,19 +27,19 @@ orientation +1.
 
 import numpy as np
 
-from qrep import (DefectTooLarge, bott_almost_projection, k_invariant,
+from qrep import (DefectTooLarge, bott_almost_projection, defect_gate, k_invariant,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep)
 
 print("defect ||e^2 - e|| of the shift/phase family:")
-print(f"{'n':>5}  {'defect':>10}  {'< 1/8?':>7}")
-for n in (4, 8, 16, 32, 64, 128):
+print(f"{'n':>5}  {'defect':>10}  {'< gate?':>7}")
+for n in (4, 7, 8, 16, 32, 64, 128):
     u, v = voiculescu_pair(n)
     d = bott_almost_projection(u, v).defect
-    print(f"{n:>5}  {d:>10.6f}  {str(d < 0.125):>7}")
+    print(f"{n:>5}  {d:>10.6f}  {str(d < defect_gate(n)):>7}")
 
 print()
 
-for n in (16, 64, 128):
+for n in (8, 16, 64, 128):
     u, v = voiculescu_pair(n)
     rep = k_invariant(u, v)
     d = rep.defect_data
@@ -44,12 +47,12 @@ for n in (16, 64, 128):
           f"e-defect {d['e_defect']:.6f}, spectral gap {d['spectral_gap']:.4f}")
 
 print()
-u4, v4 = voiculescu_pair(4)
+u7, v7 = voiculescu_pair(7)
 try:
-    k_invariant(u4, v4)
+    k_invariant(u7, v7)
 except DefectTooLarge as exc:
-    print(f"n = 4 is honestly refused: defect {exc.details['defect']:.4f} >= "
-          f"{exc.details['bound']} leaves no usable spectral gap.")
+    print(f"n = 7 is honestly refused: defect {exc.details['defect']:.4f} >= "
+          f"{exc.details['bound']:.12f} leaves no usable spectral gap.")
 
 print()
 print("full three-way identity at n = 64 (rank class vs winding vs trace-log):")

@@ -88,6 +88,7 @@ from .bott import (
     AlmostProjection,
     IndexFormulaReport,
     bott_almost_projection,
+    defect_gate,
     k_invariant,
     push_k_class,
     verify_index_formula,

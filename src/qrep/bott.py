@@ -15,6 +15,13 @@ minus n is an integer invariant k(u, v) of the pair: zero for genuinely
 commuting pairs, and equal to the winding number of the commutator
 determinant loop in general.
 
+k is defined exactly where ||e^2 - e|| < 1/4, since |mu - 1/2|^2 =
+1/4 + mu^2 - mu keeps e's spectrum off 1/2 there.  qrep refuses it only
+where the computed ||e^2 - e|| reaches :func:`defect_gate` (n) = 1/4 - b(n),
+with b(n) the rounding budget of an eigensolve of order 2n (below 1e-10 at
+n = 512), so a refusal means the mathematics fails or is within rounding of
+failing.
+
 k is taken by one of two routes, named by the report's ``route``.  With
 X = 2e - 1 and the Newton-Schulz sign step p(x) = (3x - x^3)/2,
 |p(x) - sign(x)| <= (x^2 - 1)^2 for real x, so
@@ -22,11 +29,10 @@ X = 2e - 1 and the Newton-Schulz sign step p(x) = (3x - x^3)/2,
 tr X = 0 since tr e = n.  Hence k = round(-tr X^3 / 4), certified whenever
 F < 1/4.  The ``"trace"`` route computes F and tr X^3 in v's eigenbasis,
 from two complex products of order n, three real ones and no 2n x 2n
-array, and is taken when F < ``defect_max`` (< 1/4).  As F bounds
-||e^2 - e||, every such pair also passes the ``"spectrum"`` route's gate
-with the same k.  Every other pair takes the ``"spectrum"`` route: e is
-assembled and its one ``eigvalsh`` counts the eigenvalues above 1/2.  The
-two routes accept and refuse the same pairs and give the same k.
+array, and is taken when F < :data:`TRACE_ROUTE_F` = 1/8.  As F bounds
+||e^2 - e||, every such pair also passes the gate with the same k.  Every
+other pair takes the ``"spectrum"`` route: e is assembled and its one
+``eigvalsh`` counts the eigenvalues above 1/2 under the gate.
 
 The sign of k is a property of this construction, not of the input: k(u, v)
 equals the winding number of the determinant loop of the reversed
@@ -61,6 +67,7 @@ from .words import (
 __all__ = [
     "AlmostProjection",
     "bott_almost_projection",
+    "defect_gate",
     "push_k_class",
     "k_invariant",
     "IndexFormulaReport",
@@ -71,9 +78,17 @@ __all__ = [
 ORIENTATION = 1
 # How close lhs_k / n and the normalized-trace invariant must be for trace_close.
 TRACE_TOL = 1e-9
-# k counts e's eigenvalues above 1/2; with ||e^2 - e|| < defect_max < 1/4 none
-# lies within sqrt(1/4 - defect_max) of it, so no other threshold gives the class.
+# k counts e's eigenvalues above 1/2; under defect_gate(n) none lies within
+# sqrt(b(n)) of it, farther than rounding moves one, so no other threshold
+# gives the class.
 PROJECTION_THRESHOLD = 0.5
+# Largest F = ||e^2 - e||_F at which k_invariant takes the trace route.  Like
+# invariants.GRID_CAP for the winding, it only picks the cheaper route, and is
+# not the gate: F < 1/8 gives |-tr X^3 / 4 - k| <= 8 F^2 < 1/8, far inside
+# 1/2 plus any rounding, and as F bounds ||e^2 - e|| the pair passes the gate.
+TRACE_ROUTE_F = 0.125
+# c in the backward error c 2n eps ||e|| that defect_gate grants eigvalsh
+EIGVALSH_BACKWARD_C = 100
 
 
 @dataclass(frozen=True)
@@ -194,24 +209,41 @@ def _trace_class(u: Unitary, es: EigenSystem) -> tuple[float, float]:
     return float(-3 * (2 * phi - 1) @ r_minus_c), math.sqrt(max(square, 0.0))
 
 
-def push_k_class(ap: AlmostProjection,
-                 *,
-                 tolerances: Tolerances = DEFAULTS) -> int:
+def defect_gate(n: int) -> float:
+    """1/4 - b(n): the computed ||e^2 - e|| below which the k class of an
+    n x n pair is taken, with b(n) = 5 c n eps, c = :data:`EIGVALSH_BACKWARD_C`.
+
+    ``eigvalsh`` of the order-2n e is backward stable: its eigenvalues are
+    those of e + E with ||E|| <= c 2n eps ||e||, so each lies within
+    delta = c 2n eps ||e|| of one of e's, taken in order (Weyl); c = 100 is
+    generous for the Householder tridiagonalization and the tridiagonal
+    solver.  A computed lambda with |lambda^2 - lambda| < 1/4 lies in
+    ((1 - sqrt 2)/2, (1 + sqrt 2)/2), so under the gate ||e|| <= 5/4,
+    delta <= (5/2) c n eps, and lambda's partner mu has
+    |mu^2 - mu - (lambda^2 - lambda)| = |mu - lambda| |mu + lambda - 1|
+    <= delta (sqrt 2 + delta) <= 2 delta = b(n).  So under the gate e's own
+    ||e^2 - e|| is below 1/4, where k is defined, and every computed lambda
+    lies more than sqrt(b(n)) > delta from 1/2, on its mu's side: the count
+    above 1/2 is e's.  b(512) = 5.7e-11.
+    """
+    return 0.25 - 5 * EIGVALSH_BACKWARD_C * n * float(np.finfo(float).eps)
+
+
+def push_k_class(ap: AlmostProjection) -> int:
     """Rank of the spectral projection of e above
     :data:`PROJECTION_THRESHOLD` (1/2), counted on ``ap.spectrum``, minus the
     base rank n.
 
-    Well-defined only when the defect is below ``defect_max`` (default 1/8,
-    always below 1/4), else :class:`DefectTooLarge`.  ``ap.defect`` is
-    max |lambda^2 - lambda| over the same spectrum, and
-    |lambda - 1/2|^2 = 1/4 + lambda^2 - lambda, so every eigenvalue then lies
-    at least sqrt(1/4 - defect_max) (0.354 at the default) from 1/2: the
-    gate is the spectral gap, and no band needs checking.
+    Taken only where ``ap.defect``, max |lambda^2 - lambda| over the same
+    spectrum, is below :func:`defect_gate` (n), else :class:`DefectTooLarge`
+    with that gate as its ``bound``.  Every eigenvalue then lies more than
+    sqrt(b(n)) from 1/2: the gate is the spectral gap, and no band needs
+    checking.
     """
-    tol = tolerances
-    if ap.defect >= tol.defect_max:
+    bound = defect_gate(ap.base_dim)
+    if ap.defect >= bound:
         raise DefectTooLarge("almost-projection defect leaves no usable gap",
-                             defect=ap.defect, bound=tol.defect_max)
+                             defect=ap.defect, bound=bound)
     return int(np.count_nonzero(ap.spectrum > PROJECTION_THRESHOLD)) - ap.base_dim
 
 
@@ -222,12 +254,12 @@ def k_invariant(u: Unitary, v: Unitary,
     """The integer class k(u, v) of the pair, with its full error budget.
 
     One eigensystem of v serves both routes (see the module docstring).
-    Where F = ||e^2 - e||_F < ``defect_max``, k = round(-tr X^3 / 4) is read
-    off v's eigenbasis: ``route`` is ``"trace"``, ``e_defect`` is F and
-    ``spectral_gap`` is 2 sqrt(1/4 - F), a lower bound on the gap of e's
-    spectrum around 1/2.  Otherwise e is assembled and
-    :func:`push_k_class` counts its spectrum: ``route`` is ``"spectrum"``,
-    and ``e_defect`` and ``spectral_gap`` are those of
+    Where F = ||e^2 - e||_F < :data:`TRACE_ROUTE_F`, k = round(-tr X^3 / 4)
+    is read off v's eigenbasis: ``route`` is ``"trace"``, ``e_defect`` is F
+    and ``spectral_gap`` is 2 sqrt(1/4 - F), a lower bound on the gap of e's
+    spectrum around 1/2.  Otherwise e is assembled and :func:`push_k_class`
+    counts its spectrum under :func:`defect_gate`: ``route`` is
+    ``"spectrum"``, and ``e_defect`` and ``spectral_gap`` are those of
     :func:`bott_almost_projection`, bit for bit.  v's eigensystem and the
     trace route's temporaries are freed before e is allocated.
 
@@ -239,7 +271,7 @@ def k_invariant(u: Unitary, v: Unitary,
     _check_pair(u, v)
     es = unitary_eig(v, tol.cluster_width)
     value, e_defect = _trace_class(u, es)
-    if e_defect < tol.defect_max:
+    if e_defect < TRACE_ROUTE_F:
         del es
         k, route = round(value), "trace"
         gap_width = 2 * math.sqrt(0.25 - e_defect)
@@ -249,7 +281,7 @@ def k_invariant(u: Unitary, v: Unitary,
         e = _bott_matrix(f, x)
         del f, x
         ap = _almost_projection(e)
-        k, route = push_k_class(ap, tolerances=tol), "spectrum"
+        k, route = push_k_class(ap), "spectrum"
         e_defect, spectrum = ap.defect, ap.spectrum
         del e, ap
         below = spectrum[spectrum < PROJECTION_THRESHOLD]
@@ -269,7 +301,7 @@ def k_invariant(u: Unitary, v: Unitary,
             "orientation": float(ORIENTATION),
             "route": route,
         },
-        tolerances=tol.subset("cluster_width", "defect_max"),
+        tolerances=tol.subset("cluster_width"),
     )
 
 

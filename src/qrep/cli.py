@@ -71,6 +71,7 @@ from .words import (
     generators_and_inverses,
     mult_defect,
     parse_word,
+    parse_word_list,
     qrep_from_json,
     qrep_to_json,
     read_json,
@@ -103,7 +104,7 @@ def _shared_flags() -> dict[str, argparse.Action]:
     return {action.dest: action for action in holder._actions}
 
 
-_PIPELINE = "branch_margin cluster_width defect_max integer_residual det_one path_floor"
+_PIPELINE = "branch_margin cluster_width integer_residual det_one path_floor"
 
 
 def _leaf(sub, name: str, func, tolerances: str, **kwargs) -> argparse.ArgumentParser:
@@ -162,7 +163,7 @@ def build_parser() -> _Parser:
         p.add_argument("--word", help="word to evaluate (quasi-representation inputs)")
     kappa_p.add_argument("--trace", choices=["standard", "normalized"],
                          default="standard", help="trace mode")
-    p = _leaf(inv_sub, "k", cmd_invariant, "unitarity cluster_width defect_max",
+    p = _leaf(inv_sub, "k", cmd_invariant, "unitarity cluster_width",
               help="Bott class of a two-generator quasi-representation")
     p.add_argument("-i", "--input", required=True, metavar="QREP")
 
@@ -263,23 +264,6 @@ def _read_input(paths: list[str], tol: config.Tolerances, takes: str, word=None)
         qr = qrep_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)), tolerances=tol)
         return qr if word is None else evaluate(word, qr.images)
     return [value(*c) for c in checked]
-
-
-def _split_top_level(text: str) -> list[str]:
-    # Commas nested inside [] or () belong to words, not the list.
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
-    return parts
 
 
 # floats per joined slice of a matrix's re or im list: about 30 KB of text,
@@ -411,7 +395,7 @@ def cmd_gen_perturbed(args, tol):
     base = _base_qrep(args, tol)
     targets = None
     if args.targets is not None:
-        targets = tuple(s for s in _split_top_level(args.targets) if s)
+        targets = tuple(filter(None, map(str.strip, args.targets.split(","))))
         if not targets:
             raise InputError("--targets names no generator", targets=args.targets)
     spec = PerturbationSpec(radius=args.radius, seed=args.seed, targets=targets)
@@ -421,16 +405,10 @@ def cmd_gen_perturbed(args, tol):
 def cmd_gen_pullback(args, tol):
     base = _base_qrep(args, tol)
     images = {}
-    for part in _split_top_level(args.images):
-        if not part:
-            continue
-        if "=" not in part:
-            raise InputError("each image must look like s1=word", part=part)
-        name, _, word = part.partition("=")
-        name = name.strip()
+    for name, word in parse_word_list(args.images, named=True):
         if name in images:
             raise InputError("generator given twice in --images", generator=name)
-        images[name] = parse_word(word)
+        images[name] = word
     _emit(args, tol, "gen pullback", qrep_to_json(pullback(base, images)))
 
 
@@ -456,7 +434,7 @@ def cmd_invariant(args, tol):
 def cmd_defect(args, tol):
     qr, = _read_input([args.input], tol, "qrep")
     if args.element_set is not None:
-        elements = [parse_word(w) for w in _split_top_level(args.element_set)]
+        elements = parse_word_list(args.element_set)
     else:
         elements = generators_and_inverses(qr.presentation)
     md = mult_defect(qr, elements)

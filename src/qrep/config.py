@@ -4,10 +4,10 @@ Every settable tolerance lives in the
 :class:`Tolerances` dataclass so that reports can record exactly the policy
 under which a number was produced.  The invariant layer (``kappa``,
 ``winding_number_det_segment``, ``exel_homotopy_gap``,
-``kazhdan_stability``, ``bott_almost_projection``, ``push_k_class``,
-``k_invariant``, ``verify_index_formula``) takes one keyword-only
-``tolerances`` object, reads the fields it needs and echoes them in its
-report under their field names.  ``unitarity`` is checked once, where a
+``kazhdan_stability``, ``bott_almost_projection``, ``k_invariant``,
+``verify_index_formula``) takes one keyword-only ``tolerances`` object,
+reads the fields it needs and echoes them in its report under their field
+names.  ``unitarity`` is checked once, where a
 matrix enters qrep: every matrix read from a file (``qrep_from_json`` takes
 the object too).  Products, adjoints and powers of checked unitaries are not
 checked again; their defect is bounded by their factors',
@@ -20,20 +20,18 @@ parameters defaulting to ``DEFAULTS``, apart from ``herm_eig``'s fixed
 builds its object from ``DEFAULTS`` and its ``--tol-*`` flags alone.
 
 Every ``Tolerances`` is checked when it is made, ``dataclasses.replace``
-included: each field must be finite and >= 0, and ``defect_max`` must be
-below 1/4.  Anything else would make a check vacuous (a ``defect_max`` of
-1/4 lets an eigenvalue of e sit at 1/2, and voids the certificate of
-``k_invariant``'s trace route) or fail only after the work is done, so it
-raises ``InputError`` (exit 3) naming the field and its value.
+included: each field must be finite and >= 0.  Anything else would make a
+check vacuous or fail only after the work is done, so it raises
+``InputError`` (exit 3) naming the field and its value.
 
 Values the mathematics fixes are constants, not fields: the Bott class is
 the rank of e's spectral projection above ``bott.PROJECTION_THRESHOLD`` =
-1/2, which ||e^2 - e|| < ``defect_max`` keeps every eigenvalue
-sqrt(1/4 - ``defect_max``) from, so no band needs a width.  The same field
-gates ``k_invariant``'s trace route: where the Frobenius defect
-F = ||e^2 - e||_F is below it, k = round(-tr (2e - 1)^3 / 4) with error at
-most 8 F^2 < 1/2, and no spectrum of e is taken.  F bounds ||e^2 - e||, so
-the two routes accept the same pairs and give the same k;
+1/2, defined wherever ||e^2 - e|| < 1/4, and ``bott.defect_gate`` (n)
+refuses it only where the computed defect is within rounding of 1/4, so no
+band needs a width; ``k_invariant`` takes its trace route, k =
+round(-tr (2e - 1)^3 / 4) with error at most 8 F^2, where the Frobenius
+defect F = ||e^2 - e||_F is below ``bott.TRACE_ROUTE_F`` = 1/8, which only
+picks the cheaper of two routes that give the same k;
 ``exel_homotopy_gap`` and ``kazhdan_stability``'s homotopy bound are closed
 forms with no grid of t; the winding number's step route turns by at most
 ``invariants.STEP_PHASE`` = 1.5 < pi per step, and a loop whose certified
@@ -56,8 +54,6 @@ class Tolerances:
     # logarithms and eigen decompositions
     branch_margin: float = 1e-6     # min allowed distance of spectrum to -1
     cluster_width: float = 1e-7     # eigenvalue clustering width (real parts)
-    # almost projections
-    defect_max: float = 0.125       # ||e^2 - e|| bound for a usable rank, < 1/4
     # integrality
     integer_residual: float = 1e-6  # |value - round(value)| for integer claims
     det_one: float = 1e-6           # |det(w) - 1| for kappa to round, and for a loop
@@ -70,10 +66,6 @@ class Tolerances:
             if not (math.isfinite(value) and value >= 0):
                 raise InputError(f"tolerance {f.name} must be finite and >= 0",
                                  field=f.name, value=value)
-        # at 1/4 an eigenvalue |lambda - 1/2|^2 >= 1/4 - defect may sit at 1/2
-        if self.defect_max >= 0.25:
-            raise InputError("tolerance defect_max must be below 1/4",
-                             field="defect_max", value=self.defect_max)
 
     def subset(self, *names: str) -> dict:
         """The named fields with their values, as a report echoes them."""

@@ -319,7 +319,7 @@ def spectral_projection(e,
     Requires the spectrum to clear the band (threshold - gap, threshold + gap);
     an eigenvalue inside the band means the projection is not stable at this
     precision and raises :class:`NoSpectralGap`.  Returns (p, rank).  (The
-    Bott class needs no band: its ``defect_max`` gate keeps e off 1/2.)
+    Bott class needs no band: ``bott.defect_gate`` keeps e off 1/2.)
     """
     es = herm_eig(e)
     inside = np.abs(es.values - threshold) < gap

@@ -59,6 +59,7 @@ from .matcore import Unitary, adjoint, matrix_from_json, matrix_to_json, op_norm
 __all__ = [
     "FreeWord",
     "parse_word",
+    "parse_word_list",
     "render",
     "commutator",
     "evaluate",
@@ -80,6 +81,7 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAMED_RE = re.compile(rf"({_IDENT_RE.pattern})\s*=")
 _MAX_EXPONENT = 10**6
 _MAX_LETTERS = 10**6  # cap on expanded length; keeps ((a^k)^k)... bounded
 _MAX_DEPTH = 200  # cap on bracket nesting; keeps the recursive descent off the stack limit
@@ -198,6 +200,23 @@ class _Parser:
             return [(m.group(), 1)]
         self.fail("expected a generator, '(' or '['")
 
+    def word_list(self, named: bool) -> list:
+        # words separated by the commas outside brackets; named, each item is
+        # NAME=word and an empty item is skipped
+        out = []
+        while True:
+            if not named:
+                out.append(FreeWord(tuple(self.word(","))))
+            elif self.peek() not in ",":
+                m = _NAMED_RE.match(self.text, self.pos)
+                if not m:
+                    self.fail("expected NAME=word")
+                self.pos = m.end()
+                out.append((m.group(1), FreeWord(tuple(self.word(",")))))
+            if self.peek() == "":
+                return out
+            self.pos += 1
+
     def integer(self) -> int:
         self.peek()  # eat whitespace
         m = re.compile(r"-?\d+").match(self.text, self.pos)
@@ -214,6 +233,13 @@ def parse_word(text: str) -> FreeWord:
     if p.peek() != "":
         p.fail(f"unexpected {p.text[p.pos]!r}")
     return FreeWord(tuple(letters))
+
+
+def parse_word_list(text: str, named: bool = False) -> list:
+    """The comma-separated words of ``text``, a comma inside [x, y] being the
+    word's own; with ``named``, the (NAME, word) pairs of NAME=word items.  A
+    ``WordSyntaxError``'s offset counts from the start of ``text``."""
+    return _Parser(text).word_list(named)
 
 
 def render(word: FreeWord) -> str:

@@ -6,7 +6,6 @@ of rank n; the measured defects of the shift/phase family are frozen with
 their observed halving trend.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,8 +13,8 @@ import pytest
 
 from conftest import diag_unitary, spy
 from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
-                  InputError, PerturbationSpec, Presentation, PresentationMismatch,
-                  QuasiRep, Unitary, WordProduct, bott_almost_projection, evaluate,
+                  PerturbationSpec, Presentation, PresentationMismatch, QuasiRep,
+                  Unitary, WordProduct, bott_almost_projection, defect_gate, evaluate,
                   k_invariant, unitary_eig, kappa, lu_det, op_norm, parse_word, perturb,
                   perturbed_copy, pullback, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep,
@@ -114,14 +113,13 @@ def test_trace_route_builds_no_2n_array():
 
 
 def test_spectrum_route_holds_e_and_little_else():
-    # forced onto the spectrum route, k frees v's eigensystem and the trace
-    # temporaries before e is allocated: within 2.5 copies of e, and no more
-    # than bott_almost_projection alone
+    # on the spectrum route (F = 0.22 at n = 128, radius 0.1), k frees v's
+    # eigensystem and the trace temporaries before e is allocated: within
+    # 2.5 copies of e, and no more than bott_almost_projection alone
     n = 128
-    u, v = _shift_phase_pair(n, 0.02)
-    tol = dataclasses.replace(DEFAULTS, defect_max=0.08)
-    assert k_invariant(u, v, tolerances=tol).defect_data["route"] == "spectrum"
-    peak = _traced_peak(lambda: k_invariant(u, v, tolerances=tol))
+    u, v = _shift_phase_pair(n, 0.1)
+    assert k_invariant(u, v).defect_data["route"] == "spectrum"
+    peak = _traced_peak(k_invariant, u, v)
     assert peak <= 2.5 * (2 * n) ** 2 * 16
     assert peak <= _traced_peak(bott_almost_projection, u, v) * 1.01
 
@@ -186,25 +184,46 @@ def test_k_boundary_case_n16_just_inside():
     assert rep.defect_data["e_defect"] < 0.125
 
 
+def _diagonal_almost_projection(spectrum):
+    e = np.diag(spectrum).astype(np.complex128)
+    return AlmostProjection(e=e, spectrum=np.linalg.eigvalsh(e),
+                            defect=float(np.linalg.norm(e @ e - e, 2)),
+                            base_dim=len(spectrum) // 2)
+
+
 def test_push_k_class_parameter_threading():
-    # a synthetic almost-projection with an eigenvalue parked at 0.45: the
-    # defect gate refuses it, and no defect_max loose enough to pass it
-    # (>= 1/4, where an eigenvalue may sit at 1/2) can be set
-    e = np.diag([1.0, 1.0, 0.45, 0.0])
-    ap = AlmostProjection(e=e.astype(np.complex128),
-                          spectrum=np.linalg.eigvalsh(e),
-                          defect=float(np.linalg.norm(e @ e - e, 2)),
-                          base_dim=2)
+    # the gate's one parameter is n, read off ap.base_dim: an eigenvalue
+    # parked at 0.45 (defect 0.2475 < 1/4) leaves 1/2 clear, so the spectrum
+    # above 1/2 is counted; one at 1/2 (defect 1/4) is refused, with the gate
+    # at n = 2 as its bound
+    assert push_k_class(_diagonal_almost_projection([1.0, 1.0, 0.45, 0.0])) == 0
+    assert push_k_class(_diagonal_almost_projection([1.0, 1.0, 0.55, 0.0])) == 1
     with pytest.raises(DefectTooLarge) as err:
-        push_k_class(ap)  # 0.2475 >= 1/8
-    assert err.value.details["bound"] == DEFAULTS.defect_max
-    with pytest.raises(DefectTooLarge):
-        push_k_class(ap, tolerances=dataclasses.replace(DEFAULTS, defect_max=0.2475))
-    with pytest.raises(InputError) as err:
-        dataclasses.replace(DEFAULTS, defect_max=0.3)
-    assert err.value.details == {"field": "defect_max", "value": 0.3}
-    # a threaded gate that passes counts the spectrum above 1/2 directly
-    assert push_k_class(ap, tolerances=dataclasses.replace(DEFAULTS, defect_max=0.249)) == 0
+        push_k_class(_diagonal_almost_projection([1.0, 1.0, 0.5, 0.0]))
+    assert err.value.details == {"defect": 0.25, "bound": defect_gate(2)}
+
+
+def test_defect_gate_is_below_one_quarter_by_a_rounding_budget():
+    # 1/4 - b(n) with b(n) = 5 c n eps: strictly below 1/4, falling with n,
+    # and within 1e-10 of 1/4 at n = 512
+    gates = [defect_gate(n) for n in (1, 2, 7, 8, 64, 512, 4096)]
+    assert all(g < 0.25 for g in gates)
+    assert all(a >= b for a, b in zip(gates, gates[1:]))
+    assert 0.25 - defect_gate(512) < 1e-10
+
+
+def test_unperturbed_pairs_from_n8_have_k_wn_kappa_one():
+    # ||e^2 - e|| is 0.237 at n = 8 and 0.131 at n = 15: below 1/4, so the
+    # class is defined and the identity holds; at n = 7 it is 0.267, refused
+    # with the gate at n = 7 as its bound
+    for n in range(8, 16):
+        rep = verify_index_formula(voiculescu_qrep(n))
+        assert rep.lhs_k == rep.rhs_wn.rounded == rep.rhs_kappa.rounded == 1, n
+        assert rep.equal, n
+    with pytest.raises(DefectTooLarge) as err:
+        verify_index_formula(voiculescu_qrep(7))
+    assert abs(err.value.details["defect"] - 0.2666) < 1e-4
+    assert err.value.details["bound"] == defect_gate(7)
 
 
 @pytest.mark.parametrize("n", [16, 48, 64, 128])
@@ -221,14 +240,13 @@ def test_defect_gate_keeps_the_spectrum_off_one_half(n):
         assert d["spectral_gap"] >= 2 * np.sqrt(0.25 - d["e_defect"]) - 1e-12, (n, seed)
 
 
-def test_k_invariant_echoes_cluster_width_and_defect_max():
+def test_k_invariant_echoes_cluster_width_alone():
     # k is an integer by construction, so no residual applies to it; e is
-    # built at cluster_width and its rank is taken under defect_max
+    # built at cluster_width, and its gate and route are constants
     u, v = voiculescu_pair(16)
     rep = k_invariant(u, v)
     assert rep.is_integer
-    assert rep.to_json()["tolerances"] == {"cluster_width": DEFAULTS.cluster_width,
-                                           "defect_max": DEFAULTS.defect_max}
+    assert rep.to_json()["tolerances"] == {"cluster_width": DEFAULTS.cluster_width}
 
 
 def test_each_report_echoes_exactly_the_tolerances_its_call_reads():
@@ -293,14 +311,21 @@ def test_k_invariant_takes_a_formed_commutator(monkeypatch):
     (64, 0.0, "spectrum"),
     (64, 0.02, "spectrum"),
     (48, 0.19, "spectrum"),
+    (16, 0.0, "spectrum"),
+    (32, 0.0, "spectrum"),
+    (128, 0.02, "trace"),
 ])
 def test_k_route_follows_the_frobenius_certificate(n, radius, route):
     # F = ||e^2 - e||_F is about 1.15 / sqrt(n) on the unperturbed pair, 0.09
     # at n = 256 with radius 0.02 and 0.15 at n = 64: the trace route is
-    # taken exactly where F < defect_max = 1/8
-    rep = k_invariant(*_shift_phase_pair(n, radius))
-    assert rep.defect_data["route"] == route
-    assert rep.rounded == 1
+    # taken exactly where F < TRACE_ROUTE_F = 1/8.  These inputs, the Tier-1
+    # fixtures' and the benchmark's, have ||e^2 - e|| < 1/8, so a gate of 1/8
+    # took them too, with the same route and k
+    for seed in (1, 2):
+        rep = k_invariant(*_shift_phase_pair(n, radius, seed))
+        assert rep.defect_data["route"] == route
+        assert rep.defect_data["e_defect"] < 0.125
+        assert rep.rounded == 1
 
 
 @pytest.mark.parametrize("n", [48, 64, 128, 256])
@@ -338,17 +363,16 @@ def test_trace_route_e_defect_is_the_frobenius_norm_of_e2_minus_e():
     assert abs(trace - rep.rounded) <= 8 * frobenius ** 2 < 0.5
 
 
-def test_spectrum_route_under_a_tighter_defect_max_is_bott_almost_projection():
-    # F = 0.091 at n = 256, radius 0.02: defect_max = 0.08 refuses the trace
-    # certificate, and the spectrum route reports what bott_almost_projection
-    # and push_k_class give, bit for bit
-    u, v = _shift_phase_pair(256, 0.02)
-    tol = dataclasses.replace(DEFAULTS, defect_max=0.08)
-    rep = k_invariant(u, v, tolerances=tol)
-    ap = bott_almost_projection(u, v, tolerances=tol)
+def test_spectrum_route_is_bott_almost_projection():
+    # F = 0.29 at n = 256, radius 0.1: the trace route is not taken, and the
+    # spectrum route reports what bott_almost_projection and push_k_class
+    # give, bit for bit
+    u, v = _shift_phase_pair(256, 0.1)
+    rep = k_invariant(u, v)
+    ap = bott_almost_projection(u, v)
     d = rep.defect_data
     assert d["route"] == "spectrum"
-    assert rep.rounded == push_k_class(ap, tolerances=tol) == 1
+    assert rep.rounded == push_k_class(ap) == 1
     assert d["e_defect"] == ap.defect
     above, below = ap.spectrum[ap.spectrum >= 0.5], ap.spectrum[ap.spectrum < 0.5]
     assert d["spectral_gap"] == float(above.min() - below.max())

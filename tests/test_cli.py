@@ -23,7 +23,7 @@ import pytest
 
 from conftest import spy
 from qrep import (DEFAULTS, InputError, Presentation, QuasiRep, Unitary, Z2NormalForm,
-                  kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_from_json,
+                  defect_gate, kazhdan_stability, matrix_to_json, perturbed_copy, pullback, qrep_from_json,
                   qrep_to_json, verify_index_formula, voiculescu_pair, voiculescu_qrep)
 from qrep import cli, config
 from qrep.cli import _FLOAT_SLICE, CSV_COLUMNS, _json_chunks, main
@@ -152,6 +152,21 @@ def test_gen_pullback_and_direct_sum(tmp_path, capsys, pair_file):
     assert obj2["result"]["images"]["a"]["dim"] == 16
 
 
+@pytest.mark.parametrize("command, offset", [
+    (["defect", "-i", "{pair}", "--set", "a b c d, b^"], 11),
+    (["gen", "pullback", "-i", "{pair}", "--images", "s1=a,t1=[b"], 10),
+], ids=["set", "images"])
+def test_word_list_flags_locate_a_syntax_error_in_the_flag_text(tmp_path, capsys,
+                                                                pair_file, command, offset):
+    out_json = tmp_path / "x.json"
+    argv = [a.format(pair=pair_file) for a in command]
+    assert main([*argv, "-o", str(out_json)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qrep: WordSyntaxError: ")
+    assert f"(offset={offset})" in err
+    assert not out_json.exists()
+
+
 def test_gen_pullback_bad_image_spec(capsys, pair_file):
     code, _ = run_cli(capsys, "gen", "pullback", "-i", pair_file,
                       "--images", "s1")
@@ -220,8 +235,14 @@ def test_invariant_k_needs_qrep(tmp_path, capsys, pair_file, matrix_file):
     assert code == 0
     obj = run_json(capsys, "invariant", "k", "-i", str(big), "--deterministic")
     assert obj["result"]["rounded"] == 1
-    # the n = 8 pair sits above the defect gate: hypothesis error, exit 1
-    code, _ = run_cli(capsys, "invariant", "k", "-i", pair_file)
+    # the n = 8 pair has ||e^2 - e|| = 0.237 < 1/4, so its class is defined
+    obj = run_json(capsys, "invariant", "k", "-i", pair_file, "--deterministic")
+    assert obj["result"]["rounded"] == 1
+    assert obj["result"]["tolerances"] == {"cluster_width": DEFAULTS.cluster_width}
+    # the n = 7 pair (0.267) sits above the gate: hypothesis error, exit 1
+    small = tmp_path / "pair7.json"
+    assert main(["gen", "voiculescu", "--n", "7", "-o", str(small)]) == 0
+    code, _ = run_cli(capsys, "invariant", "k", "-i", str(small))
     assert code == 1
     code, _ = run_cli(capsys, "invariant", "k", "-i", matrix_file)
     assert code == 3
@@ -549,7 +570,26 @@ def test_verify_exel_loring_sweep_reports_failures(tmp_path, capsys):
                    "--deterministic")
     rows = obj["result"]["rows"]
     assert rows[0]["status"] == "DefectTooLarge"
-    assert rows[1]["status"] == "DefectTooLarge"  # n = 8 defect 0.24 > 1/8
+    assert rows[1]["status"] == "ok"  # n = 8 defect 0.237 < 1/4
+
+
+def test_verify_exel_loring_holds_from_n8(tmp_path, capsys):
+    # ||e^2 - e|| < 1/4 from n = 8 on, so k = wn = kappa = 1 there; n = 7
+    # (0.267) is refused, with no report and the gate at n = 7 as its bound
+    obj = run_json(capsys, "verify", "exel-loring", "--n-range", "8:15:1",
+                   "--deterministic")
+    rows = obj["result"]["rows"]
+    assert [r["n"] for r in rows] == list(range(8, 16))
+    assert all(r["status"] == "ok" and r["k"] == r["wn"] == r["kappa"] == 1 for r in rows)
+    obj = run_json(capsys, "verify", "exel-loring", "--n", "8", "--deterministic")
+    assert obj["result"]["equal"] is True and obj["result"]["lhs_k"] == 1
+    out_json = tmp_path / "refused.json"
+    code = main(["verify", "exel-loring", "--n", "7", "-o", str(out_json)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qrep: DefectTooLarge: ")
+    assert f"bound={defect_gate(7)!r}" in err
+    assert not out_json.exists()
 
 
 def test_verify_exel_loring_bad_range(capsys):
@@ -711,8 +751,7 @@ def test_tol_reported_in_envelope(capsys, matrix_file):
 # an ok case into a refusal
 TOL_FLAGS = {
     "unitarity": "2e-8", "branch_margin": "2e-6",
-    "cluster_width": "2e-7",
-    "defect_max": "0.13", "integer_residual": "2e-6",
+    "cluster_width": "2e-7", "integer_residual": "2e-6",
     "det_one": "2e-6", "path_floor": "1e-13",
 }
 
@@ -768,7 +807,7 @@ def test_tol_flags_reach_every_report(tmp_path, capsys, command):
 
 # valid runs of each command that between them take every route on which it
 # reads a tolerance: gen perturbed, gen pullback and verify exel-loring read
-# unitarity only through -i, and stability reads defect_max only at g = 1
+# unitarity only through -i, and stability takes k only at g = 1
 _TOLERANCE_RUNS = {
     ("gen", "voiculescu"): [["--n", "4"]],
     ("gen", "perturbed"): [["--n", "4", "--radius", "0.05"],
@@ -792,7 +831,7 @@ def test_each_command_takes_the_tolerance_flags_it_reads(tmp_path, capsys, monke
                                                          matrix_file, pair_file):
     # a Tolerances that records each field read while a command works, from
     # the resolved object's making to the report's writing (which echoes all
-    # seven); the fields a command reads are the flags it takes
+    # six); the fields a command reads are the flags it takes
     files = {"matrix": matrix_file, "pair": pair_file, "pair16": str(tmp_path / "p16.json")}
     assert main(["gen", "voiculescu", "--n", "16", "-o", files["pair16"]]) == 0
     window = {"reads": None}
@@ -827,13 +866,13 @@ def test_each_command_takes_the_tolerance_flags_it_reads(tmp_path, capsys, monke
         assert reads == taken[command], command
     capsys.readouterr()
     assert len(taken) == 12
-    assert sum(map(len, taken.values())) == 38
+    assert sum(map(len, taken.values())) == 34
 
 
 def test_tolerance_flags_a_command_does_not_read_are_refused(tmp_path, capsys, matrix_file,
                                                              pair_file):
     # any other --tol-<field> flag is a usage error, at any value, before
-    # any work and with no -o file: 84 - 38 = 46 of them
+    # any work and with no -o file: 72 - 34 = 38 of them
     files = {"matrix": matrix_file, "pair": pair_file, "pair16": pair_file}
     out_json = tmp_path / "x.json"
     refused = 0
@@ -847,7 +886,7 @@ def test_tolerance_flags_a_command_does_not_read_are_refused(tmp_path, capsys, m
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             assert not out_json.exists()
             refused += 1
-    assert refused == 46
+    assert refused == 38
 
 
 def test_stability_honours_path_floor(capsys):
@@ -857,9 +896,11 @@ def test_stability_honours_path_floor(capsys):
 
 
 @pytest.mark.parametrize("flags, error", [
-    # the winding column and the k column fail after kazhdan_stability passed
+    # the winding column fails after kazhdan_stability passed (no k column
+    # has been seen to: under its 1/(5g) budget ||e^2 - e|| stayed below 0.11
+    # over 450 seeded rows at n = 32 to 48 and radius 0.199, against a gate
+    # of 1/4)
     (["--seeds", "2", "--tol-path-floor", "1e300"], "PathSingular"),
-    (["--seeds", "2", "--tol-defect-max", "0.01"], "DefectTooLarge"),
     # kazhdan_stability itself refuses
     (["--seeds", "2", "--radius", "0.3"], "HypothesisViolated"),
 ])
@@ -1350,9 +1391,6 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
 
 
 @pytest.mark.parametrize("command, flags", [
-    (["invariant", "k", "-i", "{pair}"], ["--tol-defect-max", "0.25"]),
-    (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
-     ["--tol-defect-max", "0.3"]),
     (["stability", "--n", "32", "--radius", "0.19", "--csv", "{csv}"],
      ["--tol-branch-margin", "nan"]),
     (["verify", "exel-loring", "--n-range", "16:32:16", "--csv", "{csv}"],
@@ -1361,7 +1399,7 @@ def test_stability_rejects_empty_sweeps(capsys, flags):
      ["--tol-unitarity", "-0.5"]),
     (["invariant", "kappa", "-i", "{pair}", "--word", "[a, b]"],
      ["--tol-cluster-width", "inf"]),
-], ids=["defect-max-quarter", "defect-max-0.3", "stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
+], ids=["stability-nan", "exel-loring-nan", "unitarity-neg", "cluster-width-inf"])
 def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
                                                   command, flags):
     # refused with exit 3 before any work: no report and no CSV
@@ -1376,8 +1414,7 @@ def test_tolerances_that_void_a_check_are_refused(tmp_path, capsys, pair_file,
 
 
 @pytest.mark.parametrize("field, value", [
-    ("path_floor", -1e-12), ("det_one", float("nan")), ("defect_max", float("inf")),
-    ("defect_max", 0.25), ("defect_max", 0.3),
+    ("path_floor", -1e-12), ("det_one", float("nan")), ("branch_margin", float("inf")),
 ])
 def test_tolerances_reject_invalid_values(field, value):
     with pytest.raises(InputError) as exc:
@@ -1388,13 +1425,12 @@ def test_tolerances_reject_invalid_values(field, value):
 def test_tolerances_accept_their_least_values():
     least = dataclasses.replace(
         DEFAULTS, **{f.name: 0.0 for f in dataclasses.fields(DEFAULTS)})
-    assert least.unitarity == 0.0 and least.defect_max == 0.0
-    assert dataclasses.replace(DEFAULTS, defect_max=0.2499).defect_max == 0.2499
+    assert least.unitarity == 0.0 and least.path_floor == 0.0
 
 
 def test_tolerances_are_float_thresholds_only():
     fields = dataclasses.fields(DEFAULTS)
-    assert len(fields) == 7
+    assert len(fields) == 6
     assert all(f.type == "float" for f in fields)
 
 
@@ -1534,22 +1570,26 @@ def test_seed_is_read_by_perturbed_and_stability(tmp_path, capsys):
 
 
 # herm_eig's gate has no setting; the homotopy gap and the stability bound
-# are closed forms, the Bott threshold the constant 1/2 with defect_max
-# keeping the spectrum off it, the winding's step route has no depth to cap
-# and its grid cap is a constant, so none of these is a tolerance any more
+# are closed forms, the Bott threshold the constant 1/2 with a gate that
+# rounding of order n alone keeps below 1/4, the winding's step route has no
+# depth to cap and its grid cap is a constant, so none of these is a
+# tolerance any more
 @pytest.mark.parametrize("flag", ["--tol-hermiticity", "--tol-homotopy-grid",
                                   "--tol-projection-threshold",
                                   "--tol-winding-max-depth",
                                   "--tol-stability-samples",
                                   "--tol-projection-gap",
+                                  "--tol-defect-max",
                                   "--tol-winding-samples"])
 def test_removed_tolerance_flags_are_refused(tmp_path, capsys, flag):
-    out_json = tmp_path / "x.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "voiculescu", "--n", "4", flag, "1", "-o", str(out_json)])
-    assert exc.value.code == 3
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    assert not out_json.exists()
+    out_json, out_csv = tmp_path / "x.json", tmp_path / "x.csv"
+    for command in (["gen", "voiculescu", "--n", "4"],
+                    ["stability", "--n", "16", "--radius", "0.05", "--csv", str(out_csv)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "1", "-o", str(out_json)])
+        assert exc.value.code == 3
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out_json.exists() and not out_csv.exists()
 
 
 def test_exit_code_gen_requires_source(capsys):

@@ -20,7 +20,7 @@ from qrep import (CommutatorDatum, DimensionMismatch, EMPTY_WORD, FormatError,
                   render, voiculescu_pair, voiculescu_qrep)
 from qrep.matcore import commutator_product
 from qrep.words import (check_qrep_json, commutator_word, generators_and_inverses,
-                        read_json)
+                        parse_word_list, read_json)
 
 
 def w(text):
@@ -70,6 +70,31 @@ def test_syntax_errors_carry_offsets():
             w(text)
         assert err.value.offset == off, (text, err.value.offset)
         assert err.value.exit_code == 3
+
+
+def test_word_lists_split_at_the_commas_outside_brackets():
+    assert parse_word_list("a,[a, b] b^2") == [w("a"), w("[a, b] b^2")]
+    assert parse_word_list("a,,b") == [w("a"), EMPTY_WORD, w("b")]
+    assert parse_word_list("") == [EMPTY_WORD]
+    # named items are NAME=word; an empty item is skipped, an empty word kept
+    assert parse_word_list(" s1 = a b, t1=[a,b],,s2=,t2= ", named=True) == [
+        ("s1", w("a b")), ("t1", w("[a, b]")), ("s2", EMPTY_WORD), ("t2", EMPTY_WORD)]
+
+
+@pytest.mark.parametrize("text, named, offset", [
+    ("a b c d, b^", False, 11),
+    ("a,[a,b", False, 6),
+    ("a,b)", False, 3),
+    ("s1=a,t1=[b", True, 10),
+    ("s1=a,t1", True, 5),
+    ("s1=a,t1=b^x", True, 10),
+])
+def test_word_list_errors_locate_the_whole_text(text, named, offset):
+    # the offset counts from the start of the list, not of the item
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word_list(text, named=named)
+    assert err.value.offset == offset
+    assert err.value.exit_code == 3
 
 
 def test_parser_resource_caps():
