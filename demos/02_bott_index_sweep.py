@@ -19,7 +19,13 @@ eigensolve, under 1e-12 at these sizes.
 Where the Frobenius defect ||e^2 - e||_F is below 1/8, k is read
 off the trace formula k = round(-tr (2e - 1)^3 / 4) in v's eigenbasis (the
 "trace" route, whose e-defect is that Frobenius norm and whose gap is its
-lower bound); elsewhere e's spectrum is counted (the "spectrum" route).
+lower bound).  Elsewhere, where the Schatten 8-norm S_8 of e^2 - e is below
+1/8, k is read off the degree-7 sign polynomial, k = round(tr p_7(2e - 1) / 2)
+with p_7(x) = x(35 - 35x^2 + 21x^4 - 5x^6)/16, also in v's eigenbasis: its
+error is at most 35 sqrt(1 + 4 S_8) S_4^4 / (1 - 4 S_8), which must stay
+below 1/2 (the "sign7" route, whose e-defect is S_8 and whose gap is its
+lower bound 2 sqrt(1/4 - S_8)).  Everywhere else e's spectrum is counted
+(the "spectrum" route, whose e-defect is the operator norm of e^2 - e).
 Its sign is a property of the construction: k(u, v) equals the winding
 number of the determinant loop of [v, u], so reports carry the constant
 orientation +1.

@@ -22,17 +22,37 @@ with b(n) the rounding budget of an eigensolve of order 2n (below 1e-10 at
 n = 512), so a refusal means the mathematics fails or is within rounding of
 failing.
 
-k is taken by one of two routes, named by the report's ``route``.  With
-X = 2e - 1 and the Newton-Schulz sign step p(x) = (3x - x^3)/2,
-|p(x) - sign(x)| <= (x^2 - 1)^2 for real x, so
-|tr p(X) - 2k| <= ||X^2 - 1||_F^2 = 16 F^2 with F = ||e^2 - e||_F; and
-tr X = 0 since tr e = n.  Hence k = round(-tr X^3 / 4), certified whenever
-F < 1/4.  The ``"trace"`` route computes F and tr X^3 in v's eigenbasis,
-from two complex products of order n, three real ones and no 2n x 2n
-array, and is taken when F < :data:`TRACE_ROUTE_F` = 1/8.  As F bounds
-||e^2 - e||, every such pair also passes the gate with the same k.  Every
-other pair takes the ``"spectrum"`` route: e is assembled and its one
-``eigvalsh`` counts the eigenvalues above 1/2 under the gate.
+k is taken by one of three routes, named by the report's ``route``.  Put
+X = 2e - 1, so that tr X = 0 (tr e = n) and k = tr sign(X) / 2, and
+Y = X^2 - 1 = 4(e^2 - e), with eigenvalues y = x^2 - 1 over X's x.  Write
+F = ||e^2 - e||_F and S_p for the Schatten p-norm of e^2 - e.
+
+- ``"trace"``: the Newton-Schulz sign step p(x) = (3x - x^3)/2 has
+  |p(x) - sign(x)| <= (x^2 - 1)^2, so |tr p(X) - 2k| <= 16 F^2 and
+  k = round(-tr X^3 / 4), certified whenever F < 1/4.  F and tr X^3 come
+  from v's eigenbasis, two complex products of order n and three real
+  ones, and the route is taken when F < :data:`TRACE_ROUTE_F` = 1/8.
+- ``"sign7"``: the next Newton-Schulz/Pade sign polynomial (Higham,
+  *Functions of Matrices*, ch. 5), p_7(x) = x(35 - 35x^2 + 21x^4 - 5x^6)/16
+  = x(1 - y/2 + 3y^2/8 - 5y^3/16), is x times the degree-3 Taylor part of
+  (1 + y)^(-1/2), whose coefficients beyond it are at most 35/128.  With
+  ||e^2 - e|| <= delta < 1/4, |y| <= 4 delta and
+  |p_7(x) - sign(x)| <= sqrt(1 + 4 delta) (35/128) y^4 / (1 - 4 delta);
+  summed, |tr p_7(X)/2 - k| <= 35 sqrt(1 + 4 delta) S_4^4 / (1 - 4 delta).
+  The route takes delta = S_8 plus a rounding budget c n^2 eps
+  (c = :data:`SIGN7_ROUNDING_C`), and is taken when
+  S_8 < :data:`SIGN7_ROUTE_S8` = 1/8 and that bound, plus the budget, is
+  below 1/2; then k = round(tr p_7(X)/2).  The traces of X Y, X Y^2, X Y^3
+  and S_4, S_8 come from about fourteen complex products of order n in v's
+  eigenbasis.
+- ``"spectrum"``: every other pair.  e is assembled and its one ``eigvalsh``
+  counts the eigenvalues above 1/2 under the gate.
+
+F and S_8 both bound ||e^2 - e||, so a pair the first two routes take also
+passes the gate, with the same k; the pairs refused are those the spectrum
+route refuses.  Neither of the first two builds a 2n x 2n array, and each
+starts with free lower bounds on F and S_8 read off e^2 - e's diagonal, so
+that a hopeless attempt costs no product.
 
 The sign of k is a property of this construction, not of the input: k(u, v)
 equals the winding number of the determinant loop of the reversed
@@ -45,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -87,6 +107,13 @@ PROJECTION_THRESHOLD = 0.5
 # not the gate: F < 1/8 gives |-tr X^3 / 4 - k| <= 8 F^2 < 1/8, far inside
 # 1/2 plus any rounding, and as F bounds ||e^2 - e|| the pair passes the gate.
 TRACE_ROUTE_F = 0.125
+# Largest S_8 (the Schatten 8-norm of e^2 - e) at which k_invariant takes the
+# "sign7" route.  A route choice too, like TRACE_ROUTE_F, and at 1/8, so that
+# the e_defect it reports stays below 1/8 wherever a 1/8 gate took the pair;
+# as S_8 bounds ||e^2 - e||, every such pair passes the gate.
+SIGN7_ROUTE_S8 = 0.125
+# c in the rounding budget c n^2 eps of the sign7 route's S_8 and trace value
+SIGN7_ROUNDING_C = 100
 # c in the backward error c 2n eps ||e|| that defect_gate grants eigvalsh
 EIGVALSH_BACKWARD_C = 100
 
@@ -141,10 +168,13 @@ def _almost_projection(e: np.ndarray) -> AlmostProjection:
 
 def _bott_blocks(u: Unitary, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     # The blocks f and x = g + h u* of e, by functional calculus of v's
-    # eigensystem es, which this frame drops before x is formed; h u* + g has
-    # the bits of g + h u*, as IEEE addition commutes.
-    f, g, h = (es.apply(lambda z, i=i: _circle_functions(np.angle(z))[i]) for i in range(3))
-    del es
+    # eigensystem es, which this frame drops before x is formed; the circle
+    # functions of v's eigenphases are taken once, and each block is
+    # EigenSystem.apply's (V diag(c)) V*.  h u* + g has the bits of g + h u*,
+    # as IEEE addition commutes.
+    vectors, back = es.vectors, adjoint(es.vectors)
+    f, g, h = ((vectors * c) @ back for c in _circle_functions(np.angle(es.values)))
+    del es, vectors, back
     x = h @ adjoint(u.m)
     del h
     x += g
@@ -164,20 +194,10 @@ def _bott_matrix(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _trace_class(u: Unitary, es: EigenSystem) -> tuple[float, float]:
-    # (-tr X^3 / 4, F = ||e^2 - e||_F) for X = 2e - 1, without forming e.  In
-    # v's eigenbasis V, e's blocks are diag(phi) and x = diag(gamma) +
-    # diag(eta) V* u* V, with phi, gamma, eta the circle functions of v's
-    # eigenphases.  With r, c the row and column sums of |x_ij|^2 and
-    # d = phi^2 - phi, e^2 - e has the blocks d + x x*, [diag(phi), x] and
-    # d + x* x, and ||x x*||_F = ||x* x||_F, so
-    #   F^2 = 2 ||d + x x*||_F^2 + 2 d.(c - r) + 2 sum (phi_i - phi_j)^2 |x_ij|^2,
-    #   -tr X^3 / 4 = -3 (2 phi - 1).(r - c).
-    # ||d + x x*||_F is taken whole: expanded into ||d||^2 + 2 d.r +
-    # ||x x*||_F^2 it would be terms of size n cancelling to F^2.  With
-    # x = p + iq, x x* = (p p^T + q q^T) + i(q p^T - (q p^T)^T), two
-    # symmetric products and one general one of real n x n arrays, and no
-    # more than three n x n complex arrays' worth is alive beside es.
+def _eigenbasis_blocks(u: Unitary, es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    # (phi, x): e's blocks in v's eigenbasis V are diag(phi) and
+    # x = diag(gamma) + diag(eta) V* u* V, with phi, gamma, eta the circle
+    # functions of v's eigenphases.
     phi, gamma, eta = _circle_functions(np.angle(es.values))
     vectors = es.vectors
     uv = u.m @ vectors
@@ -185,28 +205,167 @@ def _trace_class(u: Unitary, es: EigenSystem) -> tuple[float, float]:
     x = uv.T @ vectors
     del uv
     x *= eta[:, None]
-    diagonal = np.diag_indices(len(x))
-    x[diagonal] += gamma
+    x[np.diag_indices(len(x))] += gamma
+    return phi, x
+
+
+def _gram(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # x x* = (p p^T + q q^T) + i (q p^T - (q p^T)^T) for x = p + i q: two
+    # symmetric products and one general one of real arrays, the imaginary
+    # part exactly antisymmetric
+    re = p @ p.T
+    re += q @ q.T
+    im = q @ p.T
+    im -= im.T
+    return re, im
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+class _Certified(NamedTuple):
+    # k read off v's eigenbasis: the route's trace formula, the defect that
+    # selected the route (F or S_8) and the bound below 1/2 on |value - k|
+    # that certifies it (8 F^2, or the sign7 bound with its rounding budget)
+    route: str
+    value: float
+    e_defect: float
+    error: float
+
+
+def _eigenbasis_class(u: Unitary, es: EigenSystem) -> _Certified | None:
+    # k's class read off v's eigenbasis without forming e, by the "trace" or
+    # the "sign7" route, or None where neither certifies it.  In v's
+    # eigenbasis, with x = p + iq, r, c the row and column sums of |x_ij|^2,
+    # d = phi^2 - phi and s_ij = phi_i - phi_j, E = e^2 - e has the blocks
+    # P = d + x x*, B = s o x (that is, [diag(phi), x]) and Q = d + x* x, and
+    # X = 2e - 1 the blocks diag(a), 2x and -diag(a), a = 2 phi - 1.  E's
+    # diagonal, d + r and d + c, is majorized by its spectrum (Schur), so its
+    # 2-norm and 8-norm are free lower bounds on F = ||E||_F and on S_8:
+    #   F^2 >= ||d + r||^2 + ||d + c||^2 + 2 ||B||_F^2,
+    #   S_8^8 >= ||d + r||_8^8 + ||d + c||_8^8.
+    phi, x = _eigenbasis_blocks(u, es)
+    n = len(x)
     p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
     del x
     weight = p * p
     weight += q * q
-    r_minus_c = weight.sum(axis=1) - weight.sum(axis=0)
+    rows, cols = weight.sum(axis=1), weight.sum(axis=0)
+    r_minus_c = rows - cols
     spread = np.subtract.outer(phi, phi)
     spread *= spread
     spread *= weight
     off_diagonal = float(spread.sum())
     del weight, spread
     d = phi * phi - phi
-    block = p @ p.T
-    block += q @ q.T
-    block[diagonal] += d
-    square = float(np.vdot(block, block))
-    block = q @ p.T
-    block -= block.T
-    square += float(np.vdot(block, block))
-    square = 2 * square - 2 * float(d @ r_minus_c) + 2 * off_diagonal
-    return float(-3 * (2 * phi - 1) @ r_minus_c), math.sqrt(max(square, 0.0))
+    p_diagonal, q_diagonal = d + rows, d + cols
+    if (p_diagonal ** 8).sum() + (q_diagonal ** 8).sum() >= SIGN7_ROUTE_S8 ** 8:
+        return None
+    # -tr X^3 / 4 = -3 a.(r - c), and F^2 = 2 ||P||_F^2 + 2 d.(c - r)
+    # + 2 ||B||_F^2, as ||x x*||_F = ||x* x||_F.  ||P||_F is taken whole:
+    # expanded into ||d||^2 + 2 d.r + ||x x*||_F^2 it would be terms of size n
+    # cancelling to F^2
+    cubic = float(-3 * (2 * phi - 1) @ r_minus_c)
+    p_re, p_im = _gram(p, q)
+    p_re.flat[::n + 1] += d
+    low = p_diagonal @ p_diagonal + q_diagonal @ q_diagonal + 2 * off_diagonal
+    del rows, cols, p_diagonal, q_diagonal
+    if math.sqrt(low) < TRACE_ROUTE_F:
+        square = float(np.vdot(p_re, p_re)) + float(np.vdot(p_im, p_im))
+        square = 2 * square - 2 * float(d @ r_minus_c) + 2 * off_diagonal
+        frobenius = math.sqrt(max(square, 0.0))
+        if frobenius < TRACE_ROUTE_F:
+            return _Certified("trace", cubic, frobenius, 8 * frobenius ** 2)
+    del r_minus_c
+    # The degree-7 sign polynomial: tr p_7(X) / 2 = -t_1 + 3 t_2 - 10 t_3
+    # with t_j = tr X E^j, and t_1 = -cubic.  W = E^2 has the blocks
+    # W11 = P^2 + B B*, W12 = P B + B Q and W22 = B* B + Q^2, and E^3 = W E, so
+    #   t_2 = a.(diag W11 - diag W22) + 4 Re <x, W12>,
+    #   t_3 = a.(diag (E^3)11 - diag (E^3)22) + 4 Re <x, W11 B + W12 Q>
+    #       = Re <W11, a P> + 2 Re <W12, s o B> - Re <W22, a Q>
+    #         + 4 Re <x, W11 B + W12 Q>,
+    # with a P and a Q the rows of P and Q scaled by a; S_4^4 = ||W||_F^2 and
+    # S_8^8 = ||W^2||_F^2, by blocks.  Each array is freed once read, and each
+    # B B*-type product taken while the fewest are alive: with es, about
+    # seven n x n complex arrays' worth, as many as e's assembly holds.
+    big_p = _complex(p_re, p_im)
+    del p_re, p_im
+    q_re, q_im = _gram(p.T, q.T)
+    q_re.flat[::n + 1] += d
+    np.negative(q_im, out=q_im)
+    big_q = _complex(q_re, q_im)
+    del q_re, q_im
+    x = _complex(p, q)
+    del p, q
+    phi_i, phi_j = phi[:, None], phi[None, :]
+    b = x * phi_i
+    b -= x * phi_j
+    a = 2 * phi_i - 1
+    w11 = b @ adjoint(b)
+    w11 += big_p @ big_p
+    scratch = a * big_p
+    t3 = np.vdot(w11, scratch).real
+    np.matmul(big_p, b, out=scratch)
+    del big_p
+    w12 = b @ big_q
+    w12 += scratch
+    t2 = 4 * np.vdot(x, w12).real
+    np.multiply(phi_i, b, out=scratch)
+    t3 += 2 * np.vdot(w12, scratch).real
+    np.multiply(b, phi_j, out=scratch)
+    t3 -= 2 * np.vdot(w12, scratch).real
+    np.matmul(w11, b, out=scratch)
+    t3 += 4 * np.vdot(x, scratch).real
+    np.matmul(w12, big_q, out=scratch)
+    t3 += 4 * np.vdot(x, scratch).real
+    del x, scratch
+    w22 = adjoint(b) @ b
+    del b
+    scratch = big_q @ big_q
+    w22 += scratch
+    np.multiply(a, big_q, out=scratch)
+    t3 -= np.vdot(w22, scratch).real
+    del big_q
+    t2 += a[:, 0] @ (w11.real.diagonal() - w22.real.diagonal())
+    s4_4 = float(np.vdot(w11, w11).real + 2 * np.vdot(w12, w12).real
+                 + np.vdot(w22, w22).real)
+    square = w11 @ w11
+    np.matmul(w12, adjoint(w12), out=scratch)
+    square += scratch
+    s8_8 = np.vdot(square, square).real
+    np.matmul(w11, w12, out=square)
+    np.matmul(w12, w22, out=scratch)
+    square += scratch
+    s8_8 += 2 * np.vdot(square, square).real
+    np.matmul(adjoint(w12), w12, out=square)
+    np.matmul(w22, w22, out=scratch)
+    square += scratch
+    s8_8 += np.vdot(square, square).real
+    s8 = float(s8_8) ** 0.125
+    if s8 >= SIGN7_ROUTE_S8:
+        return None
+    error = _sign7_error(s4_4, s8, n)
+    value = cubic + 3 * float(t2) - 10 * float(t3)
+    return _Certified("sign7", value, s8, error) if error < 0.5 else None
+
+
+def _sign7_error(s4_4: float, s8: float, n: int) -> float:
+    # The certified bound on |tr p_7(X) / 2 - k| from S_4^4 and S_8 of e^2 - e
+    # computed at order n (see the module docstring): with delta = S_8 + b,
+    #   1/2 sqrt(1 + 4 delta) (35/128) 256 S_4^4 / (1 - 4 delta) + b,
+    # b = c n^2 eps, c = SIGN7_ROUNDING_C, the rounding budget of S_8 and of
+    # the trace value.  Each is a sum of at most (2n)^2 terms, products of
+    # e's blocks in v's eigenbasis whose moduli sum to O(1) per row, so its
+    # rounding error is a small multiple of n^2 eps, and c = 100 is generous;
+    # v's computed eigenbasis is orthonormal to O(n eps), which moves e's
+    # eigenvalues by as little, far inside the gap 2 sqrt(1/4 - S_8) >= 0.7
+    # the route requires.  b = 5.8e-9 at n = 512.
+    budget = SIGN7_ROUNDING_C * n * n * float(np.finfo(float).eps)
+    delta = s8 + budget
+    return 35 * math.sqrt(1 + 4 * delta) * s4_4 / (1 - 4 * delta) + budget
 
 
 def defect_gate(n: int) -> float:
@@ -253,15 +412,20 @@ def k_invariant(u: Unitary, v: Unitary,
                 tolerances: Tolerances = DEFAULTS) -> InvariantReport:
     """The integer class k(u, v) of the pair, with its full error budget.
 
-    One eigensystem of v serves both routes (see the module docstring).
+    One eigensystem of v serves the three routes (see the module docstring).
     Where F = ||e^2 - e||_F < :data:`TRACE_ROUTE_F`, k = round(-tr X^3 / 4)
     is read off v's eigenbasis: ``route`` is ``"trace"``, ``e_defect`` is F
     and ``spectral_gap`` is 2 sqrt(1/4 - F), a lower bound on the gap of e's
-    spectrum around 1/2.  Otherwise e is assembled and :func:`push_k_class`
+    spectrum around 1/2.  Otherwise, where the Schatten 8-norm S_8 of
+    e^2 - e is below :data:`SIGN7_ROUTE_S8` and certifies the degree-7 sign
+    polynomial, k = round(tr p_7(X) / 2), also read off v's eigenbasis:
+    ``route`` is ``"sign7"``, ``e_defect`` is S_8 and ``spectral_gap`` is
+    2 sqrt(1/4 - S_8).  Otherwise e is assembled and :func:`push_k_class`
     counts its spectrum under :func:`defect_gate`: ``route`` is
-    ``"spectrum"``, and ``e_defect`` and ``spectral_gap`` are those of
-    :func:`bott_almost_projection`, bit for bit.  v's eigensystem and the
-    trace route's temporaries are freed before e is allocated.
+    ``"spectrum"``, and ``e_defect`` (the operator norm of e^2 - e) and
+    ``spectral_gap`` are those of :func:`bott_almost_projection`, bit for
+    bit.  v's eigensystem and the other routes' temporaries are freed
+    before e is allocated.
 
     ``commutator`` is [u, v] = u v u* v* where the caller has formed it
     already (with ``commutator_product``, so the same bits); its cached
@@ -270,10 +434,10 @@ def k_invariant(u: Unitary, v: Unitary,
     tol = tolerances
     _check_pair(u, v)
     es = unitary_eig(v, tol.cluster_width)
-    value, e_defect = _trace_class(u, es)
-    if e_defect < TRACE_ROUTE_F:
+    certified = _eigenbasis_class(u, es)
+    if certified is not None:
         del es
-        k, route = round(value), "trace"
+        k, route, e_defect = round(certified.value), certified.route, certified.e_defect
         gap_width = 2 * math.sqrt(0.25 - e_defect)
     else:
         f, x = _bott_blocks(u, es)

@@ -30,8 +30,10 @@ the rank of e's spectral projection above ``bott.PROJECTION_THRESHOLD`` =
 refuses it only where the computed defect is within rounding of 1/4, so no
 band needs a width; ``k_invariant`` takes its trace route, k =
 round(-tr (2e - 1)^3 / 4) with error at most 8 F^2, where the Frobenius
-defect F = ||e^2 - e||_F is below ``bott.TRACE_ROUTE_F`` = 1/8, which only
-picks the cheaper of two routes that give the same k;
+defect F = ||e^2 - e||_F is below ``bott.TRACE_ROUTE_F`` = 1/8, and its
+sign7 route, by the degree-7 sign polynomial, where the Schatten 8-norm of
+e^2 - e is below ``bott.SIGN7_ROUTE_S8`` = 1/8: each only picks the cheaper
+of routes that give the same k;
 ``exel_homotopy_gap`` and ``kazhdan_stability``'s homotopy bound are closed
 forms with no grid of t; the winding number's step route turns by at most
 ``invariants.STEP_PHASE`` = 1.5 < pi per step, and a loop whose certified

@@ -19,7 +19,9 @@ from qrep import (DEFAULTS, AlmostProjection, CommutatorDatum, DefectTooLarge,
                   perturbed_copy, pullback, push_k_class, relator_defect,
                   verify_index_formula, voiculescu_pair, voiculescu_qrep,
                   winding_number_det_segment)
-from qrep.bott import _bott_blocks, _bott_matrix, _circle_functions, _trace_class
+from qrep import bott
+from qrep.bott import (SIGN7_ROUTE_S8, _bott_blocks, _bott_matrix, _circle_functions,
+                       _eigenbasis_class, _sign7_error)
 from qrep.config import Tolerances
 
 FROZEN_DEFECTS = {16: 0.123242, 32: 0.062269, 64: 0.031220, 128: 0.015621}
@@ -113,11 +115,12 @@ def test_trace_route_builds_no_2n_array():
 
 
 def test_spectrum_route_holds_e_and_little_else():
-    # on the spectrum route (F = 0.22 at n = 128, radius 0.1), k frees v's
-    # eigensystem and the trace temporaries before e is allocated: within
-    # 2.5 copies of e, and no more than bott_almost_projection alone
-    n = 128
-    u, v = _shift_phase_pair(n, 0.1)
+    # on the spectrum route (S_8 = 0.145 at n = 64, radius 0.4, after a full
+    # sign7 attempt), k frees v's eigensystem and the other routes'
+    # temporaries before e is allocated: within 2.5 copies of e, and no more
+    # than bott_almost_projection alone
+    n = 64
+    u, v = _shift_phase_pair(n, 0.4)
     assert k_invariant(u, v).defect_data["route"] == "spectrum"
     peak = _traced_peak(k_invariant, u, v)
     assert peak <= 2.5 * (2 * n) ** 2 * 16
@@ -153,11 +156,14 @@ def test_orientation_consistency_with_winding():
 # -- rank class ---------------------------------------------------------------------
 
 def test_k_invariant_voiculescu_and_report():
+    # the n = 64 pair takes the sign7 route, whose e_defect is S_8 of e^2 - e:
+    # no less than the frozen operator-norm defect, and below 1/8
     u, v = voiculescu_pair(64)
     rep = k_invariant(u, v)
     assert rep.name == "k_invariant"
     assert rep.rounded == 1 and rep.value == 1.0 and rep.is_integer
-    assert abs(rep.defect_data["e_defect"] - FROZEN_DEFECTS[64]) < 5e-6
+    assert rep.defect_data["route"] == "sign7"
+    assert FROZEN_DEFECTS[64] - 5e-6 < rep.defect_data["e_defect"] < 0.125
     assert rep.defect_data["spectral_gap"] > 0.9
     assert rep.defect_data["orientation"] == 1.0
     assert abs(rep.defect_data["commutator_defect"] - 2 * np.sin(np.pi / 64)) < 1e-12
@@ -303,24 +309,26 @@ def test_k_invariant_takes_a_formed_commutator(monkeypatch):
     assert rep.defect_data["commutator_defect"] == defect
 
 
-# -- the two routes to k -----------------------------------------------------------------
+# -- the three routes to k ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n, radius, route", [
     (256, 0.02, "trace"),
     (128, 0.0, "trace"),
-    (64, 0.0, "spectrum"),
-    (64, 0.02, "spectrum"),
-    (48, 0.19, "spectrum"),
+    (64, 0.0, "sign7"),
+    (64, 0.02, "sign7"),
+    (48, 0.19, "sign7"),
     (16, 0.0, "spectrum"),
-    (32, 0.0, "spectrum"),
+    (32, 0.0, "sign7"),
     (128, 0.02, "trace"),
 ])
 def test_k_route_follows_the_frobenius_certificate(n, radius, route):
     # F = ||e^2 - e||_F is about 1.15 / sqrt(n) on the unperturbed pair, 0.09
     # at n = 256 with radius 0.02 and 0.15 at n = 64: the trace route is
-    # taken exactly where F < TRACE_ROUTE_F = 1/8.  These inputs, the Tier-1
-    # fixtures' and the benchmark's, have ||e^2 - e|| < 1/8, so a gate of 1/8
-    # took them too, with the same route and k
+    # taken exactly where F < TRACE_ROUTE_F = 1/8.  Elsewhere the sign7 route
+    # is taken where S_8 < 1/8 (0.04 at n = 64, 0.07 at n = 32, 0.09 at
+    # n = 48 with radius 0.19) and the spectrum route where it is not (0.134
+    # at n = 16).  These inputs, the Tier-1 fixtures' and the benchmark's,
+    # have ||e^2 - e|| < 1/8, so a gate of 1/8 took them too, with the same k
     for seed in (1, 2):
         rep = k_invariant(*_shift_phase_pair(n, radius, seed))
         assert rep.defect_data["route"] == route
@@ -328,19 +336,103 @@ def test_k_route_follows_the_frobenius_certificate(n, radius, route):
         assert rep.rounded == 1
 
 
+def _forced_class(monkeypatch, u, v, route):
+    # the trace formula of one route on (u, v), whichever route k_invariant
+    # would pick: the cubic is certified wherever F < 1/4, and the sign7 route
+    # runs wherever the cubic's selector refuses
+    with monkeypatch.context() as m:
+        m.setattr(bott, "TRACE_ROUTE_F", 0.25 if route == "trace" else 0.0)
+        certified = _eigenbasis_class(u, unitary_eig(v))
+    assert certified is not None and certified.route == route
+    return certified
+
+
 @pytest.mark.parametrize("n", [48, 64, 128, 256])
 @pytest.mark.parametrize("radius", [0.0, 0.02])
-def test_both_routes_give_the_same_k(n, radius):
-    # the trace formula rounded, under its certificate F < 1/4, against the
-    # count of e's spectrum above 1/2; k_invariant reports the same integer
-    # on whichever route it takes
+def test_both_routes_give_the_same_k(monkeypatch, n, radius):
+    # the cubic trace formula under its certificate 8 F^2 < 1/2, the degree-7
+    # one under its own, and the count of e's spectrum above 1/2 all give the
+    # class; k_invariant reports the same integer on whichever route it takes
     u, v = _shift_phase_pair(n, radius)
-    value, frobenius = _trace_class(u, unitary_eig(v))
-    assert frobenius < 0.25
     ap = bott_almost_projection(u, v)
     counted = int(np.count_nonzero(ap.spectrum > 0.5)) - n
-    assert round(value) == counted == k_invariant(u, v).rounded == 1
-    assert abs(value - counted) <= 8 * frobenius ** 2
+    assert counted == push_k_class(ap) == k_invariant(u, v).rounded == 1
+    cubic = _forced_class(monkeypatch, u, v, "trace")
+    assert cubic.e_defect < 0.25 and cubic.error == 8 * cubic.e_defect ** 2
+    sign7 = _forced_class(monkeypatch, u, v, "sign7")
+    for certified in (cubic, sign7):
+        assert round(certified.value) == counted
+        assert abs(certified.value - counted) <= certified.error < 0.5
+    # the degree-7 polynomial is the sharper of the two
+    assert abs(sign7.value - counted) < abs(cubic.value - counted)
+
+
+def _defect_spectrum(u, v):
+    # e assembled, X = 2e - 1 and the spectrum of e^2 - e, by eigvalsh
+    e = _bott_matrix(*_bott_blocks(u, unitary_eig(v)))
+    return e, 2 * e - np.eye(len(e)), np.linalg.eigvalsh(e @ e - e)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_sign7_route_at_the_stability_size(seed):
+    # n = 48, radius 0.19, the stability-sweep size: F = 0.29 refuses the
+    # cubic, and the sign7 route gives the spectrum route's k.  Checked on
+    # the assembled e: its S_8 is e_defect, its S_4 gives the certificate,
+    # and the certificate bounds |tr p_7(X) / 2 - k|
+    n = 48
+    u, v = _shift_phase_pair(n, 0.19, seed)
+    rep = k_invariant(u, v)
+    d = rep.defect_data
+    assert d["route"] == "sign7"
+    assert rep.rounded == push_k_class(bott_almost_projection(u, v)) == 1
+    e, x, defects = _defect_spectrum(u, v)
+    s8 = float((defects ** 8).sum() ** 0.125)
+    assert abs(d["e_defect"] - s8) <= 1e-12 and s8 < SIGN7_ROUTE_S8
+    assert d["spectral_gap"] == 2 * np.sqrt(0.25 - d["e_defect"])
+    certified = _eigenbasis_class(u, unitary_eig(v))
+    assert certified.e_defect == d["e_defect"]
+    assert certified.error == pytest.approx(_sign7_error(float((defects ** 4).sum()), s8, n),
+                                            rel=1e-9)
+    xs = np.linalg.eigvalsh(x)
+    p7 = float((xs * (35 - 35 * xs**2 + 21 * xs**4 - 5 * xs**6) / 16).sum()) / 2
+    assert abs(certified.value - p7) < 1e-9
+    assert abs(p7 - rep.rounded) <= certified.error < 0.5
+    # the spectral gap is a lower bound on e's own
+    spectrum = np.linalg.eigvalsh(e)
+    assert d["spectral_gap"] <= spectrum[spectrum > 0.5].min() - spectrum[spectrum < 0.5].max()
+
+
+@pytest.mark.parametrize("n, radius", [(16, 0.0), (64, 0.4)])
+def test_k_falls_back_where_s8_reaches_the_selector(monkeypatch, n, radius):
+    # S_8 is 0.134 and 0.145 here, though the diagonal's 8-norm, its free
+    # lower bound, is below 1/8: the sign7 attempt runs in full, refuses, and
+    # the spectrum route reports bott_almost_projection's bits
+    u, v = _shift_phase_pair(n, radius)
+    e, _, defects = _defect_spectrum(u, v)
+    diagonal = np.diag(e @ e - e).real
+    assert (diagonal ** 8).sum() ** 0.125 < SIGN7_ROUTE_S8 <= (defects ** 8).sum() ** 0.125
+    grams = spy(monkeypatch, bott._gram, [bott])
+    rep = k_invariant(u, v)
+    assert len(grams) == 2
+    monkeypatch.undo()
+    ap = bott_almost_projection(u, v)
+    d = rep.defect_data
+    assert d["route"] == "spectrum"
+    assert rep.rounded == push_k_class(ap) == 1
+    assert d["e_defect"] == ap.defect
+    above, below = ap.spectrum[ap.spectrum >= 0.5], ap.spectrum[ap.spectrum < 0.5]
+    assert d["spectral_gap"] == float(above.min() - below.max())
+
+
+def test_hopeless_attempt_takes_no_product(monkeypatch):
+    # at n = 12 the diagonal of e^2 - e has 8-norm 0.152 >= 1/8, a lower
+    # bound on S_8 and on F: neither trace formula is tried, and the spectrum
+    # route takes k
+    u, v = voiculescu_pair(12)
+    grams = spy(monkeypatch, bott._gram, [bott])
+    rep = k_invariant(u, v)
+    assert grams == []
+    assert rep.defect_data["route"] == "spectrum" and rep.rounded == 1
 
 
 def test_trace_route_e_defect_is_the_frobenius_norm_of_e2_minus_e():
@@ -364,10 +456,10 @@ def test_trace_route_e_defect_is_the_frobenius_norm_of_e2_minus_e():
 
 
 def test_spectrum_route_is_bott_almost_projection():
-    # F = 0.29 at n = 256, radius 0.1: the trace route is not taken, and the
+    # S_8 = 0.134 at n = 16: neither trace formula is taken, and the
     # spectrum route reports what bott_almost_projection and push_k_class
     # give, bit for bit
-    u, v = _shift_phase_pair(256, 0.1)
+    u, v = _shift_phase_pair(16, 0.0)
     rep = k_invariant(u, v)
     ap = bott_almost_projection(u, v)
     d = rep.defect_data
@@ -388,6 +480,25 @@ def test_trace_route_takes_no_eigensolve_of_order_2n(monkeypatch):
     assert k_invariant(u, v).defect_data["route"] == "trace"
     assert eigvalsh and all(args[0].shape[0] == n for args in eigvalsh)
     assert eigh and all(args[0].shape[0] <= n for args in eigh)
+
+
+@pytest.mark.parametrize("n, radius", [(48, 0.19), (128, 0.02), (256, 0.02)])
+def test_no_eigensolve_of_order_2n_at_the_benchmark_inputs(monkeypatch, n, radius):
+    # the benchmark's k inputs: stability-sweep at n = 48 (the sign7 route),
+    # cli-files at n = 128 and exel-loring-large at n = 256 (the trace
+    # route), each perturbed as a case is; no eigensolve sees a matrix larger
+    # than n
+    base_u, base_v = voiculescu_pair(n)
+    eigvalsh = spy(monkeypatch, np.linalg.eigvalsh, [np.linalg])
+    eigh = spy(monkeypatch, np.linalg.eigh, [np.linalg])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u, v = perturbed_copy(base_u, radius, rng), perturbed_copy(base_v, radius, rng)
+        rep = k_invariant(u, v)
+        assert rep.rounded == 1
+        assert rep.defect_data["route"] == ("sign7" if n == 48 else "trace")
+    assert eigvalsh and max(args[0].shape[0] for args in eigvalsh) == n
+    assert eigh and max(args[0].shape[0] for args in eigh) <= n
 
 
 def test_k_dimension_mismatch():

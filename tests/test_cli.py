@@ -640,6 +640,20 @@ def test_stability_row_at_the_benchmark_size(capsys):
     assert row["kappa"] == row["wn"] == -1 and row["k"] == 1
 
 
+def test_stability_at_the_benchmark_size_takes_no_eigensolve_of_order_2n(capsys, monkeypatch):
+    # k of the n = 48, radius 0.19 row takes the sign7 route in v's
+    # eigenbasis: no eigensolve of the whole run sees a matrix of e's order 96
+    eigvalsh = spy(monkeypatch, np.linalg.eigvalsh, [np.linalg])
+    eigh = spy(monkeypatch, np.linalg.eigh, [np.linalg])
+    obj = run_json(capsys, "stability", "--g", "1", "--n", "48", "--radius", "0.19",
+                   "--deterministic")
+    row, = obj["result"]["rows"]
+    # the sign7 route's e_defect is S_8 < 1/8, and its gap 2 sqrt(1/4 - S_8)
+    assert row["k"] == 1 and row["e_defect"] < 0.125
+    assert row["gap"] == 2 * np.sqrt(0.25 - row["e_defect"])
+    assert eigvalsh and max(args[0].shape[0] for args in eigvalsh + eigh) == 48
+
+
 def test_stability_hypothesis_violation_recorded_not_fatal(capsys):
     obj = run_json(capsys, "stability", "--g", "1", "--n", "32",
                    "--radius", "0.3", "--seeds", "1", "--deterministic")
